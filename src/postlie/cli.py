@@ -3,8 +3,8 @@
 Every operation reads bracket expressions from its arguments, computes
 exactly, and prints terms in compare-order, so identical invocations give
 byte-identical output.  ``--output json`` switches any subcommand to a JSON
-rendering of the same data.  Degree-bearing options are capped by
-``POSTLIE_DEGREE_CAP`` (default 7).
+rendering of the same data.  Degree-bearing options, and the operands of
+the binary operations, are capped by ``POSTLIE_DEGREE_CAP`` (default 7).
 
 Exit codes: 0 on success, 1 for failed verification suites and other
 errors, 2 for malformed input expressions (the message carries the
@@ -52,6 +52,11 @@ def _cap(n: int, what: str) -> int:
             f"{what} {n} exceeds the degree cap {cap}; "
             "set POSTLIE_DEGREE_CAP to raise it")
     return n
+
+
+def _cap_operands(a, b) -> None:
+    _cap(a.max_degree(), "degree of A")
+    _cap(b.max_degree(), "degree of B")
 
 
 def _emit_lin(args, x, reg: bool = False) -> int:
@@ -120,6 +125,7 @@ def _cmd_binary(fn):
         alpha = _alphabet(args)
         a = parse_lincomb(args.A, alpha)
         b = parse_lincomb(args.B, alpha)
+        _cap_operands(a, b)
         return _emit_lin(args, fn(a, b))
     return cmd
 
@@ -194,6 +200,7 @@ def _cmd_reg_binary(fn):
     def cmd(args) -> int:
         a = parse_reg_lincomb(args.A)
         b = parse_reg_lincomb(args.B)
+        _cap_operands(a, b)
         return _emit_lin(args, fn(a, b), reg=True)
     return cmd
 

@@ -13,8 +13,9 @@ import re
 from fractions import Fraction
 from typing import Callable
 
-from .forest import (ForestSyntaxError, OrderedForest, forest_from_json,
-                     forest_to_json, parse_forest)
+from .forest import (MAX_NESTING, NESTING_ERROR, ForestSyntaxError,
+                     OrderedForest, forest_from_json, forest_to_json,
+                     parse_forest)
 from .lincomb import LinComb, Tensor, shuffle, tensor_of
 from .regstruct import RegTree, parse_reg_tree, reg_tree_from_json, reg_tree_to_json
 
@@ -160,6 +161,7 @@ class _Parser:
         self.atom = atom
         self.shuffle_fn = shuffle_fn
         self.unit = unit
+        self.depth = 0
 
     def parse(self) -> Tensor:
         out = self.sum()
@@ -209,25 +211,32 @@ class _Parser:
             acc = self.shuffle_fn(acc, self.factor())
 
     def factor(self) -> LinComb:
-        tok = self.lex.peek()
-        if tok is None:
-            raise ForestSyntaxError("expected a term", len(self.lex.text))
-        if tok[0] == "number":
+        # A run of "number *" prefixes folds into one coefficient.
+        coeff = Fraction(1)
+        while True:
+            tok = self.lex.peek()
+            if tok is None:
+                raise ForestSyntaxError("expected a term", len(self.lex.text))
+            if tok[0] != "number":
+                out = self.atomic()
+                return out if coeff == 1 else out.scale(coeff)
             self.lex.next()
-            coeff = Fraction(tok[1])
+            coeff *= Fraction(tok[1])
             nxt = self.lex.peek()
-            if nxt is not None and nxt[0] == "times":
-                self.lex.next()
-                return self.factor().scale(coeff)
-            return self.unit.scale(coeff)
-        return self.atomic()
+            if nxt is None or nxt[0] != "times":
+                return self.unit.scale(coeff)
+            self.lex.next()
 
     def atomic(self) -> LinComb:
         tok = self.lex.next()
         if tok[0] == "word":
             return self.atom(tok[1], tok[2])
         if tok[0] == "lparen":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ForestSyntaxError(NESTING_ERROR, tok[2])
             inner = self.sum()
+            self.depth -= 1
             close = self.lex.next()
             if close[0] != "rparen":
                 raise ForestSyntaxError("expected )", close[2])

@@ -176,11 +176,18 @@ def compare(f1: OrderedForest, f2: OrderedForest) -> int:
 
 _TOKEN = re.compile(r"[A-Za-z0-9_]+")
 
+# Deepest bracket or parenthesis nesting the recursive parsers accept; far
+# beyond any computable degree, and well inside Python's recursion limit.
+MAX_NESTING = 100
+NESTING_ERROR = f"nesting deeper than {MAX_NESTING}"
+
 
 def _parse_tree(text: str, pos: int, alphabet: frozenset[str] | None,
-                default: str | None) -> tuple[PlanarTree, int]:
+                default: str | None, depth: int = 1) -> tuple[PlanarTree, int]:
     if pos >= len(text) or text[pos] != "[":
         raise ForestSyntaxError("expected '['", pos)
+    if depth > MAX_NESTING:
+        raise ForestSyntaxError(NESTING_ERROR, pos)
     pos += 1
     m = _TOKEN.match(text, pos)
     if m is not None:
@@ -194,7 +201,7 @@ def _parse_tree(text: str, pos: int, alphabet: frozenset[str] | None,
         raise ForestSyntaxError("missing decoration token", pos)
     children = []
     while pos < len(text) and text[pos] == "[":
-        child, pos = _parse_tree(text, pos, alphabet, default)
+        child, pos = _parse_tree(text, pos, alphabet, default, depth + 1)
         children.append(child)
     if pos >= len(text) or text[pos] != "]":
         raise ForestSyntaxError("expected ']'", pos)

@@ -1,16 +1,25 @@
 """Left grafting of planar forests and the Grossman-Larson product.
 
-``left_graft`` sums over all ways to attach every root of the left forest to
-a vertex of the right one.  Each assignment of roots to target vertices
-contributes exactly one term: the grafted subtrees arrive as a leftmost block
-at their target, keeping their mutual order, in front of the existing
-children.  Two independent implementations are provided: direct multi-target
-enumeration (the default, memoized) and the enveloping-algebra recursion
+``A < B`` sums over all ways to attach every root of the left forest ``A``
+to a vertex of the right forest ``B``.  Each assignment of roots to target
+vertices contributes one term: the grafted subtrees arrive as a leftmost
+block at their target, keeping their mutual order, in front of the existing
+children.  There are ``nv^k`` assignments for ``k`` roots and ``nv``
+vertices, but when roots repeat most of them give the same forest.
 
-    1 < B = B,   (x . A) < y = x < (A < y) - (x < A) < y,
-    A < (B C) = (A_(1) < B)(A_(2) < C),
+``graft_forests`` therefore never enumerates assignments.  It runs the
+Guin-Oudom recursion over the deshuffle ``A_(1) (x) A_(2)`` of the left
+forest,
 
-peeling the leftmost tree of the left word, used as a cross-check.
+    1 < W = W,          A < 1 = 0 for A != 1,
+    A < B+_d(w) = B+_d(A_(1) . (A_(2) < w)),
+    A < (t . W) = (A_(1) < t)(A_(2) < W),
+
+summing over the distinct deshuffle pairs with integer multiplicities and
+memoizing ``(A, W)`` within one call.  Its cost follows the number of
+distinct intermediate and final terms rather than ``nv^k``; grafting seven
+single vertices onto a seven-vertex ladder gives 1,716 terms from 823,543
+assignments.
 
 On top of grafting sit the Grossman-Larson product
 ``A * B = A_(1) . (A_(2) < B)``, the concatenation antipode, and the
@@ -20,51 +29,54 @@ Grossman-Larson antipode with its induced inverse of concatenation.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as iproduct
 
-from .forest import FOREST_ONE, OrderedForest, PlanarTree, forest, single, tree, word
-from .lincomb import LinComb, _add_into, concat, counit, deshuffle_forest
+from .forest import FOREST_ONE, OrderedForest, forest, tree, word
+from .lincomb import (LinComb, _add_into, _deshuffle_words, concat, counit,
+                      deshuffle_forest)
 
 
-def _rebuild(t: PlanarTree, idx: int, extra: list[list[PlanarTree]]) -> tuple[PlanarTree, int]:
-    # Vertices are numbered in depth-first preorder; grafted blocks go leftmost.
-    my = idx
-    idx += 1
-    kids = []
-    for c in t.children:
-        nc, idx = _rebuild(c, idx, extra)
-        kids.append(nc)
-    add = extra[my]
-    return tree(t.decoration, add + kids if add else kids), idx
+def _graft_words(a: tuple, w: tuple, memo: dict, splits: dict) -> dict:
+    # a < w on plain tuples of trees, with integer multiplicities.
+    got = memo.get((a, w))
+    if got is not None:
+        return got
+    out: dict = {}
+    if not a:
+        out[w] = 1
+    elif w:
+        split = splits.get(a)
+        if split is None:
+            split = splits[a] = _deshuffle_words(a)
+        if len(w) == 1:
+            # A < B+_d(v) = B+_d(A_(1) . (A_(2) < v))
+            t = w[0]
+            for (a1, a2), m in split.items():
+                for f, c in _graft_words(a2, t.children, memo, splits).items():
+                    key = (tree(t.decoration, a1 + f),)
+                    out[key] = out.get(key, 0) + m * c
+        else:
+            # A < (t . W) = (A_(1) < t)(A_(2) < W)
+            head, rest = w[:1], w[1:]
+            for (a1, a2), m in split.items():
+                right = _graft_words(a2, rest, memo, splits)
+                for f1, c1 in _graft_words(a1, head, memo, splits).items():
+                    for f2, c2 in right.items():
+                        key = f1 + f2
+                        out[key] = out.get(key, 0) + m * c1 * c2
+    memo[a, w] = out
+    return out
 
 
 _GRAFT: dict[tuple[OrderedForest, OrderedForest], LinComb] = {}
 
 
 def graft_forests(w1: OrderedForest, w2: OrderedForest) -> LinComb:
-    """Left grafting of basis forests by direct assignment enumeration."""
+    """Left grafting of basis forests through the deshuffle recursion."""
     got = _GRAFT.get((w1, w2))
     if got is not None:
         return got
-    if w1.is_empty:
-        out = LinComb.basis(w2)
-    elif w2.is_empty:
-        out = LinComb.zero()
-    else:
-        nv = w2.degree
-        roots = w1.trees
-        acc: dict = {}
-        for assign in iproduct(range(nv), repeat=len(roots)):
-            extra: list[list[PlanarTree]] = [[] for _ in range(nv)]
-            for t, v in zip(roots, assign):
-                extra[v].append(t)
-            idx = 0
-            new_trees = []
-            for t in w2.trees:
-                nt, idx = _rebuild(t, idx, extra)
-                new_trees.append(nt)
-            _add_into(acc, forest(new_trees), Fraction(1))
-        out = LinComb(acc)
+    terms = _graft_words(w1.trees, w2.trees, {}, {})
+    out = LinComb({forest(f): Fraction(c) for f, c in terms.items()})
     _GRAFT[(w1, w2)] = out
     return out
 
@@ -75,56 +87,6 @@ def left_graft(x: LinComb, y: LinComb) -> LinComb:
     for f1, c1 in x.items():
         for f2, c2 in y.items():
             for f3, c3 in graft_forests(f1, f2).items():
-                _add_into(acc, f3, c1 * c2 * c3)
-    return LinComb(acc)
-
-
-def _graft_go(a: OrderedForest, y: OrderedForest) -> LinComb:
-    # Recursive Guin-Oudom evaluation; intentionally independent of
-    # graft_forests so the two can be compared term by term.
-    if y.is_empty:
-        return LinComb.basis(FOREST_ONE) if a.is_empty else LinComb.zero()
-    if len(y) >= 2:
-        head, rest = single(y.trees[0]), forest(y.trees[1:])
-        acc: dict = {}
-        for (a1, a2), c in deshuffle_forest(a).items():
-            for f1, c1 in _graft_go(a1, head).items():
-                for f2, c2 in _graft_go(a2, rest).items():
-                    _add_into(acc, word(f1, f2), c * c1 * c2)
-        return LinComb(acc)
-    if a.is_empty:
-        return LinComb.basis(y)
-    if len(a) == 1:
-        t1, t2 = a.trees[0], y.trees[0]
-        acc = {}
-        for v in range(t2.degree):
-            extra: list[list[PlanarTree]] = [[] for _ in range(t2.degree)]
-            extra[v].append(t1)
-            nt, _ = _rebuild(t2, 0, extra)
-            _add_into(acc, single(nt), Fraction(1))
-        return LinComb(acc)
-    x, rest = a.trees[0], forest(a.trees[1:])
-    inner = _graft_go(rest, y)
-    term1: dict = {}
-    for f, c in inner.items():
-        for f2, c2 in _graft_go(single(x), f).items():
-            _add_into(term1, f2, c * c2)
-    xrest = _graft_go(single(x), rest)
-    term2: dict = {}
-    for f, c in xrest.items():
-        for f2, c2 in _graft_go(f, y).items():
-            _add_into(term2, f2, c * c2)
-    out = dict(term1)
-    for k, c in term2.items():
-        _add_into(out, k, -c)
-    return LinComb(out)
-
-
-def left_graft_recursive(x: LinComb, y: LinComb) -> LinComb:
-    acc: dict = {}
-    for f1, c1 in x.items():
-        for f2, c2 in y.items():
-            for f3, c3 in _graft_go(f1, f2).items():
                 _add_into(acc, f3, c1 * c2 * c3)
     return LinComb(acc)
 

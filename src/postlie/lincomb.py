@@ -339,18 +339,27 @@ def shuffle(x: LinComb, y: LinComb) -> LinComb:
     return LinComb(acc)
 
 
-def deshuffle_forest(f: OrderedForest) -> Tensor:
-    """Unshuffle coproduct of one forest: sum over subsets of tree positions."""
-    trees_ = f.trees
+def _deshuffle_words(trees_: tuple) -> dict[tuple[tuple, tuple], int]:
+    """Distinct (picked, rest) subsequence pairs of a word of trees.
+
+    Values are integer multiplicities: the number of position subsets that
+    give the pair.
+    """
     n = len(trees_)
     acc: dict = {}
     for r in range(n + 1):
         for pick in combinations(range(n), r):
-            left = forest(trees_[i] for i in pick)
             picked = set(pick)
-            right = forest(trees_[i] for i in range(n) if i not in picked)
-            _add_into(acc, (left, right), Fraction(1))
-    return Tensor(2, acc)
+            key = (tuple(trees_[i] for i in pick),
+                   tuple(trees_[i] for i in range(n) if i not in picked))
+            acc[key] = acc.get(key, 0) + 1
+    return acc
+
+
+def deshuffle_forest(f: OrderedForest) -> Tensor:
+    """Unshuffle coproduct of one forest: sum over subsets of tree positions."""
+    return Tensor(2, {(forest(left), forest(right)): Fraction(m)
+                      for (left, right), m in _deshuffle_words(f.trees).items()})
 
 
 def deshuffle(x: LinComb) -> Tensor:

@@ -40,7 +40,7 @@ from itertools import combinations, product as iproduct
 from math import comb
 from typing import Iterator
 
-from .forest import ForestSyntaxError
+from .forest import MAX_NESTING, NESTING_ERROR, ForestSyntaxError
 from .lincomb import LinComb, Tensor, _add_into
 
 MultiIndex = tuple[int, ...]
@@ -261,9 +261,11 @@ def _parse_group(text: str, pos: int) -> tuple[MultiIndex, int]:
     return tuple(entries), pos + 1
 
 
-def _parse_reg(text: str, pos: int):
+def _parse_reg(text: str, pos: int, depth: int = 1):
     if pos >= len(text) or text[pos] != "[":
         raise ForestSyntaxError("expected '['", pos)
+    if depth > MAX_NESTING:
+        raise ForestSyntaxError(NESTING_ERROR, pos)
     pos = _skip_ws(text, pos + 1)
     if pos < len(text) and text[pos] == "o":
         pos = _skip_ws(text, pos + 1)
@@ -273,7 +275,7 @@ def _parse_reg(text: str, pos: int):
         pos = _skip_ws(text, pos)
     kids = []
     while pos < len(text) and text[pos] == "[":
-        child, pos = _parse_reg(text, pos)
+        child, pos = _parse_reg(text, pos, depth + 1)
         pos = _skip_ws(text, pos)
         ann, ann_pos = None, pos
         if pos < len(text) and text[pos] == "{":

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from postlie.cli import main
+from postlie.forest import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -169,3 +170,44 @@ def test_deterministic_output(capsys):
     code1, out1, _ = run(capsys, "gl-product", "[a][b]", "[c]")
     code2, out2, _ = run(capsys, "gl-product", "[a][b]", "[c]")
     assert code1 == code2 == 0 and out1 == out2
+
+
+DEEP = 1300
+
+
+def test_deep_tree_nesting_exit_2(capsys):
+    code, _, err = run(capsys, "graft", "[o" * DEEP + "]" * DEEP, "[o]")
+    assert code == 2
+    assert f"(at position {2 * MAX_NESTING})" in err
+
+
+def test_deep_reg_tree_nesting_exit_2(capsys):
+    code, _, err = run(capsys, "reg-gl-product",
+                       "[o" * DEEP + "{1}" + "]" * DEEP, "[o{1}]")
+    assert code == 2
+    assert f"(at position {2 * MAX_NESTING})" in err
+
+
+def test_deep_parenthesis_nesting_exit_2(capsys):
+    code, _, err = run(capsys, "pi", "(" * DEEP + "[o]" + ")" * DEEP)
+    assert code == 2
+    assert f"(at position {MAX_NESTING})" in err
+
+
+def test_nesting_at_the_cap_still_parses(capsys):
+    code, out, _ = run(capsys, "pi", "(" * MAX_NESTING + "2*3*[o]"
+                       + ")" * MAX_NESTING)
+    assert (code, out.strip()) == (0, "6*[o]")
+
+
+@pytest.mark.parametrize("argv", [
+    ("graft", "[o]" * 8, "[o]"),
+    ("gl-product", "[o]", "[o[o[o[o[o[o[o[o]]]]]]]]"),
+    ("natural-growth", "[o]" * 8, "[o]"),
+    ("reg-gl-product", "[o{1}]", "[o{0}" * 9 + "]" * 9),
+    ("reg-graft", "[o{8}]", "[o{0}]"),
+])
+def test_binary_operand_degree_cap_exit_1(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "POSTLIE_DEGREE_CAP" in err

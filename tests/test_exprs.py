@@ -56,6 +56,12 @@ def test_error_positions():
     assert "parentheses" in str(e.value)
 
 
+def test_long_coefficient_chain_folds():
+    x = parse_lincomb("2*" * 3000 + "[a]")
+    assert x == LinComb.basis(parse_forest("[a]")).scale(2 ** 3000)
+    assert parse_lincomb("2*3") == parse_lincomb("6")
+
+
 def test_alphabet_violation_keeps_position():
     with pytest.raises(ForestSyntaxError) as e:
         parse_lincomb("[a][z]", ("a", "b"))
