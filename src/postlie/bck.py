@@ -223,11 +223,7 @@ def bck_coproduct_forest(f: NonplanarForest) -> Tensor:
 
 
 def bck_coproduct(x: LinComb) -> Tensor:
-    acc: dict = {}
-    for f, c in x.items():
-        for key, c2 in bck_coproduct_forest(f).items():
-            _add_into(acc, key, c * c2)
-    return Tensor(2, acc)
+    return x.apply_coproduct(bck_coproduct_forest)
 
 
 _BCK_REDUCED: dict = {}

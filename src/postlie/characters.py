@@ -309,9 +309,34 @@ def char_to_json(X: TruncChar) -> str:
 
 
 def char_from_json(text: str) -> TruncChar:
+    """Read `char_to_json` output; malformed input raises ``ValueError``.
+
+    Values are integers or exact strings such as ``"-1/3"``; a JSON float
+    is refused, so no binary fraction enters a coefficient.
+    """
     data = json.loads(text)
-    vals = {parse_forest(k): Fraction(v) for k, v in data["values"].items()}
-    return TruncChar(int(data["N"]), vals, data["flavor"])
+    if not isinstance(data, dict):
+        raise ValueError("character file must hold a JSON object")
+    N, values, flavor = (data.get(k) for k in ("N", "values", "flavor"))
+    if type(N) is not int:
+        raise ValueError(f"character 'N' must be an integer, got {N!r}")
+    if not isinstance(values, dict):
+        raise ValueError("character 'values' must be an object of "
+                         "forest: value pairs")
+    if not isinstance(flavor, str):
+        raise ValueError(
+            f"character 'flavor' must be a string, got {flavor!r}")
+    vals = {}
+    for k, v in values.items():
+        f = parse_forest(k)
+        try:
+            if type(v) is not int and not isinstance(v, str):
+                raise TypeError
+            vals[f] = Fraction(v)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValueError(f"value {v!r} on {k} is not an integer or an "
+                             "exact fraction string") from None
+    return TruncChar(N, vals, flavor)
 
 
 def char_to_csv(X: TruncChar) -> str:

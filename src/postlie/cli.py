@@ -3,8 +3,9 @@
 Every operation reads bracket expressions from its arguments, computes
 exactly, and prints terms in compare-order, so identical invocations give
 byte-identical output.  ``--output json`` switches any subcommand to a JSON
-rendering of the same data.  Degree-bearing options, and the operands of
-the binary operations, are capped by ``POSTLIE_DEGREE_CAP`` (default 7).
+rendering of the same data.  Degree-bearing options, the operands of the
+forest and decorated operations, and the truncation degree of character
+files are capped by ``POSTLIE_DEGREE_CAP`` (default 7).
 
 Exit codes: 0 on success, 1 for failed verification suites and other
 errors, 2 for malformed input expressions (the message carries the
@@ -59,6 +60,12 @@ def _cap_operands(a, b) -> None:
     _cap(b.max_degree(), "degree of B")
 
 
+def _operand(args):
+    x = parse_lincomb(args.X, _alphabet(args))
+    _cap(x.max_degree(), "degree of X")
+    return x
+
+
 def _emit_lin(args, x, reg: bool = False) -> int:
     if args.output == "json":
         obj = reg_lincomb_to_json(x) if reg else lincomb_to_json(x)
@@ -107,7 +114,9 @@ def _parse_increments(raw: str) -> dict:
 
 def _read_char(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return char_from_json(fh.read())
+        X = char_from_json(fh.read())
+    _cap(X.N, "truncation degree")
+    return X
 
 
 def _emit_char(args, X) -> int:
@@ -131,7 +140,7 @@ def _cmd_binary(fn):
 
 
 def _cmd_antipode(args) -> int:
-    x = parse_lincomb(args.X, _alphabet(args))
+    x = _operand(args)
     fn = {"mkw": mkw_antipode, "gl": gl_antipode,
           "concat": concat_antipode}[args.which]
     return _emit_lin(args, fn(x))
@@ -139,18 +148,18 @@ def _cmd_antipode(args) -> int:
 
 def _cmd_unary(fn):
     def cmd(args) -> int:
-        return _emit_lin(args, fn(parse_lincomb(args.X, _alphabet(args))))
+        return _emit_lin(args, fn(_operand(args)))
     return cmd
 
 
 def _cmd_cop(fn):
     def cmd(args) -> int:
-        return _emit_tensor(args, fn(parse_lincomb(args.X, _alphabet(args))))
+        return _emit_tensor(args, fn(_operand(args)))
     return cmd
 
 
 def _cmd_fdecompose(args) -> int:
-    levels = f_decompose(parse_lincomb(args.X, _alphabet(args)))
+    levels = f_decompose(_operand(args))
     if args.output == "json":
         obj = {"levels": {str(k): tensor_to_json(t)
                           for k, t in sorted(levels.items())}}

@@ -31,7 +31,8 @@ from .forest import (FOREST_ONE, OrderedForest, b_minus, b_plus,
                      tree, word)
 from .grafting import gl_forests, gl_product, graft_forests, left_graft
 from .lincomb import (LinComb, Tensor, _add_into, deconcat_forest,
-                      deshuffle, shuffle_words, tensor_of)
+                      deshuffle, duality_mismatches, graded_transpose,
+                      shuffle_words, tensor_of)
 from .mkw import mkw_coproduct_forest
 
 ForestProduct = Callable[[OrderedForest, OrderedForest], LinComb]
@@ -75,11 +76,7 @@ def rho_graft(x: LinComb | OrderedForest) -> Tensor:
     """Linear extension of `rho_forest`."""
     if isinstance(x, OrderedForest):
         return rho_forest(x)
-    acc: dict = {}
-    for f, c in x.items():
-        for key, c2 in rho_forest(f).items():
-            _add_into(acc, key, c * c2)
-    return Tensor(2, acc)
+    return x.apply_coproduct(rho_forest)
 
 
 def graft_duality_failures(maxdeg: int, alphabet: Iterable[str],
@@ -92,21 +89,12 @@ def graft_duality_failures(maxdeg: int, alphabet: Iterable[str],
     """
     rho_fn = rho_forest if rho is None else rho
     letters = tuple(alphabet)
-    fails: list[str] = []
-    for n in range(1, maxdeg + 1):
-        for x in enumerate_forests(n, letters):
-            t = rho_fn(x)
-            for i in range(0, n + 1):
-                for a in enumerate_forests(i, letters):
-                    for b in enumerate_forests(n - i, letters):
-                        lhs = t.coeff((a, b))
-                        rhs = graft_forests(a, b).coeff(x)
-                        if lhs != rhs:
-                            fails.append(
-                                f"<{a.text} (x) {b.text}, rho({x.text})> "
-                                f"= {lhs}, but <{a.text} graft {b.text}, "
-                                f"{x.text}> = {rhs}")
-    return fails
+    return [f"<{a.text} (x) {b.text}, rho({x.text})> = {lhs}, but "
+            f"<{a.text} graft {b.text}, {x.text}> = {rhs}"
+            for n in range(1, maxdeg + 1)
+            for x, a, b, lhs, rhs in duality_mismatches(
+                n, lambda i: enumerate_forests(i, letters), graft_forests,
+                rho_fn)]
 
 
 # -- dual coproducts by transposition --------------------------------------
@@ -126,32 +114,31 @@ def transpose_product(f: OrderedForest, product: ForestProduct,
     """Dualize a degree-additive forest product through the pairing.
 
     Returns the sum of ``a (x) b`` weighted by the coefficient of ``f``
-    in ``product(a, b)``.  Restricting the sweep to the decorations of
-    ``f`` is exact: the products transposed here neither create nor
-    destroy vertices, so mismatched letters pair to zero anyway.
+    in ``product(a, b)``, read off `graded_transpose`.  Restricting the
+    sweep to the decorations of ``f`` is exact: the products transposed
+    here neither create nor destroy vertices, so mismatched letters pair
+    to zero anyway.
     """
-    if f.is_empty:
-        return Tensor.basis((FOREST_ONE, FOREST_ONE))
     letters = _letters(f) if alphabet is None else tuple(sorted(set(alphabet)))
-    n = f.degree
-    acc: dict = {}
-    for i in range(0, n + 1):
-        for a in enumerate_forests(i, letters):
-            for b in enumerate_forests(n - i, letters):
-                c = product(a, b).coeff(f)
-                if c:
-                    _add_into(acc, (a, b), c)
-    return Tensor(2, acc)
+    return graded_transpose(f.degree, lambda i: enumerate_forests(i, letters),
+                            product).get(f, Tensor(2))
 
 
 _DELTA_STAR: dict[OrderedForest, Tensor] = {}
 
 
 def delta_star_forest(f: OrderedForest) -> Tensor:
-    """Coproduct dual to the Grossman-Larson product."""
+    """Coproduct dual to the Grossman-Larson product.
+
+    One miss caches the whole degree over the letters of ``f``; the sorted
+    bases make each tensor equal, in order too, to its own-letters sweep.
+    """
     got = _DELTA_STAR.get(f)
     if got is None:
-        got = _DELTA_STAR[f] = transpose_product(f, gl_forests)
+        letters = _letters(f)
+        _DELTA_STAR.update(graded_transpose(
+            f.degree, lambda i: enumerate_forests(i, letters), gl_forests))
+        got = _DELTA_STAR[f]
     return got
 
 
@@ -224,7 +211,7 @@ def verify_cointeraction(maxdeg: int, alphabet: Iterable[str] = ("o",),
         for d2 in range(d1, maxdeg - d1 + 1):
             for x in enumerate_forests(d1, letters):
                 for y in enumerate_forests(d2, letters):
-                    lhs = _lin_coaction(shuffle_words(x, y), rho_fn)
+                    lhs = shuffle_words(x, y).apply_coproduct(rho_fn)
                     rhs = _mix(rho_fn(x), rho_fn(y),
                                shuffle_words, shuffle_words)
                     if lhs != rhs:
@@ -258,14 +245,6 @@ def verify_cointeraction(maxdeg: int, alphabet: Iterable[str] = ("o",),
                          compat_fails))
 
     return _finish("cointeraction", maxdeg, letters, checks)
-
-
-def _lin_coaction(x: LinComb, rho_fn: ForestCoaction) -> Tensor:
-    acc: dict = {}
-    for f, c in x.items():
-        for key, c2 in rho_fn(f).items():
-            _add_into(acc, key, c * c2)
-    return Tensor(2, acc)
 
 
 def verify_cotranslation_cosubstitution(maxdeg: int,

@@ -126,6 +126,14 @@ class LinComb:
                 _add_into(acc, k2, c * c2)
         return LinComb(acc)
 
+    def apply_coproduct(self, fn: Callable[[Hashable], "Tensor"]) -> "Tensor":
+        """Linear extension of a basis-valued two-leg map."""
+        acc: dict = {}
+        for k, c in self._terms.items():
+            for key, c2 in fn(k)._terms.items():
+                _add_into(acc, key, c * c2)
+        return Tensor(2, acc)
+
     # degree-aware helpers (keys must expose .degree) ----------------------
 
     def degrees(self) -> set[int]:
@@ -284,6 +292,41 @@ class Tensor:
         return f"Tensor(arity={self.arity}, nterms={len(self._terms)})"
 
 
+def graded_transpose(n: int, basis: Callable[[int], Iterable[Hashable]],
+                     product: Callable[[Hashable, Hashable], LinComb],
+                     ) -> dict[Hashable, Tensor]:
+    """Map each ``x`` in ``basis(n)`` to ``sum <product(a, b), x> a (x) b``.
+
+    Pairs run over ``basis(i) x basis(n - i)``, ``i = 0..n``, and each is
+    multiplied once, its terms scattered into their targets: the degree
+    costs ``sum_i |B_i| |B_(n-i)|`` products.  Terms outside ``basis(n)``
+    are dropped, so a filtered product transposes its graded part.
+    """
+    acc: dict = {x: {} for x in basis(n)}
+    for i in range(n + 1):
+        right = basis(n - i)
+        for a in basis(i):
+            for b in right:
+                for x, c in product(a, b).items():
+                    terms = acc.get(x)
+                    if terms is not None:
+                        terms[(a, b)] = c
+    for x, terms in acc.items():
+        acc[x] = Tensor(2, terms)  # in place: one degree's terms held once
+    return acc
+
+
+def duality_mismatches(n: int, basis: Callable[[int], Iterable[Hashable]],
+                       product: Callable[[Hashable, Hashable], LinComb],
+                       coproduct: Callable[[Hashable], Tensor]):
+    """``(x, a, b, <a (x) b, coproduct(x)>, <product(a, b), x>)`` over the
+    support of ``coproduct(x)`` minus the transpose, on degree ``n``."""
+    for x, dual in graded_transpose(n, basis, product).items():
+        cop = coproduct(x)
+        for key, _ in (cop - dual).items():
+            yield (x, key[0], key[1], cop.coeff(key), dual.coeff(key))
+
+
 def tensor_of(*factors: LinComb) -> Tensor:
     """Outer product of LinCombs as a Tensor."""
     acc: dict = {(): Fraction(1)}
@@ -363,11 +406,7 @@ def deshuffle_forest(f: OrderedForest) -> Tensor:
 
 
 def deshuffle(x: LinComb) -> Tensor:
-    acc: dict = {}
-    for f, c in x.items():
-        for key, c2 in deshuffle_forest(f).items():
-            _add_into(acc, key, c * c2)
-    return Tensor(2, acc)
+    return x.apply_coproduct(deshuffle_forest)
 
 
 def deconcat_forest(f: OrderedForest) -> Tensor:
@@ -380,11 +419,7 @@ def deconcat_forest(f: OrderedForest) -> Tensor:
 
 
 def deconcat(x: LinComb) -> Tensor:
-    acc: dict = {}
-    for f, c in x.items():
-        for key, c2 in deconcat_forest(f).items():
-            _add_into(acc, key, c * c2)
-    return Tensor(2, acc)
+    return x.apply_coproduct(deconcat_forest)
 
 
 def pairing(x: LinComb, y: LinComb) -> Fraction:

@@ -24,10 +24,10 @@ import warnings
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .forest import (FOREST_ONE, OrderedForest, PlanarTree, b_minus, forest,
-                     forests_up_to, single, tree)
+from .forest import (FOREST_ONE, OrderedForest, PlanarTree, b_minus,
+                     enumerate_forests, forest, single, tree)
 from .grafting import gl_forests
-from .lincomb import (LinComb, Tensor, _add_into, pairing, shuffle,
+from .lincomb import (LinComb, Tensor, _add_into, duality_mismatches, shuffle,
                       shuffle_words)
 
 _RESERVED = "\x00"
@@ -106,11 +106,7 @@ def mkw_coproduct_forest(f: OrderedForest) -> Tensor:
 def mkw_coproduct(x: LinComb | OrderedForest) -> Tensor:
     if isinstance(x, OrderedForest):
         return mkw_coproduct_forest(x)
-    acc: dict = {}
-    for f, c in x.items():
-        for key, c2 in mkw_coproduct_forest(f).items():
-            _add_into(acc, key, c * c2)
-    return Tensor(2, acc)
+    return x.apply_coproduct(mkw_coproduct_forest)
 
 
 _REDUCED: dict[OrderedForest, Tensor] = {}
@@ -134,11 +130,7 @@ def reduced_coproduct(x: LinComb) -> Tensor:
     if x.coeff(FOREST_ONE):
         warnings.warn("reduced coproduct: dropping unit component", stacklevel=2)
         x = x - x.coeff(FOREST_ONE) * LinComb.basis(FOREST_ONE)
-    acc: dict = {}
-    for f, c in x.items():
-        for key, c2 in reduced_coproduct_forest(f).items():
-            _add_into(acc, key, c * c2)
-    return Tensor(2, acc)
+    return x.apply_coproduct(reduced_coproduct_forest)
 
 
 def iterated_reduced(x: LinComb, k: int) -> Tensor:
@@ -183,19 +175,11 @@ def mkw_antipode(x: LinComb) -> LinComb:
 def duality_failures(maxdeg: int, alphabet: Iterable[str],
                      coproduct: Callable[[OrderedForest], Tensor] | None = None,
                      ) -> list[tuple[OrderedForest, OrderedForest, OrderedForest]]:
-    """Witnesses (A, B, x) with <A * B, x> != <A (x) B, D(x)>, graded sweep."""
+    """Witnesses (A, B, x) with <A * B, x> != <A (x) B, D(x)>: per degree,
+    the support of ``D(x)`` minus the `graded_transpose` of the product."""
     cop = coproduct or mkw_coproduct_forest
     alpha = tuple(sorted(set(alphabet)))
-    bad = []
-    for x in forests_up_to(maxdeg, alpha):
-        dx = cop(x)
-        n = x.degree
-        for a in forests_up_to(n, alpha):
-            for b in forests_up_to(n - a.degree, alpha):
-                if a.degree + b.degree != n:
-                    continue
-                lhs = gl_forests(a, b).coeff(x)
-                rhs = dx.coeff((a, b))
-                if lhs != rhs:
-                    bad.append((a, b, x))
-    return bad
+    return [(a, b, x)
+            for n in range(maxdeg + 1)
+            for x, a, b, _, _ in duality_mismatches(
+                n, lambda i: enumerate_forests(i, alpha), gl_forests, cop)]

@@ -41,7 +41,7 @@ from math import comb
 from typing import Iterator
 
 from .forest import MAX_NESTING, NESTING_ERROR, ForestSyntaxError
-from .lincomb import LinComb, Tensor, _add_into
+from .lincomb import LinComb, Tensor, _add_into, graded_transpose
 
 MultiIndex = tuple[int, ...]
 
@@ -518,11 +518,7 @@ def reg_deshuffle_tree(t: RegTree) -> Tensor:
 def reg_deshuffle(x: LinComb | RegTree) -> Tensor:
     """Unshuffle a word: letters are primitive, branch order is kept, and
     repeated unit vertices contribute componentwise binomial weights."""
-    acc: dict = {}
-    for t, c in _as_lin(x).items():
-        for key, c2 in reg_deshuffle_tree(t).items():
-            _add_into(acc, key, c * c2)
-    return Tensor(2, acc)
+    return _as_lin(x).apply_coproduct(reg_deshuffle_tree)
 
 
 def reg_counit(x: LinComb | RegTree) -> Fraction:
@@ -786,21 +782,14 @@ _DMKW: dict[RegTree, Tensor] = {}
 
 
 def deformed_mkw_tree(t: RegTree) -> Tensor:
+    """Transpose of ``reg_gl_trees`` at ``t``; one miss caches the degree."""
     got = _DMKW.get(t)
-    if got is not None:
-        return got
-    n, d = t.degree, t.dim
-    acc: dict = {}
-    for i in range(n + 1):
-        right = enumerate_reg_trees(n - i, d)
-        for a in enumerate_reg_trees(i, d):
-            for b in right:
-                c = reg_gl_trees(a, b).coeff(t)
-                if c:
-                    _add_into(acc, (a, b), c)
-    out = Tensor(2, acc)
-    _DMKW[t] = out
-    return out
+    if got is None:
+        d = t.dim
+        _DMKW.update(graded_transpose(
+            t.degree, lambda i: enumerate_reg_trees(i, d), reg_gl_trees))
+        got = _DMKW[t]
+    return got
 
 
 def deformed_mkw_coproduct(x: LinComb | RegTree, maxdeg: int) -> Tensor:
@@ -816,11 +805,7 @@ def deformed_mkw_coproduct(x: LinComb | RegTree, maxdeg: int) -> Tensor:
     top = lx.max_degree()
     if top > maxdeg:
         raise ValueError(f"degree overflow: input has degree {top}, cap {maxdeg}")
-    acc: dict = {}
-    for t, c in lx.items():
-        for key, c2 in deformed_mkw_tree(t).items():
-            _add_into(acc, key, c * c2)
-    return Tensor(2, acc)
+    return lx.apply_coproduct(deformed_mkw_tree)
 
 
 # -- isomorphism between the two products -----------------------------------

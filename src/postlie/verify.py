@@ -37,7 +37,8 @@ from .growth import (f_decompose, f_recompose, fold_tensor, growth_fold,
                      is_primitive, natural_growth, primitive_basis,
                      primitive_projection)
 from .lincomb import (LinComb, Tensor, _add_into, concat, deconcat_forest,
-                      deshuffle, deshuffle_forest, shuffle_words, tensor_of)
+                      deshuffle, deshuffle_forest, duality_mismatches,
+                      shuffle_words, tensor_of)
 from .mkw import (duality_failures, mkw_antipode, mkw_coproduct,
                   mkw_coproduct_forest, reduced_coproduct)
 from .regstruct import (bracket0, deformed_graft, deformed_mkw_coproduct,
@@ -95,6 +96,21 @@ def _deg_range(maxdeg: int) -> str:
 
 def _pair_range(maxdeg: int) -> str:
     return f"degree pairs summing to <= {maxdeg}"
+
+
+def _triples(pool: list, budget: int):
+    """Triples of ``pool`` with degree sum <= budget, in product order.
+
+    ``pool`` is sorted by degree, so each loop stops at the budget.
+    """
+    for a in pool:
+        for b in pool:
+            if a.degree + b.degree > budget:
+                break
+            for c in pool:
+                if a.degree + b.degree + c.degree > budget:
+                    break
+                yield a, b, c
 
 
 # -- cut Hopf algebra axioms -------------------------------------------------
@@ -164,9 +180,7 @@ def _suite_postlie(maxdeg: int, letters: tuple[str, ...]) -> dict:
         return concat(x, y) - concat(y, x)
 
     fails: list[str] = []
-    for fx, fy, fz in iproduct(trees, repeat=3):
-        if fx.degree + fy.degree + fz.degree > maxdeg:
-            continue
+    for fx, fy, fz in _triples(trees, maxdeg):
         x, y, z = _basis(fx), _basis(fy), _basis(fz)
         lhs = left_graft(x, br(y, z))
         rhs = br(left_graft(x, y), z) + br(y, left_graft(x, z))
@@ -176,9 +190,7 @@ def _suite_postlie(maxdeg: int, letters: tuple[str, ...]) -> dict:
                          f"tree triples, degree sum <= {maxdeg}", fails))
 
     fails = []
-    for fx, fy, fz in iproduct(trees, repeat=3):
-        if fx.degree + fy.degree + fz.degree > maxdeg:
-            continue
+    for fx, fy, fz in _triples(trees, maxdeg):
         x, y, z = _basis(fx), _basis(fy), _basis(fz)
         lhs = left_graft(br(x, y), z)
         rhs = (left_graft(x, left_graft(y, z))
@@ -191,9 +203,7 @@ def _suite_postlie(maxdeg: int, letters: tuple[str, ...]) -> dict:
                          f"tree triples, degree sum <= {maxdeg}", fails))
 
     fails = []
-    for fx, fy, fz in iproduct(trees, repeat=3):
-        if fx.degree + fy.degree + fz.degree > maxdeg:
-            continue
+    for fx, fy, fz in _triples(trees, maxdeg):
         x, y, z = _basis(fx), _basis(fy), _basis(fz)
         j = (jacobi_bracket(jacobi_bracket(x, y), z)
              + jacobi_bracket(jacobi_bracket(y, z), x)
@@ -235,29 +245,16 @@ def _suite_gl_duality(maxdeg: int, letters: tuple[str, ...]) -> dict:
     checks.append(_entry("graft-vs-coaction", _deg_range(maxdeg),
                          graft_duality_failures(maxdeg, letters)))
 
-    fails: list[str] = []
-    for n in range(maxdeg + 1):
-        for x in enumerate_forests(n, letters):
-            t = deconcat_forest(x)
-            for i in range(n + 1):
-                for a in enumerate_forests(i, letters):
-                    for b in enumerate_forests(n - i, letters):
-                        lhs = concat(_basis(a), _basis(b)).coeff(x)
-                        if lhs != t.coeff((a, b)):
-                            fails.append(f"a={a.text} b={b.text} x={x.text}")
-    checks.append(_entry("concat-vs-deconcat", _deg_range(maxdeg), fails))
-
-    fails = []
-    for n in range(maxdeg + 1):
-        for x in enumerate_forests(n, letters):
-            t = deshuffle_forest(x)
-            for i in range(n + 1):
-                for a in enumerate_forests(i, letters):
-                    for b in enumerate_forests(n - i, letters):
-                        lhs = shuffle_words(a, b).coeff(x)
-                        if lhs != t.coeff((a, b)):
-                            fails.append(f"a={a.text} b={b.text} x={x.text}")
-    checks.append(_entry("shuffle-vs-deshuffle", _deg_range(maxdeg), fails))
+    for name, product, coproduct in (
+            ("concat-vs-deconcat",
+             lambda a, b: concat(_basis(a), _basis(b)), deconcat_forest),
+            ("shuffle-vs-deshuffle", shuffle_words, deshuffle_forest)):
+        fails = [f"a={a.text} b={b.text} x={x.text}"
+                 for n in range(maxdeg + 1)
+                 for x, a, b, _, _ in duality_mismatches(
+                     n, lambda i: enumerate_forests(i, letters), product,
+                     coproduct)]
+        checks.append(_entry(name, _deg_range(maxdeg), fails))
 
     return _finish("gl-duality", maxdeg, letters, checks)
 
@@ -551,14 +548,13 @@ def _suite_reg_postlie(maxdeg: int, letters: tuple[str, ...]) -> dict:
              for t in enumerate_v_letters(n, 1)]
     L = LinComb.basis
 
-    for label, prod in (("word-product", reg_assoc_product),
-                        ("gl-product", reg_gl_product)):
-        fails: list[str] = []
-        for a, b, c in iproduct(pool, repeat=3):
-            if a.degree + b.degree + c.degree > maxdeg + 1:
-                continue
-            if prod(prod(a, b), c) != prod(a, prod(b, c)):
-                fails.append(f"a={a.text} b={b.text} c={c.text}")
+    # the inner products of each associator come from the tree-level memo
+    for label, prod, inner in (
+            ("word-product", reg_assoc_product, reg_mul_trees),
+            ("gl-product", reg_gl_product, reg_gl_trees)):
+        fails = [f"a={a.text} b={b.text} c={c.text}"
+                 for a, b, c in _triples(pool, maxdeg + 1)
+                 if prod(inner(a, b), c) != prod(a, inner(b, c))]
         checks.append(_entry(f"{label}-associative",
                              f"degree sum <= {maxdeg + 1}", fails))
         fails = []
@@ -589,9 +585,7 @@ def _suite_reg_postlie(maxdeg: int, letters: tuple[str, ...]) -> dict:
 
     fails1: list[str] = []
     fails2: list[str] = []
-    for x, y, z in iproduct(vlets, repeat=3):
-        if x.degree + y.degree + z.degree > maxdeg + 1:
-            continue
+    for x, y, z in _triples(vlets, maxdeg + 1):
         lx, ly, lz = L(x), L(y), L(z)
         a1 = reg_graft(lx, bracket0(ly, lz))
         a2 = (reg_assoc_product(deformed_graft(lx, ly), lz)
@@ -656,6 +650,7 @@ def _suite_reg_postlie(maxdeg: int, letters: tuple[str, ...]) -> dict:
 
     fails = []
     for n in range(maxdeg + 1):
+        live: dict = {}
         for t in enumerate_reg_trees(n, 1):
             dt = deformed_mkw_tree(t)
             right = LinComb.from_terms(
@@ -664,17 +659,30 @@ def _suite_reg_postlie(maxdeg: int, letters: tuple[str, ...]) -> dict:
                 (b, c) for (a, b), c in dt.items() if a.is_unit)
             if right != L(t) or left != L(t):
                 fails.append(f"t={t.text} (counit)")
-                continue
-            if (dt.apply_coproduct(0, deformed_mkw_tree)
+            elif (dt.apply_coproduct(0, deformed_mkw_tree)
                     != dt.apply_coproduct(1, deformed_mkw_tree)):
                 fails.append(f"t={t.text} (coassociativity)")
-                continue
-            for i in range(n + 1):
-                for a in enumerate_reg_trees(i, 1):
-                    for b in enumerate_reg_trees(n - i, 1):
-                        if reg_gl_product(a, b).coeff(t) != dt.coeff((a, b)):
-                            fails.append(
-                                f"a={a.text} b={b.text} t={t.text}")
+            else:
+                live[t] = dt
+        # each complementary pair is multiplied once; every product term
+        # on a passing tree must be a dual term, and a count of the matches
+        # shows whether a dual term is left over
+        matched = 0
+        for i in range(n + 1):
+            for a in enumerate_reg_trees(i, 1):
+                for b in enumerate_reg_trees(n - i, 1):
+                    for t, c in reg_gl_product(a, b).items():
+                        if t in live:
+                            if live[t].coeff((a, b)) == c:
+                                matched += 1
+                            else:
+                                fails.append(
+                                    f"a={a.text} b={b.text} t={t.text}")
+        if matched != sum(len(dt) for dt in live.values()):
+            fails.extend(f"a={a.text} b={b.text} t={t.text}"
+                         for t, dt in live.items() for (a, b), _ in dt.items()
+                         if a.degree + b.degree != n
+                         or not reg_gl_product(a, b).coeff(t))
     checks.append(_entry("dual-coproduct-exact", _deg_range(maxdeg), fails))
 
     fails = []

@@ -82,6 +82,26 @@ def test_char_serialization_round_trips():
     assert "[o],1/2" in lines
 
 
+@pytest.mark.parametrize("text", [
+    '[1, 2]',
+    '"N"',
+    '{"N": 2}',
+    '{"values": {}, "flavor": "mkw"}',
+    '{"N": "2", "values": {}, "flavor": "mkw"}',
+    '{"N": true, "values": {}, "flavor": "mkw"}',
+    '{"N": 2, "values": [["[o]", 1]], "flavor": "mkw"}',
+    '{"N": 2, "values": {}, "flavor": 1}',
+    '{"N": 2, "values": {}}',
+    '{"N": 2, "values": {"[o]": "half"}, "flavor": "mkw"}',
+    '{"N": 2, "values": {"[o]": "1/0"}, "flavor": "mkw"}',
+    '{"N": 2, "values": {"[o]": null}, "flavor": "mkw"}',
+    '{"N": 2, "values": {"[o]": 0.1}, "flavor": "mkw"}',
+])
+def test_char_from_json_rejects_malformed_input(text):
+    with pytest.raises(ValueError):
+        char_from_json(text)
+
+
 def test_embed_unembed_round_trip():
     X = canonical_lift({"a": Fraction(2, 3)}, 3)
     E = embed_rough_path(X)

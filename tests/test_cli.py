@@ -1,6 +1,7 @@
 """Command line driver, exercised in process through main()."""
 
 import json
+import time
 
 import pytest
 
@@ -209,5 +210,44 @@ def test_nesting_at_the_cap_still_parses(capsys):
 ])
 def test_binary_operand_degree_cap_exit_1(capsys, argv):
     code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert "POSTLIE_DEGREE_CAP" in err
+
+
+DEGREE_12 = "[o]" * 6 + "[o[o[o[o[o[o]]]]]]"
+
+
+@pytest.mark.parametrize("command", ["pi", "phi", "phi-inv", "mkw-coproduct",
+                                     "rho-graft", "f-decompose", "antipode"])
+def test_unary_operand_degree_cap_exit_1(capsys, command):
+    start = time.perf_counter()
+    code, _, err = run(capsys, command, DEGREE_12)
+    assert time.perf_counter() - start < 5
+    assert code == 1
+    assert "degree of X 12" in err and "POSTLIE_DEGREE_CAP" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"N": 2}',
+    '[1, 2]',
+    '{"N": "2", "values": {}, "flavor": "mkw"}',
+    '{"N": 2, "values": {"[o]": "half"}, "flavor": "mkw"}',
+])
+@pytest.mark.parametrize("command", ["chen", "embed"])
+def test_malformed_character_file_exit_1(tmp_path, capsys, command, text):
+    path = tmp_path / "x.json"
+    path.write_text(text)
+    files = (str(path),) * (2 if command == "chen" else 1)
+    code, out, err = run(capsys, command, *files)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["chen", "embed"])
+def test_character_truncation_degree_cap_exit_1(tmp_path, capsys, command):
+    path = tmp_path / "x.json"
+    path.write_text('{"N": 40, "values": {}, "flavor": "mkw"}')
+    files = (str(path),) * (2 if command == "chen" else 1)
+    code, _, err = run(capsys, command, *files)
     assert code == 1
     assert "POSTLIE_DEGREE_CAP" in err

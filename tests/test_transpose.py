@@ -1,0 +1,188 @@
+"""The graded-transpose kernel against the per-target transposition oracle.
+
+The oracle is the loop the library used before the kernel: for one target
+``x`` of degree n, multiply every degree-complementary pair and read the
+coefficient of ``x``.  It costs ``|B_n|`` times more products per degree,
+so it only runs here, on small degrees.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+from postlie import coaction, regstruct
+from postlie.coaction import (_letters, delta_concat_forest,
+                              delta_star_forest, graft_duality_failures,
+                              rho_forest)
+from postlie.forest import enumerate_forests, parse_forest, word
+from postlie.grafting import gl_forests, graft_forests
+from postlie.lincomb import LinComb, Tensor, deconcat_forest, graded_transpose
+from postlie.mkw import duality_failures, mkw_coproduct_forest
+from postlie.regstruct import (deformed_mkw_tree, enumerate_reg_trees,
+                               reg_gl_trees)
+
+AB = ("a", "b")
+
+
+def oracle_transpose(x, basis, product) -> Tensor:
+    n = x.degree
+    acc: dict = {}
+    for i in range(n + 1):
+        for a in basis(i):
+            for b in basis(n - i):
+                c = product(a, b).coeff(x)
+                if c:
+                    acc[(a, b)] = c
+    return Tensor(2, acc)
+
+
+def oracle_duality(maxdeg, letters, product, coproduct, start=0):
+    """(a, b, x, <a (x) b, coproduct(x)>, <product(a, b), x>) mismatches."""
+    def basis(i):
+        return enumerate_forests(i, letters)
+
+    bad = []
+    for n in range(start, maxdeg + 1):
+        for x in basis(n):
+            t = coproduct(x)
+            for i in range(n + 1):
+                for a in basis(i):
+                    for b in basis(n - i):
+                        lhs = t.coeff((a, b))
+                        rhs = product(a, b).coeff(x)
+                        if lhs != rhs:
+                            bad.append((a, b, x, lhs, rhs))
+    return bad
+
+
+def forest_basis(letters):
+    return lambda i: enumerate_forests(i, letters)
+
+
+def same(got: Tensor, want: Tensor) -> bool:
+    """Equal values and equal iteration order."""
+    return got == want and list(got.items()) == list(want.items())
+
+
+def test_delta_star_matches_oracle_values_and_order():
+    coaction._DELTA_STAR.clear()
+    for n in range(5):
+        forests = enumerate_forests(n, AB)
+        # fill the degree from a two-letter forest first, so the forests
+        # over one letter are read from a sweep over both letters
+        mixed = [f for f in forests if len(_letters(f)) == 2]
+        for f in mixed[:1] + list(forests):
+            want = oracle_transpose(f, forest_basis(_letters(f)), gl_forests)
+            assert same(delta_star_forest(f), want), f.text
+
+
+def test_delta_concat_matches_oracle_values_and_order():
+    def concat_product(a, b):
+        return LinComb.basis(word(a, b))
+
+    # each call transposes its whole degree, so keep the sweep small
+    for letters, top in ((AB, 3), (("o",), 5)):
+        for n in range(top + 1):
+            for f in enumerate_forests(n, letters):
+                want = oracle_transpose(f, forest_basis(_letters(f)),
+                                        concat_product)
+                assert same(delta_concat_forest(f), want), f.text
+                assert delta_concat_forest(f) == deconcat_forest(f)
+
+
+def test_graft_transpose_matches_oracle_values_and_order():
+    basis = forest_basis(AB)
+    for n in range(5):
+        got = graded_transpose(n, basis, graft_forests)
+        assert list(got) == list(basis(n))
+        for x in basis(n):
+            assert same(got[x], oracle_transpose(x, basis, graft_forests)), \
+                x.text
+
+
+def test_deformed_mkw_matches_oracle_values_and_order():
+    regstruct._DMKW.clear()
+
+    def basis(i):
+        return enumerate_reg_trees(i, 1)
+
+    for n in range(5):
+        for t in basis(n):
+            want = oracle_transpose(t, basis, reg_gl_trees)
+            assert same(deformed_mkw_tree(t), want), t.text
+
+
+def test_filtered_terms_outside_the_degree_are_dropped():
+    # a toy filtered product: a (x) b goes to the basis key of degree
+    # n = deg a + deg b, plus a term two degrees lower
+    def basis(i):
+        return (i,) if i >= 0 else ()
+
+    def product(a, b):
+        return LinComb.from_terms([(a + b, 1), (a + b - 2, 5)])
+
+    got = graded_transpose(3, basis, product)
+    assert list(got) == [3]
+    assert same(got[3], Tensor.from_terms(
+        2, [((0, 3), 1), ((1, 2), 1), ((2, 1), 1), ((3, 0), 1)]))
+
+
+@pytest.mark.parametrize("basis,top", [
+    (forest_basis(AB), 4),
+    (forest_basis(("o",)), 6),
+    (lambda i: enumerate_reg_trees(i, 1), 4),
+])
+def test_kernel_multiplies_each_pair_once(basis, top):
+    calls = [0]
+
+    def counted(a, b):
+        calls[0] += 1
+        return LinComb.basis(a)
+
+    for n in range(top + 1):
+        calls[0] = 0
+        graded_transpose(n, basis, counted)
+        assert calls[0] == sum(len(basis(i)) * len(basis(n - i))
+                               for i in range(n + 1))
+
+
+def _corrupt(cop, target, bump, drop):
+    """A coproduct with one wrong coefficient and one missing term on
+    ``target``."""
+    def wrong(x):
+        t = cop(x)
+        if x != target:
+            return t
+        assert t.coeff(bump) and t.coeff(drop) and bump != drop
+        return t + Tensor.basis(bump).scale(Fraction(1, 2)) - \
+            Tensor.basis(drop).scale(t.coeff(drop))
+    return wrong
+
+
+def test_duality_failures_detects_a_wrong_coproduct():
+    x = parse_forest("[a[b]][a]")
+    keys = [k for k, _ in mkw_coproduct_forest(x).items()]
+    wrong = _corrupt(mkw_coproduct_forest, x, keys[1], keys[2])
+    got = duality_failures(3, AB, coproduct=wrong)
+    want = [(a, b, y) for a, b, y, _, _ in
+            oracle_duality(3, AB, gl_forests, wrong)]
+    assert got and set(got) == set(want)
+    assert set(got) == {keys[1] + (x,), keys[2] + (x,)}
+
+
+def test_graft_duality_failures_detects_a_wrong_rho():
+    x = parse_forest("[a[b][a]]")
+    keys = [k for k, _ in rho_forest(x).items()]
+    wrong = _corrupt(rho_forest, x, keys[0], keys[-1])
+    got = graft_duality_failures(3, AB, rho=wrong)
+    want = [f"<{a.text} (x) {b.text}, rho({y.text})> = {lhs}, but "
+            f"<{a.text} graft {b.text}, {y.text}> = {rhs}"
+            for a, b, y, lhs, rhs in
+            oracle_duality(3, AB, graft_forests, wrong, start=1)]
+    assert len(got) == 2 and set(got) == set(want)
+
+
+def test_duality_sweeps_pass_on_the_library_maps():
+    assert duality_failures(4, AB) == []
+    assert graft_duality_failures(4, AB) == []
+    assert oracle_duality(3, AB, gl_forests, mkw_coproduct_forest) == []
