@@ -6,7 +6,8 @@ dual built from left-admissible cuts, natural growth with the projection
 onto primitives, the isomorphism onto the word side together with
 truncated rough-path characters, grafting and translation coactions, a
 nonplanar comparison layer, and the deformed (decorated) variants driven
-by edge and vertex multi-indices.  All coefficients are exact rationals.
+by edge and vertex multi-indices.  All coefficients are exact: ``int``
+where the maths is integral, ``Fraction`` where it divides.
 """
 
 from .forest import (FOREST_ONE, ForestSyntaxError, OrderedForest,

@@ -16,11 +16,10 @@ a two-vertex ladder projects to zero here but not planarly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .forest import OrderedForest, PlanarTree, parse_forest
-from .lincomb import LinComb, Tensor, _add_into
+from .lincomb import LinComb, Tensor, _add_into, _quotient
 
 
 class NonplanarTree:
@@ -196,7 +195,7 @@ _BCK_TREE: dict = {}
 def bck_coproduct_tree(t: NonplanarTree) -> Tensor:
     got = _BCK_TREE.get(t)
     if got is None:
-        acc: dict = {(np_single(t), NP_ONE): Fraction(1)}
+        acc: dict = {(np_single(t), NP_ONE): 1}
         for (l, r), c in bck_coproduct_forest(np_forest(t.children)).items():
             _add_into(acc, (l, np_single(np_tree(t.decoration, r.trees))), c)
         got = Tensor(2, acc)
@@ -210,7 +209,7 @@ _BCK_FOREST: dict = {}
 def bck_coproduct_forest(f: NonplanarForest) -> Tensor:
     got = _BCK_FOREST.get(f)
     if got is None:
-        acc: dict = {(NP_ONE, NP_ONE): Fraction(1)}
+        acc: dict = {(NP_ONE, NP_ONE): 1}
         for t in f.trees:
             nxt: dict = {}
             for (l1, r1), c1 in acc.items():
@@ -266,7 +265,7 @@ def _bck_antipode_forest(f: NonplanarForest) -> LinComb:
         for t in f.trees:
             out = np_mul(out, _bck_antipode_forest(np_single(t)))
     else:
-        acc: dict = {f: Fraction(-1)}
+        acc: dict = {f: -1}
         for (l, r), c in bck_reduced_forest(f).items():
             for f2, c2 in np_mul(_bck_antipode_forest(l), LinComb.basis(r)).items():
                 _add_into(acc, f2, -c * c2)
@@ -318,14 +317,13 @@ def _np_growth_forests(w1: NonplanarForest, w2: NonplanarForest) -> LinComb:
     elif w1.is_empty:
         out = LinComb.basis(w2)
     else:
-        share = Fraction(1, w2.degree)
         acc: dict = {}
         for vi, existing in enumerate(_np_vertex_children(w2)):
             counter = [0]
             rebuilt = np_forest(_np_replace_at(t, vi, existing + w1.trees, counter)
                                 for t in w2.trees)
-            _add_into(acc, rebuilt, share)
-        out = LinComb(acc)
+            _add_into(acc, rebuilt, 1)
+        out = LinComb({f: _quotient(m, w2.degree) for f, m in acc.items()})
     _NP_GROWTH[key] = out
     return out
 

@@ -29,7 +29,7 @@ from typing import Iterable, Mapping
 from .forest import (FOREST_ONE, OrderedForest, PlanarTree, enumerate_forests,
                      enumerate_trees, forest, parse_forest, single)
 from .grafting import concat_antipode, gl_exp, gl_product, graft_forests
-from .lincomb import (LinComb, Tensor, _add_into, as_coeff, concat,
+from .lincomb import (Coeff, LinComb, Tensor, _add_into, as_coeff, concat,
                       deconcat_forest, deshuffle, shuffle, tensor_of)
 from .mkw import mkw_coproduct_forest, mkw_antipode
 
@@ -90,7 +90,7 @@ def phi_inverse(x: LinComb) -> LinComb:
     return LinComb(acc)
 
 
-def phi_matrix(n: int, alphabet: Iterable[str]) -> tuple[tuple[OrderedForest, ...], list[list[Fraction]]]:
+def phi_matrix(n: int, alphabet: Iterable[str]) -> tuple[tuple[OrderedForest, ...], list[list[Coeff]]]:
     """Matrix of ``phi`` on degree n, basis sorted by tree count then text.
 
     Entry [i][j] is the coefficient of basis forest i in the image of basis
@@ -99,7 +99,7 @@ def phi_matrix(n: int, alphabet: Iterable[str]) -> tuple[tuple[OrderedForest, ..
     basis = tuple(sorted(enumerate_forests(n, tuple(alphabet)),
                          key=lambda f: (len(f.trees), f.sort_key())))
     index = {f: i for i, f in enumerate(basis)}
-    mat = [[Fraction(0)] * len(basis) for _ in basis]
+    mat = [[0] * len(basis) for _ in basis]
     for j, f in enumerate(basis):
         for g, c in _phi_forest(f).items():
             mat[index[g]][j] = c
@@ -140,15 +140,15 @@ class TruncChar:
         self.flavor = canon
         self._values = vals
 
-    def value(self, f: OrderedForest) -> Fraction:
+    def value(self, f: OrderedForest) -> Coeff:
         if f.degree > self.N:
             raise ValueError(f"{f.text} lies beyond truncation {self.N}")
         if f.is_empty:
-            return Fraction(1)
-        return self._values.get(f, Fraction(0))
+            return 1
+        return self._values.get(f, 0)
 
-    def pair(self, x: LinComb) -> Fraction:
-        total = Fraction(0)
+    def pair(self, x: LinComb) -> Coeff:
+        total = 0
         for f, c in x.items():
             total += c * self.value(f)
         return total
@@ -158,7 +158,7 @@ class TruncChar:
 
     def series(self) -> LinComb:
         """Representing series: the unit plus all stored values."""
-        acc = {FOREST_ONE: Fraction(1)}
+        acc = {FOREST_ONE: 1}
         acc.update(self._values)
         return LinComb(acc)
 
@@ -232,7 +232,7 @@ def char_convolve(X: TruncChar, Y: TruncChar) -> TruncChar:
     vals: dict = {}
     for n in range(1, X.N + 1):
         for f in enumerate_forests(n, letters):
-            total = Fraction(0)
+            total = 0
             for (l, r), c in split(f).items():
                 total += c * X.value(l) * Y.value(r)
             if total:

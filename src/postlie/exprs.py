@@ -16,7 +16,7 @@ from typing import Callable
 from .forest import (MAX_NESTING, NESTING_ERROR, ForestSyntaxError,
                      OrderedForest, forest_from_json, forest_to_json,
                      parse_forest)
-from .lincomb import LinComb, Tensor, shuffle, tensor_of
+from .lincomb import Coeff, LinComb, Tensor, shuffle, tensor_of
 from .regstruct import RegTree, parse_reg_tree, reg_tree_from_json, reg_tree_to_json
 
 __all__ = [
@@ -29,11 +29,11 @@ __all__ = [
 
 # -- rendering ---------------------------------------------------------------
 
-def _coeff_text(c: Fraction) -> str:
+def _coeff_text(c: Coeff) -> str:
     return str(c)
 
 
-def _term_text(mag: Fraction, body: str) -> str:
+def _term_text(mag: Coeff, body: str) -> str:
     return body if mag == 1 else f"{_coeff_text(mag)}*{body}"
 
 
@@ -303,7 +303,7 @@ def lincomb_to_json(x: LinComb) -> dict:
 
 def lincomb_from_json(obj: dict) -> LinComb:
     return LinComb.from_terms(
-        (forest_from_json(t["forest"]), Fraction(t["coeff"]))
+        (forest_from_json(t["forest"]), t["coeff"])
         for t in obj["terms"])
 
 
@@ -315,7 +315,7 @@ def reg_lincomb_to_json(x: LinComb) -> dict:
 
 def reg_lincomb_from_json(obj: dict) -> LinComb:
     return LinComb.from_terms(
-        (reg_tree_from_json(t["tree"]), Fraction(t["coeff"]))
+        (reg_tree_from_json(t["tree"]), t["coeff"])
         for t in obj["terms"])
 
 
@@ -335,7 +335,7 @@ def tensor_to_json(t: Tensor) -> dict:
 
 def tensor_from_json(obj: dict, reg: bool = False) -> Tensor:
     load = reg_tree_from_json if reg else forest_from_json
-    terms = [(tuple(load(leg) for leg in t["legs"]), Fraction(t["coeff"]))
+    terms = [(tuple(load(leg) for leg in t["legs"]), t["coeff"])
              for t in obj["terms"]]
     arity = len(terms[0][0]) if terms else 2
     return Tensor.from_terms(arity, terms)

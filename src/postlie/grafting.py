@@ -76,7 +76,7 @@ def graft_forests(w1: OrderedForest, w2: OrderedForest) -> LinComb:
     if got is not None:
         return got
     terms = _graft_words(w1.trees, w2.trees, {}, {})
-    out = LinComb({forest(f): Fraction(c) for f, c in terms.items()})
+    out = LinComb({forest(f): c for f, c in terms.items()})
     _GRAFT[(w1, w2)] = out
     return out
 

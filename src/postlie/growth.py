@@ -24,14 +24,13 @@ order.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .forest import FOREST_ONE, OrderedForest, PlanarTree, enumerate_forests, forest, tree
-from .lincomb import LinComb, Tensor, _add_into, tensor_of
+from .lincomb import LinComb, Tensor, _add_into, _quotient, tensor_of
 from .linalg import kernel_basis, rank
-from .mkw import iterated_reduced, reduced_coproduct, reduced_coproduct_forest
+from .mkw import reduced_coproduct, reduced_coproduct_forest
 
 
 def gr_shuffle(u: tuple, v: tuple) -> LinComb:
@@ -46,7 +45,7 @@ def gr_shuffle(u: tuple, v: tuple) -> LinComb:
         for i in range(nu + nv):
             if out[i] is None:
                 out[i] = next(it)
-        _add_into(acc, tuple(out), Fraction(1))
+        _add_into(acc, tuple(out), 1)
     return LinComb(acc)
 
 
@@ -54,7 +53,7 @@ def gr_deconcat(w: tuple) -> Tensor:
     """Deconcatenation of a tuple word, including both empty splits."""
     acc: dict = {}
     for i in range(len(w) + 1):
-        _add_into(acc, (w[:i], w[i:]), Fraction(1))
+        _add_into(acc, (w[:i], w[i:]), 1)
     return Tensor(2, acc)
 
 
@@ -94,15 +93,15 @@ def _growth_forests(w1: OrderedForest, w2: OrderedForest) -> LinComb:
     elif w1.is_empty:
         out = LinComb.basis(w2)
     else:
-        share = Fraction(1, w2.degree)
         acc: dict = {}
         for vi, existing in enumerate(_vertex_children(w2)):
             for newkids, mult in gr_shuffle(w1.trees, existing).items():
                 counter = [0]
                 rebuilt = forest(_replace_at(t, vi, newkids, counter)
                                  for t in w2.trees)
-                _add_into(acc, rebuilt, mult * share)
-        out = LinComb(acc)
+                _add_into(acc, rebuilt, mult)
+        # Integer counts first, then one share 1/|w2| per term.
+        out = LinComb({f: _quotient(m, w2.degree) for f, m in acc.items()})
     _GROWTH[key] = out
     return out
 
@@ -193,23 +192,33 @@ def primitive_projection(x: LinComb) -> LinComb:
     return LinComb(acc)
 
 
-def primitive_degree(x: LinComb) -> int:
-    """Number of fold factors needed to express x; 0 for constants."""
+def _top_level(x: LinComb) -> tuple[int, Tensor | None]:
+    # (primitive degree m, last nonzero iterated reduced coproduct): the
+    # (m-1)-fold one, with x itself as a one-leg tensor when m is 1.
     if x.is_zero:
-        return 0
+        return 0, None
     if x.coeff(FOREST_ONE):
         if len(x) == 1:
-            return 0
+            return 0, None
         raise ValueError("mixed constant and augmentation-ideal components")
+    top = None
     t = reduced_coproduct(x)
     k = 1
     bound = x.max_degree()
     while not t.is_zero:
+        top = t
         t = t.apply_coproduct(0, reduced_coproduct_forest)
         k += 1
         if k > bound:
             raise RuntimeError("iterated reduced coproduct failed to vanish")
-    return k
+    if top is None:
+        top = Tensor(1, {(f,): c for f, c in x.items()})
+    return k, top
+
+
+def primitive_degree(x: LinComb) -> int:
+    """Number of fold factors needed to express x; 0 for constants."""
+    return _top_level(x)[0]
 
 
 def _require_primitive_legs(t: Tensor) -> None:
@@ -229,16 +238,14 @@ def f_decompose(x: LinComb) -> dict[int, Tensor]:
         raise ValueError("constants have no fold decomposition")
     levels: dict[int, Tensor] = {}
     r = x
+    m, t = _top_level(r)
     while not r.is_zero:
-        m = primitive_degree(r)
-        if m == 1:
-            t = Tensor(1, {(f,): c for f, c in r.items()})
-        else:
-            t = iterated_reduced(r, m - 1)
         _require_primitive_legs(t)
         levels[m] = t
         r = r - fold_tensor(t)
-        if not r.is_zero and primitive_degree(r) >= m:
+        level = m
+        m, t = _top_level(r)  # m is 0 once r is zero
+        if m >= level:
             raise RuntimeError("fold decomposition did not descend")
     return levels
 
@@ -379,7 +386,7 @@ def u1_rank_by_degree(u1: Callable[[Tensor], LinComb], maxdeg: int,
         rows = []
         for p in basis:
             img = u1(Tensor(1, {(f,): c for f, c in p.items()}))
-            row = [Fraction(0)] * len(forests)
+            row = [0] * len(forests)
             for f, c in img.items():
                 if f.degree != d:
                     raise ValueError("arity-one map does not preserve degree")

@@ -1,10 +1,17 @@
-"""Sparse linear combinations over exact rationals, and small tensors.
+"""Sparse linear combinations with exact coefficients, and small tensors.
 
-:class:`LinComb` maps basis keys to nonzero ``Fraction`` coefficients.  Keys
-are any hashable basis values; the degree-aware helpers additionally expect a
-``.degree`` attribute (planar forests, nonplanar forests, decorated trees all
-qualify).  Instances are immutable and hashable, so a LinComb can itself be
-used as a letter of a formal word.
+:class:`LinComb` maps basis keys to nonzero exact coefficients: an ``int``
+or a ``Fraction``.  The combinatorial kernels (grafting, the cut and BCK
+coproducts, shuffles and deshuffles) emit ``int`` multiplicities; rationals
+arise only where the maths divides (growth shares, exponentials, characters,
+linear algebra).  The two types agree on ``==``, ``hash`` and ``str``, so the
+mix never shows in equality, memo keys or rendering.  A ``float`` is refused
+with ``TypeError`` wherever a coefficient enters.
+
+Keys are any hashable basis values; the degree-aware helpers additionally
+expect a ``.degree`` attribute (planar forests, nonplanar forests, decorated
+trees all qualify).  Instances are immutable and hashable, so a LinComb can
+itself be used as a letter of a formal word.
 
 :class:`Tensor` is the flat sparse analogue for tensor products: terms are
 keyed by tuples of basis keys, one per leg.  Coproduct iteration is done by
@@ -23,14 +30,39 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .forest import FOREST_ONE, OrderedForest, forest, word
 
-Coeff = Fraction
+Coeff = int | Fraction
+
+_EXACT = frozenset((int, Fraction))
 
 
-def as_coeff(value: int | str | Fraction) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _reject_inexact(values: Iterable) -> None:
+    # Called once ``_EXACT.issuperset(map(type, values))`` has failed.
+    bad = next(v for v in values if type(v) not in _EXACT)
+    raise TypeError(f"coefficient {bad!r} is not exact: "
+                    "use an int or a Fraction")
 
 
-def _add_into(acc: dict, key: Hashable, coeff: Fraction) -> None:
+def as_coeff(value: int | str | Fraction) -> Coeff:
+    """Exact coefficient: an ``int``, or a ``Fraction`` with denominator > 1.
+
+    Strings parse as ``Fraction`` does; a ``float`` raises ``TypeError``.
+    """
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        if isinstance(value, float):
+            _reject_inexact((value,))
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _quotient(num: int, den: int) -> Coeff:
+    # num / den exactly: an int when den divides num.
+    q, rem = divmod(num, den)
+    return Fraction(num, den) if rem else q
+
+
+def _add_into(acc: dict, key: Hashable, coeff: Coeff) -> None:
     c = acc.get(key)
     if c is None:
         if coeff:
@@ -44,12 +76,14 @@ def _add_into(acc: dict, key: Hashable, coeff: Fraction) -> None:
 
 
 class LinComb:
-    """Immutable sparse linear combination with Fraction coefficients."""
+    """Immutable sparse linear combination with exact coefficients."""
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[Hashable, Fraction] | None = None):
+    def __init__(self, terms: Mapping[Hashable, Coeff] | None = None):
         data = {k: v for k, v in (terms or {}).items() if v}
+        if not _EXACT.issuperset(map(type, data.values())):
+            _reject_inexact(data.values())
         self._terms = data
         self._hash: int | None = None
 
@@ -61,7 +95,7 @@ class LinComb:
 
     @staticmethod
     def basis(key: Hashable) -> "LinComb":
-        return LinComb({key: Fraction(1)})
+        return LinComb({key: 1})
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple[Hashable, int | Fraction]]) -> "LinComb":
@@ -72,14 +106,14 @@ class LinComb:
 
     # accessors ------------------------------------------------------------
 
-    def items(self) -> Iterator[tuple[Hashable, Fraction]]:
+    def items(self) -> Iterator[tuple[Hashable, Coeff]]:
         return iter(self._terms.items())
 
     def support(self):
         return self._terms.keys()
 
-    def coeff(self, key: Hashable) -> Fraction:
-        return self._terms.get(key, Fraction(0))
+    def coeff(self, key: Hashable) -> Coeff:
+        return self._terms.get(key, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -187,9 +221,11 @@ class Tensor:
 
     __slots__ = ("arity", "_terms", "_hash")
 
-    def __init__(self, arity: int, terms: Mapping[tuple, Fraction] | None = None):
+    def __init__(self, arity: int, terms: Mapping[tuple, Coeff] | None = None):
         self.arity = arity
         self._terms = {k: v for k, v in (terms or {}).items() if v}
+        if not _EXACT.issuperset(map(type, self._terms.values())):
+            _reject_inexact(self._terms.values())
         self._hash: int | None = None
 
     @staticmethod
@@ -198,7 +234,7 @@ class Tensor:
 
     @staticmethod
     def basis(key: tuple) -> "Tensor":
-        return Tensor(len(key), {key: Fraction(1)})
+        return Tensor(len(key), {key: 1})
 
     @staticmethod
     def from_terms(arity: int, pairs: Iterable[tuple[tuple, int | Fraction]]) -> "Tensor":
@@ -207,11 +243,11 @@ class Tensor:
             _add_into(acc, k, as_coeff(c))
         return Tensor(arity, acc)
 
-    def items(self) -> Iterator[tuple[tuple, Fraction]]:
+    def items(self) -> Iterator[tuple[tuple, Coeff]]:
         return iter(self._terms.items())
 
-    def coeff(self, key: tuple) -> Fraction:
-        return self._terms.get(key, Fraction(0))
+    def coeff(self, key: tuple) -> Coeff:
+        return self._terms.get(key, 0)
 
     @property
     def is_zero(self) -> bool:
@@ -329,7 +365,7 @@ def duality_mismatches(n: int, basis: Callable[[int], Iterable[Hashable]],
 
 def tensor_of(*factors: LinComb) -> Tensor:
     """Outer product of LinCombs as a Tensor."""
-    acc: dict = {(): Fraction(1)}
+    acc: dict = {(): 1}
     for f in factors:
         nxt: dict = {}
         for key, c in acc.items():
@@ -368,7 +404,7 @@ def shuffle_words(f1: OrderedForest, f2: OrderedForest) -> LinComb:
         for p in slots:
             if out[p] is None:
                 out[p] = next(it)
-        _add_into(acc, forest(out), Fraction(1))
+        _add_into(acc, forest(out), 1)
     return LinComb(acc)
 
 
@@ -401,7 +437,7 @@ def _deshuffle_words(trees_: tuple) -> dict[tuple[tuple, tuple], int]:
 
 def deshuffle_forest(f: OrderedForest) -> Tensor:
     """Unshuffle coproduct of one forest: sum over subsets of tree positions."""
-    return Tensor(2, {(forest(left), forest(right)): Fraction(m)
+    return Tensor(2, {(forest(left), forest(right)): m
                       for (left, right), m in _deshuffle_words(f.trees).items()})
 
 
@@ -414,7 +450,7 @@ def deconcat_forest(f: OrderedForest) -> Tensor:
     trees_ = f.trees
     acc: dict = {}
     for i in range(len(trees_) + 1):
-        _add_into(acc, (forest(trees_[:i]), forest(trees_[i:])), Fraction(1))
+        _add_into(acc, (forest(trees_[:i]), forest(trees_[i:])), 1)
     return Tensor(2, acc)
 
 
@@ -422,15 +458,15 @@ def deconcat(x: LinComb) -> Tensor:
     return x.apply_coproduct(deconcat_forest)
 
 
-def pairing(x: LinComb, y: LinComb) -> Fraction:
+def pairing(x: LinComb, y: LinComb) -> Coeff:
     """Kronecker pairing: basis forests are orthonormal."""
     a, b = (x, y) if len(x) <= len(y) else (y, x)
-    total = Fraction(0)
+    total = 0
     for k, c in a.items():
         total += c * b.coeff(k)
     return total
 
 
-def counit(x: LinComb) -> Fraction:
+def counit(x: LinComb) -> Coeff:
     """Coefficient of the empty forest."""
     return x.coeff(FOREST_ONE)

@@ -21,7 +21,6 @@ pieces and is the main cross-validation between the two modules.
 from __future__ import annotations
 
 import warnings
-from fractions import Fraction
 from typing import Callable, Iterable
 
 from .forest import (FOREST_ONE, OrderedForest, PlanarTree, b_minus,
@@ -74,7 +73,7 @@ def mkw_coproduct_tree(t: PlanarTree) -> Tensor:
             left = shuffle(left, LinComb.basis(g))
         for f, c in left.items():
             _add_into(acc, (f, single(trunk)), c)
-    _add_into(acc, (single(t), FOREST_ONE), Fraction(1))
+    _add_into(acc, (single(t), FOREST_ONE), 1)
     got = Tensor(2, acc)
     _COPRODUCT_TREE[t] = got
     return got
@@ -153,7 +152,7 @@ def _antipode_forest(f: OrderedForest) -> LinComb:
     if f.is_empty:
         out = LinComb.basis(FOREST_ONE)
     else:
-        acc: dict = {f: Fraction(-1)}
+        acc: dict = {f: -1}
         for (left, right), c in reduced_coproduct_forest(f).items():
             for fl, cl in _antipode_forest(left).items():
                 for fs, cs in shuffle_words(fl, right).items():

@@ -35,13 +35,12 @@ duality against the product is exact on degree-complementary pairs.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from itertools import combinations, product as iproduct
 from math import comb
 from typing import Iterator
 
 from .forest import MAX_NESTING, NESTING_ERROR, ForestSyntaxError
-from .lincomb import LinComb, Tensor, _add_into, graded_transpose
+from .lincomb import Coeff, LinComb, Tensor, _add_into, graded_transpose
 
 MultiIndex = tuple[int, ...]
 
@@ -502,7 +501,7 @@ def reg_deshuffle_tree(t: RegTree) -> Tensor:
     n = len(edges)
     acc: dict = {}
     for n1, n2 in mi_splits(t.dec):
-        w = Fraction(mi_binom(t.dec, n1))
+        w = mi_binom(t.dec, n1)
         for r in range(n + 1):
             for pick in combinations(range(n), r):
                 picked = set(pick)
@@ -521,9 +520,9 @@ def reg_deshuffle(x: LinComb | RegTree) -> Tensor:
     return _as_lin(x).apply_coproduct(reg_deshuffle_tree)
 
 
-def reg_counit(x: LinComb | RegTree) -> Fraction:
+def reg_counit(x: LinComb | RegTree) -> Coeff:
     """Coefficient of the empty word."""
-    total = Fraction(0)
+    total = 0
     for t, c in _as_lin(x).items():
         if t.is_unit:
             total += c
@@ -563,7 +562,7 @@ def _graft_letters(t1: RegTree, t2: RegTree) -> LinComb:
             attached, _ = _map_vertex(
                 sigma, v,
                 lambda dec, eds: (mi_sub(dec, l), ((na, tau),) + eds))
-            _add_into(acc, plant(b, attached), Fraction(w))
+            _add_into(acc, plant(b, attached), w)
     return LinComb(acc)
 
 

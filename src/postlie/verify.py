@@ -533,7 +533,7 @@ def _exp_series(c: Fraction, letter: str, maxdeg: int) -> LinComb:
     coeff = Fraction(1)
     for n in range(1, maxdeg + 1):
         w = word(w, single(leaf(letter)))
-        coeff = coeff * c / n
+        coeff = Fraction(coeff * c, n)  # TypeError, never a float
         acc[w] = coeff
     return LinComb(acc)
 

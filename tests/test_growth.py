@@ -77,3 +77,30 @@ def test_fold_decomposition_total():
 def test_fold_decomposition_rejects_constants():
     with pytest.raises(ValueError):
         f_decompose(LinComb.basis(FOREST_ONE) + b("[a]"))
+
+
+def _f_decompose_two_pass(x):
+    # Reference: primitive degree and iterated reduced coproduct computed
+    # apart, as separate passes over each remainder.
+    from postlie.growth import _require_primitive_legs, fold_tensor
+    from postlie.lincomb import Tensor
+    from postlie.mkw import iterated_reduced
+    levels = {}
+    r = x
+    while not r.is_zero:
+        m = primitive_degree(r)
+        t = (Tensor(1, {(f,): c for f, c in r.items()}) if m == 1
+             else iterated_reduced(r, m - 1))
+        _require_primitive_legs(t)
+        levels[m] = t
+        r = r - fold_tensor(t)
+        assert r.is_zero or primitive_degree(r) < m
+    return levels
+
+
+def test_fold_decomposition_matches_two_pass_reference():
+    pool = [f for f in forests_up_to(4, ("a", "b")) if not f.is_empty]
+    for f, g in zip(pool[::9], pool[5::9]):
+        x = LinComb.basis(f) + LinComb.basis(g) * Fraction(-2, 3)
+        got, want = f_decompose(x), _f_decompose_two_pass(x)
+        assert got == want and list(got) == list(want)
