@@ -16,6 +16,7 @@ from .forest import (FOREST_ONE, ForestSyntaxError, OrderedForest,
                      parse_forest, render_forest, single, tree, word)
 from .lincomb import (LinComb, Tensor, as_coeff, concat, counit, deconcat,
                       deshuffle, pairing, shuffle, shuffle_words, tensor_of)
+from .memo import cache_sizes, clear_caches, memo
 from .grafting import (concat_antipode, gl_antipode, gl_exp, gl_forests,
                        gl_inverse_product, gl_product, graft_forests,
                        jacobi_bracket, left_graft)

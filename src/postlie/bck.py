@@ -20,6 +20,7 @@ from typing import Iterable, Iterator
 
 from .forest import OrderedForest, PlanarTree, parse_forest
 from .lincomb import LinComb, Tensor, _add_into, _quotient
+from .memo import memo
 
 
 class NonplanarTree:
@@ -189,97 +190,64 @@ def np_mul(x: LinComb, y: LinComb) -> LinComb:
     return LinComb(acc)
 
 
-_BCK_TREE: dict = {}
-
-
+@memo
 def bck_coproduct_tree(t: NonplanarTree) -> Tensor:
-    got = _BCK_TREE.get(t)
-    if got is None:
-        acc: dict = {(np_single(t), NP_ONE): 1}
-        for (l, r), c in bck_coproduct_forest(np_forest(t.children)).items():
-            _add_into(acc, (l, np_single(np_tree(t.decoration, r.trees))), c)
-        got = Tensor(2, acc)
-        _BCK_TREE[t] = got
-    return got
+    acc: dict = {(np_single(t), NP_ONE): 1}
+    for (l, r), c in bck_coproduct_forest(np_forest(t.children)).items():
+        _add_into(acc, (l, np_single(np_tree(t.decoration, r.trees))), c)
+    return Tensor(2, acc)
 
 
-_BCK_FOREST: dict = {}
-
-
+@memo
 def bck_coproduct_forest(f: NonplanarForest) -> Tensor:
-    got = _BCK_FOREST.get(f)
-    if got is None:
-        acc: dict = {(NP_ONE, NP_ONE): 1}
-        for t in f.trees:
-            nxt: dict = {}
-            for (l1, r1), c1 in acc.items():
-                for (l2, r2), c2 in bck_coproduct_tree(t).items():
-                    _add_into(nxt, (np_word(l1, l2), np_word(r1, r2)), c1 * c2)
-            acc = nxt
-        got = Tensor(2, acc)
-        _BCK_FOREST[f] = got
-    return got
+    acc: dict = {(NP_ONE, NP_ONE): 1}
+    for t in f.trees:
+        nxt: dict = {}
+        for (l1, r1), c1 in acc.items():
+            for (l2, r2), c2 in bck_coproduct_tree(t).items():
+                _add_into(nxt, (np_word(l1, l2), np_word(r1, r2)), c1 * c2)
+        acc = nxt
+    return Tensor(2, acc)
 
 
 def bck_coproduct(x: LinComb) -> Tensor:
     return x.apply_coproduct(bck_coproduct_forest)
 
 
-_BCK_REDUCED: dict = {}
-
-
+@memo
 def bck_reduced_forest(f: NonplanarForest) -> Tensor:
-    got = _BCK_REDUCED.get(f)
-    if got is None:
-        if f.is_empty:
-            raise ValueError("reduced coproduct of the unit is undefined")
-        got = (bck_coproduct_forest(f)
-               - Tensor.basis((f, NP_ONE))
-               - Tensor.basis((NP_ONE, f)))
-        _BCK_REDUCED[f] = got
-    return got
+    if f.is_empty:
+        raise ValueError("reduced coproduct of the unit is undefined")
+    return (bck_coproduct_forest(f)
+            - Tensor.basis((f, NP_ONE))
+            - Tensor.basis((NP_ONE, f)))
 
 
 def bck_reduced(x: LinComb) -> Tensor:
-    acc: dict = {}
-    for f, c in x.items():
-        if f.is_empty:
-            raise ValueError("reduced coproduct needs an augmentation-ideal element")
-        for key, c2 in bck_reduced_forest(f).items():
-            _add_into(acc, key, c * c2)
-    return Tensor(2, acc)
+    if x.coeff(NP_ONE):
+        raise ValueError("reduced coproduct needs an augmentation-ideal element")
+    return x.apply_coproduct(bck_reduced_forest)
 
 
-_BCK_ANTIPODE: dict = {}
-
-
+@memo
 def _bck_antipode_forest(f: NonplanarForest) -> LinComb:
-    got = _BCK_ANTIPODE.get(f)
-    if got is not None:
-        return got
     if f.is_empty:
-        out = LinComb.basis(NP_ONE)
-    elif len(f.trees) > 1:
+        return LinComb.basis(NP_ONE)
+    if len(f.trees) > 1:
         # S is an algebra morphism here since the product is commutative.
         out = LinComb.basis(NP_ONE)
         for t in f.trees:
             out = np_mul(out, _bck_antipode_forest(np_single(t)))
-    else:
-        acc: dict = {f: -1}
-        for (l, r), c in bck_reduced_forest(f).items():
-            for f2, c2 in np_mul(_bck_antipode_forest(l), LinComb.basis(r)).items():
-                _add_into(acc, f2, -c * c2)
-        out = LinComb(acc)
-    _BCK_ANTIPODE[f] = out
-    return out
+        return out
+    acc: dict = {f: -1}
+    for (l, r), c in bck_reduced_forest(f).items():
+        for f2, c2 in np_mul(_bck_antipode_forest(l), LinComb.basis(r)).items():
+            _add_into(acc, f2, -c * c2)
+    return LinComb(acc)
 
 
 def bck_antipode(x: LinComb) -> LinComb:
-    acc: dict = {}
-    for f, c in x.items():
-        for f2, c2 in _bck_antipode_forest(f).items():
-            _add_into(acc, f2, c * c2)
-    return LinComb(acc)
+    return x.map_basis(_bck_antipode_forest)
 
 
 def _np_vertex_children(f: NonplanarForest) -> list[tuple]:
@@ -304,38 +272,24 @@ def _np_replace_at(t: NonplanarTree, target: int, newkids: tuple, counter: list)
                                        for c in t.children))
 
 
-_NP_GROWTH: dict = {}
-
-
+@memo
 def _np_growth_forests(w1: NonplanarForest, w2: NonplanarForest) -> LinComb:
-    key = (w1, w2)
-    got = _NP_GROWTH.get(key)
-    if got is not None:
-        return got
     if w2.is_empty:
-        out = LinComb.zero()
-    elif w1.is_empty:
-        out = LinComb.basis(w2)
-    else:
-        acc: dict = {}
-        for vi, existing in enumerate(_np_vertex_children(w2)):
-            counter = [0]
-            rebuilt = np_forest(_np_replace_at(t, vi, existing + w1.trees, counter)
-                                for t in w2.trees)
-            _add_into(acc, rebuilt, 1)
-        out = LinComb({f: _quotient(m, w2.degree) for f, m in acc.items()})
-    _NP_GROWTH[key] = out
-    return out
+        return LinComb.zero()
+    if w1.is_empty:
+        return LinComb.basis(w2)
+    acc: dict = {}
+    for vi, existing in enumerate(_np_vertex_children(w2)):
+        counter = [0]
+        rebuilt = np_forest(_np_replace_at(t, vi, existing + w1.trees, counter)
+                            for t in w2.trees)
+        _add_into(acc, rebuilt, 1)
+    return LinComb({f: _quotient(m, w2.degree) for f, m in acc.items()})
 
 
 def bck_natural_growth(x: LinComb, y: LinComb) -> LinComb:
     """Graft all roots of x onto one vertex of y, averaged over vertices."""
-    acc: dict = {}
-    for f1, c1 in x.items():
-        for f2, c2 in y.items():
-            for f3, c3 in _np_growth_forests(f1, f2).items():
-                _add_into(acc, f3, c1 * c2 * c3)
-    return LinComb(acc)
+    return x.map_pairs(y, _np_growth_forests)
 
 
 def bck_is_primitive(x: LinComb) -> bool:
@@ -346,77 +300,60 @@ def bck_is_primitive(x: LinComb) -> bool:
     return bck_reduced(x).is_zero
 
 
-_NP_PI: dict = {}
-
-
+@memo
 def _np_pi_forest(f: NonplanarForest) -> LinComb:
-    got = _NP_PI.get(f)
-    if got is None:
-        got = LinComb.basis(f)
-        for (l, r), c in bck_reduced_forest(f).items():
-            got = got - c * bck_natural_growth(LinComb.basis(l), _np_pi_forest(r))
-        _NP_PI[f] = got
+    if f.is_empty:
+        return LinComb.zero()
+    got = LinComb.basis(f)
+    for (l, r), c in bck_reduced_forest(f).items():
+        got = got - c * bck_natural_growth(LinComb.basis(l), _np_pi_forest(r))
     return got
 
 
 def bck_primitive_projection(x: LinComb) -> LinComb:
     """Same recursion as the planar projection, run in the commutative theory."""
-    acc: dict = {}
-    for f, c in x.items():
-        if f.is_empty:
-            continue
-        for k, c2 in _np_pi_forest(f).items():
-            _add_into(acc, k, c * c2)
-    return LinComb(acc)
-
-
-_NP_TREE_ENUM: dict = {}
-_NP_FOREST_ENUM: dict = {}
+    return x.map_basis(_np_pi_forest)
 
 
 def enumerate_np_trees(n: int, alphabet: Iterable[str]) -> tuple[NonplanarTree, ...]:
     """All nonplanar trees with n vertices, in (degree, text) order."""
-    alphabet = tuple(alphabet)
-    key = (n, alphabet)
-    got = _NP_TREE_ENUM.get(key)
-    if got is None:
-        if n <= 0:
-            got = ()
-        else:
-            out = [np_tree(d, f.trees)
-                   for d in alphabet
-                   for f in enumerate_np_forests(n - 1, alphabet)]
-            got = tuple(sorted(set(out), key=NonplanarTree.sort_key))
-        _NP_TREE_ENUM[key] = got
-    return got
+    return _np_tree_basis(n, tuple(alphabet))
+
+
+@memo
+def _np_tree_basis(n: int, alphabet: tuple[str, ...]) -> tuple[NonplanarTree, ...]:
+    if n <= 0:
+        return ()
+    out = [np_tree(d, f.trees)
+           for d in alphabet
+           for f in enumerate_np_forests(n - 1, alphabet)]
+    return tuple(sorted(set(out), key=NonplanarTree.sort_key))
 
 
 def enumerate_np_forests(n: int, alphabet: Iterable[str]) -> tuple[NonplanarForest, ...]:
     """All nonplanar forests of total degree n, in (degree, text) order."""
-    alphabet = tuple(alphabet)
-    key = (n, alphabet)
-    got = _NP_FOREST_ENUM.get(key)
-    if got is None:
-        if n < 0:
-            got = ()
-        elif n == 0:
-            got = (NP_ONE,)
-        else:
-            pool: list = []
-            for d in range(1, n + 1):
-                pool.extend(enumerate_np_trees(d, alphabet))
-            out: list = []
+    return _np_forest_basis(n, tuple(alphabet))
 
-            def rec(remaining: int, start: int, acc: list) -> None:
-                if remaining == 0:
-                    out.append(np_forest(acc))
-                    return
-                for i in range(start, len(pool)):
-                    t = pool[i]
-                    if t.degree <= remaining:
-                        rec(remaining - t.degree, i, acc + [t])
 
-            rec(n, 0, [])
-            got = tuple(sorted(set(out), key=NonplanarForest.sort_key))
-        _NP_FOREST_ENUM[key] = got
-    return got
+@memo
+def _np_forest_basis(n: int, alphabet: tuple[str, ...]) -> tuple[NonplanarForest, ...]:
+    if n < 0:
+        return ()
+    if n == 0:
+        return (NP_ONE,)
+    pool: list = []
+    for d in range(1, n + 1):
+        pool.extend(enumerate_np_trees(d, alphabet))
+    out: list = []
+
+    def rec(remaining: int, start: int, acc: list) -> None:
+        if remaining == 0:
+            out.append(np_forest(acc))
+            return
+        for i in range(start, len(pool)):
+            t = pool[i]
+            if t.degree <= remaining:
+                rec(remaining - t.degree, i, acc + [t])
+
+    rec(n, 0, [])
+    return tuple(sorted(set(out), key=NonplanarForest.sort_key))

@@ -29,65 +29,44 @@ from typing import Iterable, Mapping
 from .forest import (FOREST_ONE, OrderedForest, PlanarTree, enumerate_forests,
                      enumerate_trees, forest, parse_forest, single)
 from .grafting import concat_antipode, gl_exp, gl_product, graft_forests
-from .lincomb import (Coeff, LinComb, Tensor, _add_into, as_coeff, concat,
+from .lincomb import (Coeff, LinComb, Tensor, as_coeff, concat,
                       deconcat_forest, deshuffle, shuffle, tensor_of)
+from .memo import memo
 from .mkw import mkw_coproduct_forest, mkw_antipode
 
-_PHI: dict = {}
 
-
+@memo
 def _phi_forest(f: OrderedForest) -> LinComb:
-    got = _PHI.get(f)
-    if got is not None:
-        return got
     ts = f.trees
     if len(ts) <= 1:
-        out = LinComb.basis(f)
-    else:
-        head = single(ts[0])
-        rest = forest(ts[1:])
-        out = concat(LinComb.basis(head), _phi_forest(rest))
-        for j in range(1, len(ts)):
-            grafted = graft_forests(single(ts[0]), single(ts[j]))
-            for g, c in grafted.items():
-                replaced = forest(ts[1:j] + g.trees + ts[j + 1:])
-                out = out - c * _phi_forest(replaced)
-    _PHI[f] = out
+        return LinComb.basis(f)
+    head = single(ts[0])
+    rest = forest(ts[1:])
+    out = concat(LinComb.basis(head), _phi_forest(rest))
+    for j in range(1, len(ts)):
+        grafted = graft_forests(single(ts[0]), single(ts[j]))
+        for g, c in grafted.items():
+            replaced = forest(ts[1:j] + g.trees + ts[j + 1:])
+            out = out - c * _phi_forest(replaced)
     return out
 
 
 def phi(x: LinComb) -> LinComb:
     """Isomorphism onto the word side: trees are fixed, * becomes concat."""
-    acc: dict = {}
-    for f, c in x.items():
-        for f2, c2 in _phi_forest(f).items():
-            _add_into(acc, f2, c * c2)
-    return LinComb(acc)
+    return x.map_basis(_phi_forest)
 
 
-_PHI_INV: dict = {}
-
-
+@memo
 def _phi_inv_forest(f: OrderedForest) -> LinComb:
-    got = _PHI_INV.get(f)
-    if got is not None:
-        return got
     ts = f.trees
     if len(ts) <= 1:
-        out = LinComb.basis(f)
-    else:
-        out = gl_product(LinComb.basis(single(ts[0])), _phi_inv_forest(forest(ts[1:])))
-    _PHI_INV[f] = out
-    return out
+        return LinComb.basis(f)
+    return gl_product(LinComb.basis(single(ts[0])), _phi_inv_forest(forest(ts[1:])))
 
 
 def phi_inverse(x: LinComb) -> LinComb:
     """Inverse of ``phi``: a word rebuilds as head * phi_inverse(tail)."""
-    acc: dict = {}
-    for f, c in x.items():
-        for f2, c2 in _phi_inv_forest(f).items():
-            _add_into(acc, f2, c * c2)
-    return LinComb(acc)
+    return x.map_basis(_phi_inv_forest)
 
 
 def phi_matrix(n: int, alphabet: Iterable[str]) -> tuple[tuple[OrderedForest, ...], list[list[Coeff]]]:

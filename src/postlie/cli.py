@@ -5,7 +5,9 @@ exactly, and prints terms in compare-order, so identical invocations give
 byte-identical output.  ``--output json`` switches any subcommand to a JSON
 rendering of the same data.  Degree-bearing options, the operands of the
 forest and decorated operations, and the truncation degree of character
-files are capped by ``POSTLIE_DEGREE_CAP`` (default 7).
+files are capped by ``POSTLIE_DEGREE_CAP`` (default 7) and must be
+nonnegative; ``basis`` also refuses more forests than two letters give at
+the cap.
 
 Exit codes: 0 on success, 1 for failed verification suites and other
 errors, 2 for malformed input expressions (the message carries the
@@ -18,6 +20,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from math import comb
 
 from .characters import (canonical_lift, char_convolve, char_from_json,
                          char_to_csv, char_to_json, embed_rough_path, phi,
@@ -47,6 +50,8 @@ def _alphabet(args) -> tuple[str, ...] | None:
 
 
 def _cap(n: int, what: str) -> int:
+    if n < 0:
+        raise ValueError(f"{what} must be nonnegative, got {n}")
     cap = degree_cap()
     if n > cap:
         raise DegreeCapError(
@@ -193,10 +198,24 @@ def _cmd_embed(args) -> int:
     return _emit_char(args, embed_rough_path(_read_char(args.X)))
 
 
+def _basis_size(letters: int, n: int) -> int:
+    # planar forests of degree n: letters**n times the Catalan number C(n)
+    return letters ** n * comb(2 * n, n) // (n + 1)
+
+
 def _cmd_basis(args) -> int:
-    _cap(args.degree, "degree")
+    n = _cap(args.degree, "degree")
     alpha = _alphabet(args) or ("o",)
-    forests = enumerate_forests(args.degree, alpha)
+    # the cap bounds the listing, not only n: at most what two letters
+    # give at the cap
+    k, cap = len(set(alpha)), degree_cap()
+    size, limit = _basis_size(k, n), _basis_size(2, cap)
+    if size > limit:
+        raise DegreeCapError(
+            f"basis of degree {n} over {k} letters has {size} forests, "
+            f"more than the {limit} of two letters at the degree cap {cap}; "
+            "set POSTLIE_DEGREE_CAP to raise it")
+    forests = enumerate_forests(n, alpha)
     if args.output == "json":
         print(json.dumps([f.text for f in forests], indent=2))
     else:
@@ -234,6 +253,8 @@ def _cmd_reg_phi(fn):
 
 def _cmd_reg_basis(args) -> int:
     _cap(args.degree, "degree")
+    if args.max_norm is not None:
+        _cap(args.max_norm, "max norm")
     trees = enumerate_reg_trees(args.degree, args.dim, args.max_norm)
     if args.output == "json":
         print(json.dumps([t.text for t in trees], indent=2))

@@ -33,6 +33,7 @@ from .grafting import gl_forests, gl_product, graft_forests, left_graft
 from .lincomb import (LinComb, Tensor, _add_into, deconcat_forest,
                       deshuffle, duality_mismatches, graded_transpose,
                       shuffle_words, tensor_of)
+from .memo import memo
 from .mkw import mkw_coproduct_forest
 
 ForestProduct = Callable[[OrderedForest, OrderedForest], LinComb]
@@ -44,32 +45,24 @@ _ONE = LinComb.basis(FOREST_ONE)
 
 # -- the grafting coaction -------------------------------------------------
 
-_RHO: dict[OrderedForest, Tensor] = {}
-
-
+@memo
 def rho_forest(f: OrderedForest) -> Tensor:
     """Coaction of a basis forest: pruned groups left, trimmed trees right."""
-    got = _RHO.get(f)
-    if got is not None:
-        return got
     if f.is_empty:
-        out = Tensor.basis((FOREST_ONE, FOREST_ONE))
-    elif len(f) == 1:
+        return Tensor.basis((FOREST_ONE, FOREST_ONE))
+    if len(f) == 1:
         # all cuts except the one removing the whole tree
-        out = mkw_coproduct_forest(f) - Tensor.basis((f, FOREST_ONE))
-    else:
-        head = rho_forest(single(f.trees[0]))
-        rest = rho_forest(forest(f.trees[1:]))
-        acc: dict = {}
-        for (a1, b1), c1 in head.items():
-            for (a2, b2), c2 in rest.items():
-                right = word(b1, b2)
-                c = c1 * c2
-                for a, ca in shuffle_words(a1, a2).items():
-                    _add_into(acc, (a, right), c * ca)
-        out = Tensor(2, acc)
-    _RHO[f] = out
-    return out
+        return mkw_coproduct_forest(f) - Tensor.basis((f, FOREST_ONE))
+    head = rho_forest(single(f.trees[0]))
+    rest = rho_forest(forest(f.trees[1:]))
+    acc: dict = {}
+    for (a1, b1), c1 in head.items():
+        for (a2, b2), c2 in rest.items():
+            right = word(b1, b2)
+            c = c1 * c2
+            for a, ca in shuffle_words(a1, a2).items():
+                _add_into(acc, (a, right), c * ca)
+    return Tensor(2, acc)
 
 
 def rho_graft(x: LinComb | OrderedForest) -> Tensor:
@@ -124,22 +117,19 @@ def transpose_product(f: OrderedForest, product: ForestProduct,
                             product).get(f, Tensor(2))
 
 
-_DELTA_STAR: dict[OrderedForest, Tensor] = {}
+@memo
+def _gl_transpose(n: int, letters: tuple[str, ...]) -> dict[OrderedForest, Tensor]:
+    return graded_transpose(n, lambda i: enumerate_forests(i, letters),
+                            gl_forests)
 
 
 def delta_star_forest(f: OrderedForest) -> Tensor:
     """Coproduct dual to the Grossman-Larson product.
 
-    One miss caches the whole degree over the letters of ``f``; the sorted
-    bases make each tensor equal, in order too, to its own-letters sweep.
+    Read off the transpose of the whole degree over the letters of ``f``,
+    which is computed once per degree and letter set.
     """
-    got = _DELTA_STAR.get(f)
-    if got is None:
-        letters = _letters(f)
-        _DELTA_STAR.update(graded_transpose(
-            f.degree, lambda i: enumerate_forests(i, letters), gl_forests))
-        got = _DELTA_STAR[f]
-    return got
+    return _gl_transpose(f.degree, _letters(f))[f]
 
 
 def _concat_product(a: OrderedForest, b: OrderedForest) -> LinComb:
@@ -340,11 +330,7 @@ def translate(v: TranslationVector, x: LinComb | OrderedForest,
         return out
 
     def t_lin(y: LinComb) -> LinComb:
-        acc: dict = {}
-        for f, c in y.truncate(maxdeg).items():
-            for f2, c2 in t_forest(f).items():
-                _add_into(acc, f2, c * c2)
-        return LinComb(acc).truncate(maxdeg)
+        return y.truncate(maxdeg).map_basis(t_forest).truncate(maxdeg)
 
     return t_lin(x)
 

@@ -18,6 +18,8 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, Sequence
 
+from .memo import memo
+
 
 class ForestSyntaxError(ValueError):
     """Raised on malformed bracket text; carries the offending position."""
@@ -250,34 +252,27 @@ def render_tree(t: PlanarTree) -> str:
 
 # -- enumeration ------------------------------------------------------------
 
-_TREE_BASIS: dict[tuple[int, tuple[str, ...]], tuple[PlanarTree, ...]] = {}
-_FOREST_BASIS: dict[tuple[int, tuple[str, ...]], tuple[OrderedForest, ...]] = {}
-
-
 def _canon_alphabet(alphabet: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(set(alphabet)))
 
 
 def enumerate_trees(n: int, alphabet: Iterable[str]) -> tuple[PlanarTree, ...]:
     """All decorated planar trees with exactly ``n`` vertices, in compare-order."""
-    alpha = _canon_alphabet(alphabet)
-    key = (n, alpha)
-    got = _TREE_BASIS.get(key)
-    if got is not None:
-        return got
+    return _tree_basis(n, _canon_alphabet(alphabet))
+
+
+@memo
+def _tree_basis(n: int, alpha: tuple[str, ...]) -> tuple[PlanarTree, ...]:
     if n <= 0:
-        out: tuple[PlanarTree, ...] = ()
-    else:
-        out = tuple(
-            sorted(
-                (tree(d, f.trees)
-                 for d in alpha
-                 for f in enumerate_forests(n - 1, alpha)),
-                key=lambda t: (t.degree, t.text),
-            )
+        return ()
+    return tuple(
+        sorted(
+            (tree(d, f.trees)
+             for d in alpha
+             for f in enumerate_forests(n - 1, alpha)),
+            key=lambda t: (t.degree, t.text),
         )
-    _TREE_BASIS[key] = out
-    return out
+    )
 
 
 def enumerate_forests(n: int, alphabet: Iterable[str]) -> tuple[OrderedForest, ...]:
@@ -286,25 +281,22 @@ def enumerate_forests(n: int, alphabet: Iterable[str]) -> tuple[OrderedForest, .
     Over a one-letter alphabet the count at degree ``n`` is the Catalan
     number C(n); decorations multiply that by ``len(alphabet) ** n``.
     """
-    alpha = _canon_alphabet(alphabet)
-    key = (n, alpha)
-    got = _FOREST_BASIS.get(key)
-    if got is not None:
-        return got
+    return _forest_basis(n, _canon_alphabet(alphabet))
+
+
+@memo
+def _forest_basis(n: int, alpha: tuple[str, ...]) -> tuple[OrderedForest, ...]:
     if n < 0:
-        out: tuple[OrderedForest, ...] = ()
-    elif n == 0:
-        out = (FOREST_ONE,)
-    else:
-        found = [
-            forest((first,) + rest.trees)
-            for k in range(1, n + 1)
-            for first in enumerate_trees(k, alpha)
-            for rest in enumerate_forests(n - k, alpha)
-        ]
-        out = tuple(sorted(found, key=OrderedForest.sort_key))
-    _FOREST_BASIS[key] = out
-    return out
+        return ()
+    if n == 0:
+        return (FOREST_ONE,)
+    found = [
+        forest((first,) + rest.trees)
+        for k in range(1, n + 1)
+        for first in enumerate_trees(k, alpha)
+        for rest in enumerate_forests(n - k, alpha)
+    ]
+    return tuple(sorted(found, key=OrderedForest.sort_key))
 
 
 def forests_up_to(n: int, alphabet: Iterable[str]) -> Iterator[OrderedForest]:

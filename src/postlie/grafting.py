@@ -33,6 +33,7 @@ from fractions import Fraction
 from .forest import FOREST_ONE, OrderedForest, forest, tree, word
 from .lincomb import (LinComb, _add_into, _deshuffle_words, concat, counit,
                       deshuffle_forest)
+from .memo import memo
 
 
 def _graft_words(a: tuple, w: tuple, memo: dict, splits: dict) -> dict:
@@ -67,53 +68,30 @@ def _graft_words(a: tuple, w: tuple, memo: dict, splits: dict) -> dict:
     return out
 
 
-_GRAFT: dict[tuple[OrderedForest, OrderedForest], LinComb] = {}
-
-
+@memo
 def graft_forests(w1: OrderedForest, w2: OrderedForest) -> LinComb:
     """Left grafting of basis forests through the deshuffle recursion."""
-    got = _GRAFT.get((w1, w2))
-    if got is not None:
-        return got
     terms = _graft_words(w1.trees, w2.trees, {}, {})
-    out = LinComb({forest(f): c for f, c in terms.items()})
-    _GRAFT[(w1, w2)] = out
-    return out
+    return LinComb({forest(f): c for f, c in terms.items()})
 
 
 def left_graft(x: LinComb, y: LinComb) -> LinComb:
     """Bilinear left grafting (Guin-Oudom extension on both slots)."""
-    acc: dict = {}
-    for f1, c1 in x.items():
-        for f2, c2 in y.items():
-            for f3, c3 in graft_forests(f1, f2).items():
-                _add_into(acc, f3, c1 * c2 * c3)
-    return LinComb(acc)
+    return x.map_pairs(y, graft_forests)
 
 
-_GL: dict[tuple[OrderedForest, OrderedForest], LinComb] = {}
-
-
+@memo
 def gl_forests(a: OrderedForest, b: OrderedForest) -> LinComb:
-    got = _GL.get((a, b))
-    if got is None:
-        acc: dict = {}
-        for (a1, a2), c in deshuffle_forest(a).items():
-            for f, c2 in graft_forests(a2, b).items():
-                _add_into(acc, word(a1, f), c * c2)
-        got = LinComb(acc)
-        _GL[(a, b)] = got
-    return got
+    acc: dict = {}
+    for (a1, a2), c in deshuffle_forest(a).items():
+        for f, c2 in graft_forests(a2, b).items():
+            _add_into(acc, word(a1, f), c * c2)
+    return LinComb(acc)
 
 
 def gl_product(x: LinComb, y: LinComb) -> LinComb:
     """Grossman-Larson product A * B = A_(1) . (A_(2) < B)."""
-    acc: dict = {}
-    for f1, c1 in x.items():
-        for f2, c2 in y.items():
-            for f3, c3 in gl_forests(f1, f2).items():
-                _add_into(acc, f3, c1 * c2 * c3)
-    return LinComb(acc)
+    return x.map_pairs(y, gl_forests)
 
 
 def concat_antipode(x: LinComb) -> LinComb:
@@ -125,13 +103,8 @@ def concat_antipode(x: LinComb) -> LinComb:
     return LinComb(acc)
 
 
-_GL_ANTIPODE: dict[OrderedForest, LinComb] = {}
-
-
+@memo
 def _gl_antipode_forest(a: OrderedForest) -> LinComb:
-    got = _GL_ANTIPODE.get(a)
-    if got is not None:
-        return got
     out = concat_antipode(LinComb.basis(a))
     if not a.is_empty:
         for (a1, a2), c in deshuffle_forest(a).items():
@@ -139,7 +112,6 @@ def _gl_antipode_forest(a: OrderedForest) -> LinComb:
                 continue
             out = out + c * left_graft(
                 _gl_antipode_forest(a1), concat_antipode(LinComb.basis(a2)))
-    _GL_ANTIPODE[a] = out
     return out
 
 
@@ -149,11 +121,7 @@ def gl_antipode(x: LinComb) -> LinComb:
     Satisfies S*(A) = S(A) + S*(A^(1)) < S(A^(2)) over the reduced
     deshuffle, with S the concatenation antipode.
     """
-    acc: dict = {}
-    for f, c in x.items():
-        for f2, c2 in _gl_antipode_forest(f).items():
-            _add_into(acc, f2, c * c2)
-    return LinComb(acc)
+    return x.map_basis(_gl_antipode_forest)
 
 
 def gl_inverse_product(x: LinComb, y: LinComb) -> LinComb:

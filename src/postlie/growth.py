@@ -30,6 +30,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from .forest import FOREST_ONE, OrderedForest, PlanarTree, enumerate_forests, forest, tree
 from .lincomb import LinComb, Tensor, _add_into, _quotient, tensor_of
 from .linalg import kernel_basis, rank
+from .memo import memo
 from .mkw import reduced_coproduct, reduced_coproduct_forest
 
 
@@ -80,30 +81,21 @@ def _replace_at(t: PlanarTree, target: int, newkids: tuple, counter: list) -> Pl
                                     for c in t.children))
 
 
-_GROWTH: dict = {}
-
-
+@memo
 def _growth_forests(w1: OrderedForest, w2: OrderedForest) -> LinComb:
-    key = (w1, w2)
-    got = _GROWTH.get(key)
-    if got is not None:
-        return got
     if w2.is_empty:
-        out = LinComb.zero()
-    elif w1.is_empty:
-        out = LinComb.basis(w2)
-    else:
-        acc: dict = {}
-        for vi, existing in enumerate(_vertex_children(w2)):
-            for newkids, mult in gr_shuffle(w1.trees, existing).items():
-                counter = [0]
-                rebuilt = forest(_replace_at(t, vi, newkids, counter)
-                                 for t in w2.trees)
-                _add_into(acc, rebuilt, mult)
-        # Integer counts first, then one share 1/|w2| per term.
-        out = LinComb({f: _quotient(m, w2.degree) for f, m in acc.items()})
-    _GROWTH[key] = out
-    return out
+        return LinComb.zero()
+    if w1.is_empty:
+        return LinComb.basis(w2)
+    acc: dict = {}
+    for vi, existing in enumerate(_vertex_children(w2)):
+        for newkids, mult in gr_shuffle(w1.trees, existing).items():
+            counter = [0]
+            rebuilt = forest(_replace_at(t, vi, newkids, counter)
+                             for t in w2.trees)
+            _add_into(acc, rebuilt, mult)
+    # Integer counts first, then one share 1/|w2| per term.
+    return LinComb({f: _quotient(m, w2.degree) for f, m in acc.items()})
 
 
 def natural_growth(x: LinComb, y: LinComb) -> LinComb:
@@ -113,12 +105,7 @@ def natural_growth(x: LinComb, y: LinComb) -> LinComb:
     empty forest acts as identity on the left and absorbs to zero on the
     right.
     """
-    acc: dict = {}
-    for f1, c1 in x.items():
-        for f2, c2 in y.items():
-            for f3, c3 in _growth_forests(f1, f2).items():
-                _add_into(acc, f3, c1 * c2 * c3)
-    return LinComb(acc)
+    return x.map_pairs(y, _growth_forests)
 
 
 def growth_fold(factors: Sequence[LinComb]) -> LinComb:
@@ -131,22 +118,17 @@ def growth_fold(factors: Sequence[LinComb]) -> LinComb:
     return out
 
 
-_FOLD: dict = {}
+@memo
+def _fold_key(key: tuple) -> LinComb:
+    got = LinComb.basis(key[0])
+    for f in key[1:]:
+        got = natural_growth(got, LinComb.basis(f))
+    return got
 
 
 def fold_tensor(t: Tensor) -> LinComb:
     """Growth fold applied legwise to a tensor, leg 0 outermost."""
-    acc: dict = {}
-    for key, c in t.items():
-        got = _FOLD.get(key)
-        if got is None:
-            got = LinComb.basis(key[0])
-            for f in key[1:]:
-                got = natural_growth(got, LinComb.basis(f))
-            _FOLD[key] = got
-        for f2, c2 in got.items():
-            _add_into(acc, f2, c * c2)
-    return LinComb(acc)
+    return LinComb(dict(t.items())).map_basis(_fold_key)
 
 
 def is_primitive(x: LinComb) -> bool:
@@ -164,16 +146,13 @@ def cocycle_bplus(x: LinComb, p: LinComb) -> LinComb:
     return natural_growth(x, p)
 
 
-_PI: dict = {}
-
-
+@memo
 def _pi_forest(f: OrderedForest) -> LinComb:
-    got = _PI.get(f)
-    if got is None:
-        got = LinComb.basis(f)
-        for (l, r), c in reduced_coproduct_forest(f).items():
-            got = got - c * natural_growth(LinComb.basis(l), _pi_forest(r))
-        _PI[f] = got
+    if f.is_empty:
+        return LinComb.zero()
+    got = LinComb.basis(f)
+    for (l, r), c in reduced_coproduct_forest(f).items():
+        got = got - c * natural_growth(LinComb.basis(l), _pi_forest(r))
     return got
 
 
@@ -183,13 +162,7 @@ def primitive_projection(x: LinComb) -> LinComb:
     Constants project to zero.  Single trees of degree two or more also
     vanish, since any such tree is itself a growth onto a one-vertex tree.
     """
-    acc: dict = {}
-    for f, c in x.items():
-        if f.is_empty:
-            continue
-        for k, c2 in _pi_forest(f).items():
-            _add_into(acc, k, c * c2)
-    return LinComb(acc)
+    return x.map_basis(_pi_forest)
 
 
 def _top_level(x: LinComb) -> tuple[int, Tensor | None]:
@@ -257,9 +230,6 @@ def f_recompose(levels: Mapping[int, Tensor]) -> LinComb:
     return out
 
 
-_PRIM_BASIS: dict = {}
-
-
 def primitive_basis(n: int, alphabet: Iterable[str]) -> tuple[LinComb, ...]:
     """Basis of the primitive subspace in homogeneous degree n.
 
@@ -267,23 +237,20 @@ def primitive_basis(n: int, alphabet: Iterable[str]) -> tuple[LinComb, ...]:
     degree-n forests; the coordinate order follows the canonical forest
     enumeration, so the result is deterministic.
     """
-    alphabet = tuple(alphabet)
-    key = (n, alphabet)
-    got = _PRIM_BASIS.get(key)
-    if got is not None:
-        return got
+    return _primitive_basis(n, tuple(alphabet))
+
+
+@memo
+def _primitive_basis(n: int, alphabet: tuple[str, ...]) -> tuple[LinComb, ...]:
     if n <= 0:
-        out: tuple = ()
-    else:
-        forests = enumerate_forests(n, alphabet)
-        images = [reduced_coproduct_forest(f) for f in forests]
-        targets = sorted({k for img in images for k, _ in img.items()},
-                         key=lambda p: (p[0].sort_key(), p[1].sort_key()))
-        matrix = [[img.coeff(tkey) for img in images] for tkey in targets]
-        out = tuple(LinComb.from_terms(zip(forests, vec))
-                    for vec in kernel_basis(matrix, len(forests)))
-    _PRIM_BASIS[key] = out
-    return out
+        return ()
+    forests = enumerate_forests(n, alphabet)
+    images = [reduced_coproduct_forest(f) for f in forests]
+    targets = sorted({k for img in images for k, _ in img.items()},
+                     key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+    matrix = [[img.coeff(tkey) for img in images] for tkey in targets]
+    return tuple(LinComb.from_terms(zip(forests, vec))
+                 for vec in kernel_basis(matrix, len(forests)))
 
 
 def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:

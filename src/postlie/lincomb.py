@@ -18,6 +18,11 @@ keyed by tuples of basis keys, one per leg.  Coproduct iteration is done by
 reapplying maps legwise (``apply_coproduct``), products by merging two legs
 (``merge_legs``).
 
+Maps defined on basis keys extend through one method each: linearly with
+``LinComb.map_basis`` (or ``apply_coproduct`` for a two-leg value), and
+bilinearly with ``LinComb.map_pairs``, which sums ``c1 c2 fn(k1, k2)`` over
+the term pairs in iteration order.
+
 Word operations on forests (concatenation, shuffle, deshuffle,
 deconcatenation, Kronecker pairing) live here as module functions.
 """
@@ -158,6 +163,16 @@ class LinComb:
         for k, c in self._terms.items():
             for k2, c2 in fn(k)._terms.items():
                 _add_into(acc, k2, c * c2)
+        return LinComb(acc)
+
+    def map_pairs(self, other: "LinComb",
+                  fn: Callable[[Hashable, Hashable], "LinComb"]) -> "LinComb":
+        """Bilinear extension of a map on pairs of basis keys."""
+        acc: dict = {}
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                for k3, c3 in fn(k1, k2)._terms.items():
+                    _add_into(acc, k3, c1 * c2 * c3)
         return LinComb(acc)
 
     def apply_coproduct(self, fn: Callable[[Hashable], "Tensor"]) -> "Tensor":
@@ -410,12 +425,7 @@ def shuffle_words(f1: OrderedForest, f2: OrderedForest) -> LinComb:
 
 def shuffle(x: LinComb, y: LinComb) -> LinComb:
     """Bilinear shuffle product of forest words."""
-    acc: dict = {}
-    for f1, c1 in x.items():
-        for f2, c2 in y.items():
-            for f3, c3 in shuffle_words(f1, f2).items():
-                _add_into(acc, f3, c1 * c2 * c3)
-    return LinComb(acc)
+    return x.map_pairs(y, shuffle_words)
 
 
 def _deshuffle_words(trees_: tuple) -> dict[tuple[tuple, tuple], int]:

@@ -28,18 +28,14 @@ from .forest import (FOREST_ONE, OrderedForest, PlanarTree, b_minus,
 from .grafting import gl_forests
 from .lincomb import (LinComb, Tensor, _add_into, duality_mismatches, shuffle,
                       shuffle_words)
+from .memo import memo
 
 _RESERVED = "\x00"
 
 # (pruned groups, trunk) pairs per tree; groups are forests cut at distinct
 # vertices, to be shuffled together.
-_CUTS: dict[PlanarTree, tuple[tuple[tuple[OrderedForest, ...], PlanarTree], ...]] = {}
-
-
+@memo
 def _cut_configs(t: PlanarTree) -> tuple[tuple[tuple[OrderedForest, ...], PlanarTree], ...]:
-    got = _CUTS.get(t)
-    if got is not None:
-        return got
     kids = t.children
     out: list[tuple[tuple[OrderedForest, ...], PlanarTree]] = []
     for p in range(len(kids) + 1):
@@ -54,18 +50,11 @@ def _cut_configs(t: PlanarTree) -> tuple[tuple[tuple[OrderedForest, ...], Planar
         for groups, trunk_kids in combos:
             all_groups = ([pruned_here] if p else []) + groups
             out.append((tuple(all_groups), tree(t.decoration, trunk_kids)))
-    got = tuple(out)
-    _CUTS[t] = got
-    return got
+    return tuple(out)
 
 
-_COPRODUCT_TREE: dict[PlanarTree, Tensor] = {}
-
-
+@memo
 def mkw_coproduct_tree(t: PlanarTree) -> Tensor:
-    got = _COPRODUCT_TREE.get(t)
-    if got is not None:
-        return got
     acc: dict = {}
     for groups, trunk in _cut_configs(t):
         left = LinComb.basis(FOREST_ONE)
@@ -74,32 +63,22 @@ def mkw_coproduct_tree(t: PlanarTree) -> Tensor:
         for f, c in left.items():
             _add_into(acc, (f, single(trunk)), c)
     _add_into(acc, (single(t), FOREST_ONE), 1)
-    got = Tensor(2, acc)
-    _COPRODUCT_TREE[t] = got
-    return got
+    return Tensor(2, acc)
 
 
-_COPRODUCT: dict[OrderedForest, Tensor] = {}
-
-
+@memo
 def mkw_coproduct_forest(f: OrderedForest) -> Tensor:
-    got = _COPRODUCT.get(f)
-    if got is not None:
-        return got
     if f.is_empty:
-        out = Tensor.basis((FOREST_ONE, FOREST_ONE))
-    elif len(f) == 1:
-        out = mkw_coproduct_tree(f.trees[0])
-    else:
-        big = tree(_RESERVED, f.trees)
-        acc: dict = {}
-        for (left, right), c in mkw_coproduct_tree(big).items():
-            if right.is_empty:
-                continue  # the B+(w) (x) 1 term is subtracted
-            _add_into(acc, (left, b_minus(right.trees[0])), c)
-        out = Tensor(2, acc)
-    _COPRODUCT[f] = out
-    return out
+        return Tensor.basis((FOREST_ONE, FOREST_ONE))
+    if len(f) == 1:
+        return mkw_coproduct_tree(f.trees[0])
+    big = tree(_RESERVED, f.trees)
+    acc: dict = {}
+    for (left, right), c in mkw_coproduct_tree(big).items():
+        if right.is_empty:
+            continue  # the B+(w) (x) 1 term is subtracted
+        _add_into(acc, (left, b_minus(right.trees[0])), c)
+    return Tensor(2, acc)
 
 
 def mkw_coproduct(x: LinComb | OrderedForest) -> Tensor:
@@ -108,20 +87,14 @@ def mkw_coproduct(x: LinComb | OrderedForest) -> Tensor:
     return x.apply_coproduct(mkw_coproduct_forest)
 
 
-_REDUCED: dict[OrderedForest, Tensor] = {}
-
-
+@memo
 def reduced_coproduct_forest(f: OrderedForest) -> Tensor:
     """Reduced coproduct of a nonempty basis forest."""
-    got = _REDUCED.get(f)
-    if got is None:
-        if f.is_empty:
-            raise ValueError("reduced coproduct of the unit is undefined")
-        got = (mkw_coproduct_forest(f)
-               - Tensor.basis((f, FOREST_ONE))
-               - Tensor.basis((FOREST_ONE, f)))
-        _REDUCED[f] = got
-    return got
+    if f.is_empty:
+        raise ValueError("reduced coproduct of the unit is undefined")
+    return (mkw_coproduct_forest(f)
+            - Tensor.basis((f, FOREST_ONE))
+            - Tensor.basis((FOREST_ONE, f)))
 
 
 def reduced_coproduct(x: LinComb) -> Tensor:
@@ -142,33 +115,21 @@ def iterated_reduced(x: LinComb, k: int) -> Tensor:
     return out
 
 
-_ANTIPODE: dict[OrderedForest, LinComb] = {}
-
-
+@memo
 def _antipode_forest(f: OrderedForest) -> LinComb:
-    got = _ANTIPODE.get(f)
-    if got is not None:
-        return got
     if f.is_empty:
-        out = LinComb.basis(FOREST_ONE)
-    else:
-        acc: dict = {f: -1}
-        for (left, right), c in reduced_coproduct_forest(f).items():
-            for fl, cl in _antipode_forest(left).items():
-                for fs, cs in shuffle_words(fl, right).items():
-                    _add_into(acc, fs, -c * cl * cs)
-        out = LinComb(acc)
-    _ANTIPODE[f] = out
-    return out
+        return LinComb.basis(FOREST_ONE)
+    acc: dict = {f: -1}
+    for (left, right), c in reduced_coproduct_forest(f).items():
+        for fl, cl in _antipode_forest(left).items():
+            for fs, cs in shuffle_words(fl, right).items():
+                _add_into(acc, fs, -c * cl * cs)
+    return LinComb(acc)
 
 
 def mkw_antipode(x: LinComb) -> LinComb:
     """Antipode of the MKW Hopf algebra: S(x) = -x - S(x^(1)) sh x^(2)."""
-    acc: dict = {}
-    for f, c in x.items():
-        for f2, c2 in _antipode_forest(f).items():
-            _add_into(acc, f2, c * c2)
-    return LinComb(acc)
+    return x.map_basis(_antipode_forest)
 
 
 def duality_failures(maxdeg: int, alphabet: Iterable[str],

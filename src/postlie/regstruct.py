@@ -41,6 +41,7 @@ from typing import Iterator
 
 from .forest import MAX_NESTING, NESTING_ERROR, ForestSyntaxError
 from .lincomb import Coeff, LinComb, Tensor, _add_into, graded_transpose
+from .memo import memo
 
 MultiIndex = tuple[int, ...]
 
@@ -451,25 +452,17 @@ def lower_root_adjacent(x: LinComb | RegTree, i: MultiIndex) -> LinComb:
 
 # -- the associative word product -------------------------------------------
 
-_MUL: dict[tuple[RegTree, RegTree], LinComb] = {}
-
-
+@memo
 def reg_mul_trees(t1: RegTree, t2: RegTree) -> LinComb:
-    got = _MUL.get((t1, t2))
-    if got is not None:
-        return got
     _check_dim(t1, t2)
     j = next((k for k, a in enumerate(t2.dec) if a), None)
     if j is None:
-        out = LinComb.basis(reg_tree(t1.dec, t1.edges + t2.edges))
-    else:
-        e = mi_unit(t1.dim, j)
-        rest = reg_tree(mi_sub(t2.dec, e), t2.edges)
-        stepped = (LinComb.basis(reg_tree(mi_add(t1.dec, e), t1.edges))
-                   + lower_root_adjacent(t1, e))
-        out = stepped.map_basis(lambda s: reg_mul_trees(s, rest))
-    _MUL[(t1, t2)] = out
-    return out
+        return LinComb.basis(reg_tree(t1.dec, t1.edges + t2.edges))
+    e = mi_unit(t1.dim, j)
+    rest = reg_tree(mi_sub(t2.dec, e), t2.edges)
+    stepped = (LinComb.basis(reg_tree(mi_add(t1.dec, e), t1.edges))
+               + lower_root_adjacent(t1, e))
+    return stepped.map_basis(lambda s: reg_mul_trees(s, rest))
 
 
 def reg_assoc_product(x: LinComb | RegTree, y: LinComb | RegTree) -> LinComb:
@@ -480,23 +473,13 @@ def reg_assoc_product(x: LinComb | RegTree, y: LinComb | RegTree) -> LinComb:
     planted letters, adding to the root decoration and spawning one
     root-adjacent lowering term.  The empty word is the unit.
     """
-    acc: dict = {}
-    for t1, c1 in _as_lin(x).items():
-        for t2, c2 in _as_lin(y).items():
-            for t3, c3 in reg_mul_trees(t1, t2).items():
-                _add_into(acc, t3, c1 * c2 * c3)
-    return LinComb(acc)
+    return _as_lin(x).map_pairs(_as_lin(y), reg_mul_trees)
 
 
 # -- deshuffle of words -----------------------------------------------------
 
-_DESH: dict[RegTree, Tensor] = {}
-
-
+@memo
 def reg_deshuffle_tree(t: RegTree) -> Tensor:
-    got = _DESH.get(t)
-    if got is not None:
-        return got
     edges = t.edges
     n = len(edges)
     acc: dict = {}
@@ -509,9 +492,7 @@ def reg_deshuffle_tree(t: RegTree) -> Tensor:
                 right = reg_tree(n2, tuple(
                     edges[i] for i in range(n) if i not in picked))
                 _add_into(acc, (left, right), w)
-    out = Tensor(2, acc)
-    _DESH[t] = out
-    return out
+    return Tensor(2, acc)
 
 
 def reg_deshuffle(x: LinComb | RegTree) -> Tensor:
@@ -566,19 +547,14 @@ def _graft_letters(t1: RegTree, t2: RegTree) -> LinComb:
     return LinComb(acc)
 
 
-_GRAFT: dict[tuple[RegTree, RegTree], LinComb] = {}
-
-
+@memo
 def reg_graft_trees(t1: RegTree, t2: RegTree) -> LinComb:
-    got = _GRAFT.get((t1, t2))
-    if got is not None:
-        return got
     _check_dim(t1, t2)
     if t1.is_unit:
-        out = LinComb.basis(t2)
-    elif t2.is_unit:
-        out = LinComb.zero()
-    elif t2.letters >= 2:
+        return LinComb.basis(t2)
+    if t2.is_unit:
+        return LinComb.zero()
+    if t2.letters >= 2:
         u2, r2 = _peel(t2)
         acc: dict = {}
         for (a1, a2), c in reg_deshuffle_tree(t1).items():
@@ -586,18 +562,15 @@ def reg_graft_trees(t1: RegTree, t2: RegTree) -> LinComb:
                 for f2, c2 in reg_graft_trees(a2, r2).items():
                     for f3, c3 in reg_mul_trees(f1, f2).items():
                         _add_into(acc, f3, c * c1 * c2 * c3)
-        out = LinComb(acc)
-    elif t1.letters <= 1:
-        out = _graft_letters(t1, t2)
-    else:
-        u, w = _peel(t1)
-        inner = reg_graft_trees(w, t2).map_basis(
-            lambda f: reg_graft_trees(u, f))
-        outer = reg_graft_trees(u, w).map_basis(
-            lambda f: reg_graft_trees(f, t2))
-        out = inner - outer
-    _GRAFT[(t1, t2)] = out
-    return out
+        return LinComb(acc)
+    if t1.letters <= 1:
+        return _graft_letters(t1, t2)
+    u, w = _peel(t1)
+    inner = reg_graft_trees(w, t2).map_basis(
+        lambda f: reg_graft_trees(u, f))
+    outer = reg_graft_trees(u, w).map_basis(
+        lambda f: reg_graft_trees(f, t2))
+    return inner - outer
 
 
 def reg_graft(x: LinComb | RegTree, y: LinComb | RegTree) -> LinComb:
@@ -611,12 +584,7 @@ def reg_graft(x: LinComb | RegTree, y: LinComb | RegTree) -> LinComb:
     word letter by letter and splitting the right word through the
     deshuffle of the left.
     """
-    acc: dict = {}
-    for t1, c1 in _as_lin(x).items():
-        for t2, c2 in _as_lin(y).items():
-            for t3, c3 in reg_graft_trees(t1, t2).items():
-                _add_into(acc, t3, c1 * c2 * c3)
-    return LinComb(acc)
+    return _as_lin(x).map_pairs(_as_lin(y), reg_graft_trees)
 
 
 def is_v_letter(t: RegTree) -> bool:
@@ -677,20 +645,14 @@ def bracket0(x: LinComb | RegTree, y: LinComb | RegTree) -> LinComb:
 
 # -- the Grossman-Larson style product --------------------------------------
 
-_STAR: dict[tuple[RegTree, RegTree], LinComb] = {}
-
-
+@memo
 def reg_gl_trees(a: RegTree, b: RegTree) -> LinComb:
-    got = _STAR.get((a, b))
-    if got is None:
-        acc: dict = {}
-        for (a1, a2), c in reg_deshuffle_tree(a).items():
-            for f, c2 in reg_graft_trees(a2, b).items():
-                for f3, c3 in reg_mul_trees(a1, f).items():
-                    _add_into(acc, f3, c * c2 * c3)
-        got = LinComb(acc)
-        _STAR[(a, b)] = got
-    return got
+    acc: dict = {}
+    for (a1, a2), c in reg_deshuffle_tree(a).items():
+        for f, c2 in reg_graft_trees(a2, b).items():
+            for f3, c3 in reg_mul_trees(a1, f).items():
+                _add_into(acc, f3, c * c2 * c3)
+    return LinComb(acc)
 
 
 def reg_gl_product(x: LinComb | RegTree, y: LinComb | RegTree) -> LinComb:
@@ -699,18 +661,10 @@ def reg_gl_product(x: LinComb | RegTree, y: LinComb | RegTree) -> LinComb:
     Associative with the empty word as unit.  Not free: polynomial
     generators commute exactly, X^i * X^j = X^{i+j} = X^j * X^i.
     """
-    acc: dict = {}
-    for t1, c1 in _as_lin(x).items():
-        for t2, c2 in _as_lin(y).items():
-            for t3, c3 in reg_gl_trees(t1, t2).items():
-                _add_into(acc, t3, c1 * c2 * c3)
-    return LinComb(acc)
+    return _as_lin(x).map_pairs(_as_lin(y), reg_gl_trees)
 
 
 # -- graded enumeration -----------------------------------------------------
-
-_ENUM: dict[tuple[int, int, int | None], tuple[RegTree, ...]] = {}
-
 
 def enumerate_reg_trees(n: int, d: int,
                         max_norm: int | None = None) -> tuple[RegTree, ...]:
@@ -720,23 +674,22 @@ def enumerate_reg_trees(n: int, d: int,
     no cap).  Capped enumerations are for keeping sweep inputs small; the
     dual coproduct always enumerates exactly.
     """
-    key = (n, d, max_norm)
-    got = _ENUM.get(key)
-    if got is not None:
-        return got
+    return _reg_tree_basis(n, d, max_norm)
+
+
+@memo
+def _reg_tree_basis(n: int, d: int,
+                    max_norm: int | None) -> tuple[RegTree, ...]:
     if n < 0:
-        out: tuple[RegTree, ...] = ()
-    else:
-        acc = []
-        for p in range(n + 1):
-            if max_norm is not None and p > max_norm:
-                break
-            for m in multiindices(d, p):
-                for eds in _branch_seqs(n - p, d, max_norm):
-                    acc.append(reg_tree(m, eds))
-        out = tuple(sorted(acc, key=RegTree.sort_key))
-    _ENUM[key] = out
-    return out
+        return ()
+    acc = []
+    for p in range(n + 1):
+        if max_norm is not None and p > max_norm:
+            break
+        for m in multiindices(d, p):
+            for eds in _branch_seqs(n - p, d, max_norm):
+                acc.append(reg_tree(m, eds))
+    return tuple(sorted(acc, key=RegTree.sort_key))
 
 
 def _branch_seqs(total: int, d: int, max_norm: int | None) -> list[tuple]:
@@ -777,18 +730,16 @@ def enumerate_v_letters(n: int, d: int,
 
 # -- dual coproduct ---------------------------------------------------------
 
-_DMKW: dict[RegTree, Tensor] = {}
+@memo
+def _reg_gl_transpose(n: int, d: int) -> dict[RegTree, Tensor]:
+    return graded_transpose(n, lambda i: enumerate_reg_trees(i, d),
+                            reg_gl_trees)
 
 
 def deformed_mkw_tree(t: RegTree) -> Tensor:
-    """Transpose of ``reg_gl_trees`` at ``t``; one miss caches the degree."""
-    got = _DMKW.get(t)
-    if got is None:
-        d = t.dim
-        _DMKW.update(graded_transpose(
-            t.degree, lambda i: enumerate_reg_trees(i, d), reg_gl_trees))
-        got = _DMKW[t]
-    return got
+    """Transpose of ``reg_gl_trees`` at ``t``, read off the transpose of
+    its whole degree, which is computed once per degree and dimension."""
+    return _reg_gl_transpose(t.degree, t.dim)[t]
 
 
 def deformed_mkw_coproduct(x: LinComb | RegTree, maxdeg: int) -> Tensor:
@@ -809,37 +760,23 @@ def deformed_mkw_coproduct(x: LinComb | RegTree, maxdeg: int) -> Tensor:
 
 # -- isomorphism between the two products -----------------------------------
 
-_PHI: dict[RegTree, LinComb] = {}
-_PSI: dict[RegTree, LinComb] = {}
-
-
+@memo
 def _phi_tree(t: RegTree) -> LinComb:
-    got = _PHI.get(t)
-    if got is not None:
-        return got
     if t.letters <= 1:
-        out = LinComb.basis(t)
-    else:
-        # t = b * w - (b grafted into w), with b the first letter, so the
-        # image is b . phi(w) - phi(b grafted into w).
-        b, w = _peel(t)
-        out = (_phi_tree(w).map_basis(lambda s: reg_mul_trees(b, s))
-               - reg_graft_trees(b, w).map_basis(_phi_tree))
-    _PHI[t] = out
-    return out
+        return LinComb.basis(t)
+    # t = b * w - (b grafted into w), with b the first letter, so the
+    # image is b . phi(w) - phi(b grafted into w).
+    b, w = _peel(t)
+    return (_phi_tree(w).map_basis(lambda s: reg_mul_trees(b, s))
+            - reg_graft_trees(b, w).map_basis(_phi_tree))
 
 
+@memo
 def _psi_tree(t: RegTree) -> LinComb:
-    got = _PSI.get(t)
-    if got is not None:
-        return got
     if t.letters <= 1:
-        out = LinComb.basis(t)
-    else:
-        b, w = _peel(t)
-        out = _psi_tree(w).map_basis(lambda s: reg_gl_trees(b, s))
-    _PSI[t] = out
-    return out
+        return LinComb.basis(t)
+    b, w = _peel(t)
+    return _psi_tree(w).map_basis(lambda s: reg_gl_trees(b, s))
 
 
 def phi_reg(x: LinComb | RegTree, maxdeg: int) -> LinComb:

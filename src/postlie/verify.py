@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from importlib import resources
-from itertools import product as iproduct
 from typing import Callable
 
 from . import linalg
@@ -98,19 +97,20 @@ def _pair_range(maxdeg: int) -> str:
     return f"degree pairs summing to <= {maxdeg}"
 
 
-def _triples(pool: list, budget: int):
-    """Triples of ``pool`` with degree sum <= budget, in product order.
+def _tuples(pool: list, k: int, budget: int):
+    """``k``-tuples of pool items with degree sum <= budget, in product order.
 
-    ``pool`` is sorted by degree, so each loop stops at the budget.
+    ``pool`` holds ``(degree, item)`` pairs sorted by degree, so each loop
+    stops at the budget left by the items before it.
     """
-    for a in pool:
-        for b in pool:
-            if a.degree + b.degree > budget:
-                break
-            for c in pool:
-                if a.degree + b.degree + c.degree > budget:
-                    break
-                yield a, b, c
+    if k == 0:
+        yield ()
+        return
+    for n, x in pool:
+        if n > budget:
+            break
+        for rest in _tuples(pool, k - 1, budget - n):
+            yield (x,) + rest
 
 
 # -- cut Hopf algebra axioms -------------------------------------------------
@@ -173,14 +173,14 @@ def _suite_hopf(maxdeg: int, letters: tuple[str, ...]) -> dict:
 
 def _suite_postlie(maxdeg: int, letters: tuple[str, ...]) -> dict:
     checks: list[dict] = []
-    trees = [single(t) for n in range(1, maxdeg - 1)
+    trees = [(n, single(t)) for n in range(1, maxdeg - 1)
              for t in enumerate_trees(n, letters)]
 
     def br(x: LinComb, y: LinComb) -> LinComb:
         return concat(x, y) - concat(y, x)
 
     fails: list[str] = []
-    for fx, fy, fz in _triples(trees, maxdeg):
+    for fx, fy, fz in _tuples(trees, 3, maxdeg):
         x, y, z = _basis(fx), _basis(fy), _basis(fz)
         lhs = left_graft(x, br(y, z))
         rhs = br(left_graft(x, y), z) + br(y, left_graft(x, z))
@@ -190,7 +190,7 @@ def _suite_postlie(maxdeg: int, letters: tuple[str, ...]) -> dict:
                          f"tree triples, degree sum <= {maxdeg}", fails))
 
     fails = []
-    for fx, fy, fz in _triples(trees, maxdeg):
+    for fx, fy, fz in _tuples(trees, 3, maxdeg):
         x, y, z = _basis(fx), _basis(fy), _basis(fz)
         lhs = left_graft(br(x, y), z)
         rhs = (left_graft(x, left_graft(y, z))
@@ -203,7 +203,7 @@ def _suite_postlie(maxdeg: int, letters: tuple[str, ...]) -> dict:
                          f"tree triples, degree sum <= {maxdeg}", fails))
 
     fails = []
-    for fx, fy, fz in _triples(trees, maxdeg):
+    for fx, fy, fz in _tuples(trees, 3, maxdeg):
         x, y, z = _basis(fx), _basis(fy), _basis(fz)
         j = (jacobi_bracket(jacobi_bracket(x, y), z)
              + jacobi_bracket(jacobi_bracket(y, z), x)
@@ -284,11 +284,7 @@ def _suite_growth(maxdeg: int, letters: tuple[str, ...]) -> dict:
     fails = []
     pool = [(n, p) for n, ps in prims.items() for p in ps]
     for k in (2, 3):
-        for combo in iproduct(pool, repeat=k):
-            total = sum(n for n, _ in combo)
-            if total > maxdeg:
-                continue
-            ps = [p for _, p in combo]
+        for ps in _tuples(pool, k, maxdeg):
             folded = growth_fold(ps)
             levels = f_decompose(folded)
             want = {k: tensor_of(*ps)}
@@ -544,7 +540,8 @@ def _suite_reg_postlie(maxdeg: int, letters: tuple[str, ...]) -> dict:
     checks: list[dict] = []
     one = reg_one(1)
     pool = [t for n in range(maxdeg) for t in enumerate_reg_trees(n, 1)]
-    vlets = [t for n in range(1, maxdeg)
+    graded = [(t.degree, t) for t in pool]
+    vlets = [(n, t) for n in range(1, maxdeg)
              for t in enumerate_v_letters(n, 1)]
     L = LinComb.basis
 
@@ -553,7 +550,7 @@ def _suite_reg_postlie(maxdeg: int, letters: tuple[str, ...]) -> dict:
             ("word-product", reg_assoc_product, reg_mul_trees),
             ("gl-product", reg_gl_product, reg_gl_trees)):
         fails = [f"a={a.text} b={b.text} c={c.text}"
-                 for a, b, c in _triples(pool, maxdeg + 1)
+                 for a, b, c in _tuples(graded, 3, maxdeg + 1)
                  if prod(inner(a, b), c) != prod(a, inner(b, c))]
         checks.append(_entry(f"{label}-associative",
                              f"degree sum <= {maxdeg + 1}", fails))
@@ -585,7 +582,7 @@ def _suite_reg_postlie(maxdeg: int, letters: tuple[str, ...]) -> dict:
 
     fails1: list[str] = []
     fails2: list[str] = []
-    for x, y, z in _triples(vlets, maxdeg + 1):
+    for x, y, z in _tuples(vlets, 3, maxdeg + 1):
         lx, ly, lz = L(x), L(y), L(z)
         a1 = reg_graft(lx, bracket0(ly, lz))
         a2 = (reg_assoc_product(deformed_graft(lx, ly), lz)
@@ -606,13 +603,10 @@ def _suite_reg_postlie(maxdeg: int, letters: tuple[str, ...]) -> dict:
     checks.append(_entry("bracket-measures-associator", rng, fails2))
 
     fails = []
-    for a in vlets:
-        for b in vlets:
-            if a.degree + b.degree > maxdeg + 1:
-                continue
-            if (bracket0(a, b)
-                    != reg_assoc_product(a, b) - reg_assoc_product(b, a)):
-                fails.append(f"a={a.text} b={b.text}")
+    for a, b in _tuples(vlets, 2, maxdeg + 1):
+        if (bracket0(a, b)
+                != reg_assoc_product(a, b) - reg_assoc_product(b, a)):
+            fails.append(f"a={a.text} b={b.text}")
     checks.append(_entry("bracket-is-word-commutator",
                          f"generator pairs, degree sum <= {maxdeg + 1}",
                          fails))

@@ -251,3 +251,25 @@ def test_character_truncation_degree_cap_exit_1(tmp_path, capsys, command):
     code, _, err = run(capsys, command, *files)
     assert code == 1
     assert "POSTLIE_DEGREE_CAP" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("basis", "--degree", "-3"),
+    ("reg-basis", "--degree", "-2"),
+    ("reg-basis", "--degree", "2", "--max-norm", "-1"),
+    ("translate", "[o]", "--v", "o=[o]", "--max-degree", "-1"),
+])
+def test_negative_size_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "must be nonnegative" in err
+
+
+def test_basis_alphabet_width_cap_exit_1(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "basis", "--degree", "7",
+                         "--alphabet", "a,b,c,d")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert "7028736 forests" in err and "54912" in err
+    assert "POSTLIE_DEGREE_CAP" in err

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from postlie import coaction, regstruct
+from postlie import clear_caches
 from postlie.coaction import (_letters, delta_concat_forest,
                               delta_star_forest, graft_duality_failures,
                               rho_forest)
@@ -65,11 +65,11 @@ def same(got: Tensor, want: Tensor) -> bool:
 
 
 def test_delta_star_matches_oracle_values_and_order():
-    coaction._DELTA_STAR.clear()
+    clear_caches()
     for n in range(5):
         forests = enumerate_forests(n, AB)
-        # fill the degree from a two-letter forest first, so the forests
-        # over one letter are read from a sweep over both letters
+        # read a two-letter forest first, so a sweep over both letters is
+        # cached before the forests over one letter are read
         mixed = [f for f in forests if len(_letters(f)) == 2]
         for f in mixed[:1] + list(forests):
             want = oracle_transpose(f, forest_basis(_letters(f)), gl_forests)
@@ -101,7 +101,7 @@ def test_graft_transpose_matches_oracle_values_and_order():
 
 
 def test_deformed_mkw_matches_oracle_values_and_order():
-    regstruct._DMKW.clear()
+    clear_caches()
 
     def basis(i):
         return enumerate_reg_trees(i, 1)
