@@ -78,10 +78,6 @@ def np_tree(decoration: str, children: Iterable[NonplanarTree] = ()) -> Nonplana
     return got
 
 
-def np_leaf(decoration: str) -> NonplanarTree:
-    return np_tree(decoration)
-
-
 class NonplanarForest:
     """Commutative word of nonplanar trees, kept sorted."""
 

@@ -1,4 +1,4 @@
-"""Coaction dual to left grafting, cointeraction checks, translations.
+"""Coaction dual to left grafting, its interaction laws, translations.
 
 Left grafting consumes its whole left argument: every tree of it gets
 attached somewhere, none survives as a concatenation factor.  Dually,
@@ -14,22 +14,30 @@ definitions.  They are obtained by transposing those products degree by
 degree through the pairing (`transpose_product`), so each identity is
 checked against a single source of truth.
 
+The interaction identities are stated as rows of laws (see
+:mod:`postlie.laws`): ``cointeraction_laws`` and ``cotranslation_laws``
+feed both the ``cointeraction`` and ``cotranslation`` suites of
+:mod:`postlie.verify` and the two ``verify_*`` reports here, all run by
+``run_laws``.
+
 Translations act on the dual side: ``translate`` shifts every vertex
 decoration ``i`` by a chosen primitive element and extends over trees by
 grafting and over forests by the Grossman-Larson recursion.  The
 ``disjointness_witness`` report replays the argument showing that a
 translation can agree with grafting by a fixed group-like series only
-when that series is trivial.
+when that series is trivial; its checks are rows of laws as well.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
 from .forest import (FOREST_ONE, OrderedForest, b_minus, b_plus,
                      enumerate_forests, forest, leaf, render_forest, single,
                      tree, word)
 from .grafting import gl_forests, gl_product, graft_forests, left_graft
+from .laws import ONCE, Law, deg_range, forests, pair_range, run_laws
 from .lincomb import (LinComb, Tensor, _add_into, deconcat_forest,
                       deshuffle, duality_mismatches, graded_transpose,
                       shuffle_words, tensor_of)
@@ -148,127 +156,91 @@ def delta_concat_forest(f: OrderedForest) -> Tensor:
 
 # -- interaction axioms ----------------------------------------------------
 
-def _mix(t1: Tensor, t2: Tensor,
-         left: ForestProduct, right: ForestProduct) -> Tensor:
-    """Combine two coaction values legwise by the given leg products."""
-    acc: dict = {}
-    for (a1, b1), c1 in t1.items():
-        for (a2, b2), c2 in t2.items():
-            c = c1 * c2
-            for a, ca in left(a1, a2).items():
-                cca = c * ca
-                for b, cb in right(b1, b2).items():
-                    _add_into(acc, (a, b), cca * cb)
-    return Tensor(2, acc)
-
-
-def _entry(name: str, rng: str, failures: list[str]) -> dict:
-    out: dict = {"name": name, "range": rng,
-                 "status": "pass" if not failures else "fail"}
-    if failures:
-        out["witness"] = failures[0]
-        out["failures"] = len(failures)
-    return out
-
-
-def _finish(suite: str, maxdeg: int, letters: tuple[str, ...],
-            checks: list[dict]) -> dict:
-    return {"suite": suite, "max_degree": maxdeg, "alphabet": list(letters),
-            "checks": checks, "ok": all(c["status"] == "pass" for c in checks)}
-
-
-def verify_cointeraction(maxdeg: int, alphabet: Iterable[str] = ("o",),
-                         rho: ForestCoaction | None = None) -> dict:
-    """Check the four interaction axioms of the grafting coaction.
+def cointeraction_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
+    """The four interaction axioms of the grafting coaction, as rows.
 
     The coaction should fix the unit, be multiplicative for the shuffle
     product leg by leg, leave no residue under the right-leg counit, and
     commute with the deconcatenation coproduct up to a shuffle of the
-    outer legs.  All checks sweep basis forests of degree <= ``maxdeg``;
-    ``rho`` may be replaced to demonstrate that corruption is detected.
+    outer legs.
     """
-    rho_fn = rho_forest if rho is None else rho
-    letters = tuple(alphabet)
-    checks: list[dict] = []
+    def unit_is_fixed():
+        if rho_forest(FOREST_ONE) != Tensor.basis((FOREST_ONE, FOREST_ONE)):
+            return "rho(1) != 1 (x) 1"
 
-    unit_fails: list[str] = []
-    if rho_fn(FOREST_ONE) != Tensor.basis((FOREST_ONE, FOREST_ONE)):
-        unit_fails.append("rho(1) != 1 (x) 1")
-    checks.append(_entry("unit-is-fixed", "degree 0", unit_fails))
+    def multiplicative(x, y):
+        if (shuffle_words(x, y).apply_coproduct(rho_forest)
+                != rho_forest(x).legwise(rho_forest(y), shuffle_words)):
+            return f"x={x.text} y={y.text}"
 
-    mult_fails: list[str] = []
-    for d1 in range(1, maxdeg):
-        for d2 in range(d1, maxdeg - d1 + 1):
-            for x in enumerate_forests(d1, letters):
-                for y in enumerate_forests(d2, letters):
-                    lhs = shuffle_words(x, y).apply_coproduct(rho_fn)
-                    rhs = _mix(rho_fn(x), rho_fn(y),
-                               shuffle_words, shuffle_words)
-                    if lhs != rhs:
-                        mult_fails.append(f"x={x.text} y={y.text}")
-    checks.append(_entry("shuffle-multiplicative",
-                         f"degree pairs summing to <= {maxdeg}", mult_fails))
+    def counit_annihilates(f):
+        if not rho_forest(f).counit_legs(attrgetter("is_empty"))[1].is_zero:
+            return f"right-leg counit residue on {f.text}"
 
-    counit_fails: list[str] = []
-    for n in range(1, maxdeg + 1):
-        for f in enumerate_forests(n, letters):
-            residue: dict = {}
-            for (a, b), c in rho_fn(f).items():
-                if b.is_empty:
-                    _add_into(residue, a, c)
-            if residue:
-                counit_fails.append(f"right-leg counit residue on {f.text}")
-    checks.append(_entry("counit-annihilates", f"degree <= {maxdeg}",
-                         counit_fails))
+    def deconcat_compatible(f):
+        lhs = rho_forest(f).apply_coproduct(1, deconcat_forest)
+        rhs = (deconcat_forest(f)
+               .apply_coproduct(0, rho_forest)
+               .apply_coproduct(2, rho_forest)
+               .merge_legs(0, 2, shuffle_words))
+        if lhs != rhs:
+            return f.text
 
-    compat_fails: list[str] = []
-    for n in range(0, maxdeg + 1):
-        for f in enumerate_forests(n, letters):
-            lhs = rho_fn(f).apply_coproduct(1, deconcat_forest)
-            rhs = (deconcat_forest(f)
-                   .apply_coproduct(0, rho_fn)
-                   .apply_coproduct(2, rho_fn)
-                   .merge_legs(0, 2, shuffle_words))
-            if lhs != rhs:
-                compat_fails.append(f.text)
-    checks.append(_entry("deconcat-compatible", f"degree <= {maxdeg}",
-                         compat_fails))
-
-    return _finish("cointeraction", maxdeg, letters, checks)
+    return [
+        Law("unit-is-fixed", "degree 0", ONCE, unit_is_fixed),
+        Law("shuffle-multiplicative", pair_range(maxdeg),
+            forests(letters, maxdeg, 1, 2, ascending=True), multiplicative),
+        Law("counit-annihilates", deg_range(maxdeg),
+            forests(letters, maxdeg, 1), counit_annihilates),
+        Law("deconcat-compatible", deg_range(maxdeg),
+            forests(letters, maxdeg), deconcat_compatible),
+    ]
 
 
-def verify_cotranslation_cosubstitution(maxdeg: int,
-                                        alphabet: Iterable[str] = ("o",),
-                                        rho: ForestCoaction | None = None,
-                                        ) -> dict:
-    """Check the two ways of iterating the grafting coaction.
+def cotranslation_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
+    """The two ways of iterating the grafting coaction, as rows.
 
     Re-expanding the right leg must agree with first splitting the left
     leg by deconcatenation, coacting on the middle piece and shuffling
     the two left legs back together; it must also agree with splitting
     the left leg by the coproduct dual to the Grossman-Larson product.
     """
-    rho_fn = rho_forest if rho is None else rho
-    letters = tuple(alphabet)
-    trans_fails: list[str] = []
-    subst_fails: list[str] = []
-    for n in range(0, maxdeg + 1):
-        for f in enumerate_forests(n, letters):
-            base = rho_fn(f)
-            lhs = base.apply_coproduct(1, rho_fn)
-            rhs1 = (base.apply_coproduct(0, deconcat_forest)
-                    .apply_coproduct(1, rho_fn)
-                    .merge_legs(0, 1, shuffle_words))
-            rhs2 = base.apply_coproduct(0, delta_star_forest)
-            if lhs != rhs1:
-                trans_fails.append(f.text)
-            if lhs != rhs2:
-                subst_fails.append(f.text)
-    checks = [
-        _entry("translation-identity", f"degree <= {maxdeg}", trans_fails),
-        _entry("substitution-identity", f"degree <= {maxdeg}", subst_fails),
+    def iterated(f: OrderedForest) -> Tensor:
+        return rho_forest(f).apply_coproduct(1, rho_forest)
+
+    def translation(f):
+        rhs = (rho_forest(f).apply_coproduct(0, deconcat_forest)
+               .apply_coproduct(1, rho_forest)
+               .merge_legs(0, 1, shuffle_words))
+        if iterated(f) != rhs:
+            return f.text
+
+    def substitution(f):
+        if iterated(f) != rho_forest(f).apply_coproduct(0, delta_star_forest):
+            return f.text
+
+    return [
+        Law("translation-identity", deg_range(maxdeg),
+            forests(letters, maxdeg), translation),
+        Law("substitution-identity", deg_range(maxdeg),
+            forests(letters, maxdeg), substitution),
     ]
-    return _finish("cotranslation-cosubstitution", maxdeg, letters, checks)
+
+
+def verify_cointeraction(maxdeg: int, alphabet: Iterable[str] = ("o",)) -> dict:
+    """Report on `cointeraction_laws` over basis forests of degree <= ``maxdeg``."""
+    letters = tuple(alphabet)
+    return run_laws("cointeraction", maxdeg, letters,
+                    cointeraction_laws(maxdeg, letters))
+
+
+def verify_cotranslation_cosubstitution(maxdeg: int,
+                                        alphabet: Iterable[str] = ("o",),
+                                        ) -> dict:
+    """Report on `cotranslation_laws` over basis forests of degree <= ``maxdeg``."""
+    letters = tuple(alphabet)
+    return run_laws("cotranslation-cosubstitution", maxdeg, letters,
+                    cotranslation_laws(maxdeg, letters))
 
 
 # -- translations ----------------------------------------------------------
@@ -386,29 +358,27 @@ def disjointness_witness(v: TranslationVector | None, xi: LinComb,
             (single(b_plus(f, d)), c)
             for f, c in xi.items() if not f.is_empty).truncate(maxdeg)
 
-    checks: list[dict] = []
-    used = forced
-    if v is not None:
-        bad = [d for d in forced
-               if v.get(d, LinComb.zero()).truncate(maxdeg) != forced[d]]
-        checks.append(_entry(
-            "vector-has-forced-form", f"decorations {sorted(forced)}",
-            [f"shift for {d!r} differs from the forced one" for d in bad]))
-        used = dict(v)
+    used = forced if v is None else dict(v)
 
-    witness_family = (
-        ("single-vertex", single(leaf(i))),
-        ("two-vertex-chain", single(tree(i, (leaf(j),)))),
-    )
-    for name, f in witness_family:
-        grafted = left_graft(xi, LinComb.basis(f)).truncate(maxdeg)
-        translated = translate(used, LinComb.basis(f), maxdeg)
-        diff = grafted - translated
-        fails = [] if diff.is_zero else [f"difference {_fmt(diff)}"]
-        checks.append(_entry(f"agree-on-{name}", f.text, fails))
+    def agrees(f: OrderedForest):
+        diff = (left_graft(xi, LinComb.basis(f)).truncate(maxdeg)
+                - translate(used, LinComb.basis(f), maxdeg))
+        if not diff.is_zero:
+            return f"difference {_fmt(diff)}"
+
+    def forced_form():
+        return [f"shift for {d!r} differs from the forced one" for d in forced
+                if v.get(d, LinComb.zero()).truncate(maxdeg) != forced[d]]
+
+    vertex, chain = single(leaf(i)), single(tree(i, (leaf(j),)))
+    laws = [Law("agree-on-single-vertex", vertex.text, ((vertex,),), agrees),
+            Law("agree-on-two-vertex-chain", chain.text, ((chain,),), agrees)]
+    if v is not None:
+        laws.insert(0, Law("vector-has-forced-form",
+                           f"decorations {sorted(forced)}", ONCE, forced_form))
 
     xi_is_unit = xi.truncate(maxdeg) == _ONE
-    report = _finish("disjointness", maxdeg, letters, checks)
+    report = run_laws("disjointness", maxdeg, letters, laws)
     report["xi_is_unit"] = xi_is_unit
     report["conclusion"] = (
         "series is the unit; both actions are the identity" if xi_is_unit

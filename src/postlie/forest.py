@@ -246,10 +246,6 @@ def render_forest(f: OrderedForest) -> str:
     return f.text
 
 
-def render_tree(t: PlanarTree) -> str:
-    return t.text
-
-
 # -- enumeration ------------------------------------------------------------
 
 def _canon_alphabet(alphabet: Iterable[str]) -> tuple[str, ...]:

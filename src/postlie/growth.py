@@ -50,14 +50,6 @@ def gr_shuffle(u: tuple, v: tuple) -> LinComb:
     return LinComb(acc)
 
 
-def gr_deconcat(w: tuple) -> Tensor:
-    """Deconcatenation of a tuple word, including both empty splits."""
-    acc: dict = {}
-    for i in range(len(w) + 1):
-        _add_into(acc, (w[:i], w[i:]), 1)
-    return Tensor(2, acc)
-
-
 def _vertex_children(f: OrderedForest) -> list[tuple[PlanarTree, ...]]:
     # Children tuples in depth-first preorder, matching _replace_at numbering.
     out: list = []
@@ -137,13 +129,6 @@ def is_primitive(x: LinComb) -> bool:
     if x.coeff(FOREST_ONE):
         return False
     return reduced_coproduct(x).is_zero
-
-
-def cocycle_bplus(x: LinComb, p: LinComb) -> LinComb:
-    """Growth against a fixed primitive; a one-cocycle for the cut coproduct."""
-    if not is_primitive(p):
-        raise ValueError("cocycle direction must be a primitive element")
-    return natural_growth(x, p)
 
 
 @memo

@@ -103,7 +103,3 @@ def invert(matrix: Sequence[Sequence[Coeff]]) -> list[list[Coeff]]:
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
     return [row[n:] for row in reduced[:n]]
-
-
-def mat_vec(matrix: Sequence[Sequence[Coeff]], vec: Sequence[Coeff]) -> list[Coeff]:
-    return [sum((a * b for a, b in zip(row, vec)), 0) for row in matrix]

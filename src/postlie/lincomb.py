@@ -16,7 +16,7 @@ itself be used as a letter of a formal word.
 :class:`Tensor` is the flat sparse analogue for tensor products: terms are
 keyed by tuples of basis keys, one per leg.  Coproduct iteration is done by
 reapplying maps legwise (``apply_coproduct``), products by merging two legs
-(``merge_legs``).
+(``merge_legs``) or, for two rank-2 tensors, leg by leg (``legwise``).
 
 Maps defined on basis keys extend through one method each: linearly with
 ``LinComb.map_basis`` (or ``apply_coproduct`` for a two-leg value), and
@@ -326,6 +326,27 @@ class Tensor:
             for k2, c2 in product(key[i], key[j]).items():
                 _add_into(acc, rest[:i] + (k2,) + rest[i + 1:], c * c2)
         return Tensor(self.arity - 1, acc)
+
+    def legwise(self, other: "Tensor",
+                product: Callable[[Hashable, Hashable], LinComb]) -> "Tensor":
+        """Product of two rank-2 tensors, leg by leg through ``product``."""
+        acc: dict = {}
+        for (a1, b1), c1 in self._terms.items():
+            for (a2, b2), c2 in other._terms.items():
+                c = c1 * c2
+                for a, ca in product(a1, a2).items():
+                    cca = c * ca
+                    for b, cb in product(b1, b2).items():
+                        _add_into(acc, (a, b), cca * cb)
+        return Tensor(2, acc)
+
+    def counit_legs(self, is_unit: Callable[[Hashable], bool],
+                    ) -> tuple[LinComb, LinComb]:
+        """``(counit (x) id)`` and ``(id (x) counit)`` of a rank-2 tensor,
+        for the counit that keeps exactly the keys ``is_unit`` accepts."""
+        pairs = self._terms.items()
+        return (LinComb.from_terms((b, c) for (a, b), c in pairs if is_unit(a)),
+                LinComb.from_terms((a, c) for (a, b), c in pairs if is_unit(b)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tensor):

@@ -40,7 +40,7 @@ from math import comb
 from typing import Iterator
 
 from .forest import MAX_NESTING, NESTING_ERROR, ForestSyntaxError
-from .lincomb import Coeff, LinComb, Tensor, _add_into, graded_transpose
+from .lincomb import LinComb, Tensor, _add_into, graded_transpose
 from .memo import memo
 
 MultiIndex = tuple[int, ...]
@@ -499,15 +499,6 @@ def reg_deshuffle(x: LinComb | RegTree) -> Tensor:
     """Unshuffle a word: letters are primitive, branch order is kept, and
     repeated unit vertices contribute componentwise binomial weights."""
     return _as_lin(x).apply_coproduct(reg_deshuffle_tree)
-
-
-def reg_counit(x: LinComb | RegTree) -> Coeff:
-    """Coefficient of the empty word."""
-    total = 0
-    for t, c in _as_lin(x).items():
-        if t.is_unit:
-            total += c
-    return total
 
 
 def _peel(t: RegTree) -> tuple[RegTree, RegTree]:

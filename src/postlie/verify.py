@@ -1,13 +1,19 @@
 """Property suites over the whole library, reported as machine-readable dicts.
 
-Each suite sweeps basis elements up to a degree bound and records one entry
-per property: name, the swept range, pass or fail, and a witness for the
-first failure.  ``run_suite`` is the single entry point; the degree bound
-defaults per suite and is capped by the ``POSTLIE_DEGREE_CAP`` environment
-variable (default 7) because basis sizes grow like Catalan numbers.
+Each suite is a table of laws (see :mod:`postlie.laws`): one row per
+property, holding its name, the label of the range it sweeps, a graded
+sweep of basis elements and a predicate that returns the failure witnesses
+of one case.  A suite's builder sets up what its rows share (primitive
+bases, translation vectors, pools of decorated trees) once and returns the
+rows; ``run_laws`` checks them and builds the report, with one entry per
+row: name, range, pass or fail, and a witness for the first failure.
 
-The ``paper-examples`` suite replays the worked displays stored in
-``data/golden_examples.txt`` and ignores the degree bound.
+``run_suite`` is the single entry point; the degree bound defaults per
+suite and is capped by the ``POSTLIE_DEGREE_CAP`` environment variable
+(default 7) because basis sizes grow like Catalan numbers.  The
+``paper-examples`` suite replays the worked displays stored in
+``data/golden_examples.txt`` and ignores the degree bound; a fixture line
+that raises fails its row instead of the suite.
 """
 
 from __future__ import annotations
@@ -15,29 +21,32 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 from importlib import resources
-from typing import Callable
+from itertools import chain, product
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 from . import linalg
 from .bck import NP_ONE, bck_primitive_projection, np_parse
 from .characters import (canonical_lift, char_convolve, character_failures,
                          embed_rough_path, phi, phi_inverse, phi_matrix,
                          unembed_rough_path)
-from .coaction import (_entry, _finish, compose_vectors, disjointness_witness,
-                       graft_duality_failures, rho_graft, translate,
-                       verify_cointeraction,
-                       verify_cotranslation_cosubstitution)
+from .coaction import (compose_vectors, cointeraction_laws,
+                       cotranslation_laws, disjointness_witness,
+                       graft_duality_failures, rho_graft, translate)
 from .exprs import (_parse, parse_lincomb, parse_reg_lincomb, parse_tensor,
                     render_lincomb)
 from .forest import (FOREST_ONE, ForestSyntaxError, enumerate_forests,
-                     enumerate_trees, leaf, single, tree)
+                     enumerate_trees, leaf, single, tree, word)
 from .grafting import (gl_antipode, gl_forests, gl_product, jacobi_bracket,
                        left_graft)
 from .growth import (f_decompose, f_recompose, fold_tensor, growth_fold,
                      is_primitive, natural_growth, primitive_basis,
                      primitive_projection)
-from .lincomb import (LinComb, Tensor, _add_into, concat, deconcat_forest,
-                      deshuffle, deshuffle_forest, duality_mismatches,
-                      shuffle_words, tensor_of)
+from .laws import (ONCE, Law, deg_range, forests, graded, pair_range, pool,
+                   run_laws, tuples)
+from .lincomb import (LinComb, Tensor, concat, deconcat_forest, deshuffle,
+                      deshuffle_forest, duality_mismatches, shuffle_words,
+                      tensor_of)
 from .mkw import (duality_failures, mkw_antipode, mkw_coproduct,
                   mkw_coproduct_forest, reduced_coproduct)
 from .regstruct import (bracket0, deformed_graft, deformed_mkw_coproduct,
@@ -70,127 +79,94 @@ def degree_cap() -> int:
     return cap
 
 
-def _basis(f) -> LinComb:
-    return LinComb.basis(f)
+_basis = LinComb.basis
+_is_empty = attrgetter("is_empty")
+_is_unit = attrgetter("is_unit")
 
 
 def _flatten1(t: Tensor) -> LinComb:
     return LinComb({key[0]: c for key, c in t.items()})
 
 
-def _tensor_mul(ta: Tensor, tb: Tensor, mul) -> Tensor:
-    # componentwise product of two rank-2 tensors over basis keys
-    acc: dict = {}
-    for (a1, a2), c in ta.items():
-        for (b1, b2), c2 in tb.items():
-            for s1, d1 in mul(a1, b1).items():
-                for s2, d2 in mul(a2, b2).items():
-                    _add_into(acc, (s1, s2), c * c2 * d1 * d2)
-    return Tensor(2, acc)
+def _degree(n: int) -> tuple[int]:
+    # the one case of degree n in a sweep over degrees or exponents
+    return (n,)
 
 
-def _deg_range(maxdeg: int) -> str:
-    return f"degree <= {maxdeg}"
-
-
-def _pair_range(maxdeg: int) -> str:
-    return f"degree pairs summing to <= {maxdeg}"
-
-
-def _tuples(pool: list, k: int, budget: int):
-    """``k``-tuples of pool items with degree sum <= budget, in product order.
-
-    ``pool`` holds ``(degree, item)`` pairs sorted by degree, so each loop
-    stops at the budget left by the items before it.
-    """
-    if k == 0:
-        yield ()
-        return
-    for n, x in pool:
-        if n > budget:
-            break
-        for rest in _tuples(pool, k - 1, budget - n):
-            yield (x,) + rest
+def _unitriangular(maxdeg: int, matrix: Callable[[int], tuple]) -> Law:
+    """Each graded block ``matrix(n)`` has unit diagonal and full rank."""
+    def check(n: int):
+        basis, rows = matrix(n)
+        if any(rows[i][i] != 1 for i in range(len(basis))):
+            yield f"degree {n}: diagonal entry differs from 1"
+        if linalg.rank([row[:] for row in rows]) != len(basis):
+            yield f"degree {n}: graded matrix is singular"
+    return Law("graded-unitriangular", deg_range(maxdeg),
+               graded(_degree, maxdeg, 1), check)
 
 
 # -- cut Hopf algebra axioms -------------------------------------------------
 
-def _suite_hopf(maxdeg: int, letters: tuple[str, ...]) -> dict:
-    checks: list[dict] = []
-
-    fails: list[str] = []
-    for n in range(maxdeg + 1):
-        for f in enumerate_forests(n, letters):
-            t = mkw_coproduct_forest(f)
-            left = LinComb.from_terms(
-                (b, c) for (a, b), c in t.items() if a.is_empty)
-            right = LinComb.from_terms(
-                (a, c) for (a, b), c in t.items() if b.is_empty)
-            if left != _basis(f) or right != _basis(f):
-                fails.append(f"x={f.text}")
-    checks.append(_entry("counit-legs", _deg_range(maxdeg), fails))
-
-    fails = []
-    for n in range(maxdeg + 1):
-        for f in enumerate_forests(n, letters):
-            t = mkw_coproduct_forest(f)
-            if (t.apply_coproduct(0, mkw_coproduct_forest)
-                    != t.apply_coproduct(1, mkw_coproduct_forest)):
-                fails.append(f"x={f.text}")
-    checks.append(_entry("coassociativity", _deg_range(maxdeg), fails))
-
-    fails = []
-    for d1 in range(1, maxdeg):
-        for d2 in range(d1, maxdeg - d1 + 1):
-            for x in enumerate_forests(d1, letters):
-                for y in enumerate_forests(d2, letters):
-                    lhs = mkw_coproduct(shuffle_words(x, y))
-                    rhs = _tensor_mul(mkw_coproduct_forest(x),
-                                      mkw_coproduct_forest(y), shuffle_words)
-                    if lhs != rhs:
-                        fails.append(f"x={x.text} y={y.text}")
-    checks.append(_entry("coproduct-shuffle-multiplicative",
-                         _pair_range(maxdeg), fails))
-
-    fails = []
+def _hopf_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
     anti = lambda g: mkw_antipode(_basis(g))
-    for n in range(maxdeg + 1):
-        for f in enumerate_forests(n, letters):
-            t = mkw_coproduct_forest(f)
-            lhs = _flatten1(t.apply_linear(0, anti)
-                            .merge_legs(0, 1, shuffle_words))
-            rhs = _flatten1(t.apply_linear(1, anti)
-                            .merge_legs(0, 1, shuffle_words))
-            want = _basis(FOREST_ONE) if f.is_empty else LinComb.zero()
-            if lhs != want or rhs != want:
-                fails.append(f"x={f.text}")
-    checks.append(_entry("antipode-both-sides", _deg_range(maxdeg), fails))
 
-    return _finish("hopf-axioms", maxdeg, letters, checks)
+    def counit_legs(f):
+        if mkw_coproduct_forest(f).counit_legs(_is_empty) != (_basis(f),) * 2:
+            return f"x={f.text}"
+
+    def coassociative(f):
+        t = mkw_coproduct_forest(f)
+        if (t.apply_coproduct(0, mkw_coproduct_forest)
+                != t.apply_coproduct(1, mkw_coproduct_forest)):
+            return f"x={f.text}"
+
+    def shuffle_multiplicative(x, y):
+        if (mkw_coproduct(shuffle_words(x, y))
+                != mkw_coproduct_forest(x).legwise(mkw_coproduct_forest(y),
+                                                   shuffle_words)):
+            return f"x={x.text} y={y.text}"
+
+    def antipode(f):
+        t = mkw_coproduct_forest(f)
+        lhs = _flatten1(t.apply_linear(0, anti)
+                        .merge_legs(0, 1, shuffle_words))
+        rhs = _flatten1(t.apply_linear(1, anti)
+                        .merge_legs(0, 1, shuffle_words))
+        want = _basis(FOREST_ONE) if f.is_empty else LinComb.zero()
+        if lhs != want or rhs != want:
+            return f"x={f.text}"
+
+    return [
+        Law("counit-legs", deg_range(maxdeg), forests(letters, maxdeg),
+            counit_legs),
+        Law("coassociativity", deg_range(maxdeg), forests(letters, maxdeg),
+            coassociative),
+        Law("coproduct-shuffle-multiplicative", pair_range(maxdeg),
+            forests(letters, maxdeg, 1, 2, ascending=True),
+            shuffle_multiplicative),
+        Law("antipode-both-sides", deg_range(maxdeg), forests(letters, maxdeg),
+            antipode),
+    ]
 
 
 # -- post-Lie axioms for left grafting ---------------------------------------
 
-def _suite_postlie(maxdeg: int, letters: tuple[str, ...]) -> dict:
-    checks: list[dict] = []
-    trees = [(n, single(t)) for n in range(1, maxdeg - 1)
-             for t in enumerate_trees(n, letters)]
+def _postlie_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
+    trees = pool(lambda n: map(single, enumerate_trees(n, letters)),
+                 1, maxdeg - 2)
+    triples = f"tree triples, degree sum <= {maxdeg}"
 
     def br(x: LinComb, y: LinComb) -> LinComb:
         return concat(x, y) - concat(y, x)
 
-    fails: list[str] = []
-    for fx, fy, fz in _tuples(trees, 3, maxdeg):
+    def derives_bracket(fx, fy, fz):
         x, y, z = _basis(fx), _basis(fy), _basis(fz)
         lhs = left_graft(x, br(y, z))
         rhs = br(left_graft(x, y), z) + br(y, left_graft(x, z))
         if lhs != rhs:
-            fails.append(f"x={fx.text} y={fy.text} z={fz.text}")
-    checks.append(_entry("graft-derives-bracket",
-                         f"tree triples, degree sum <= {maxdeg}", fails))
+            return f"x={fx.text} y={fy.text} z={fz.text}"
 
-    fails = []
-    for fx, fy, fz in _tuples(trees, 3, maxdeg):
+    def measures_associator(fx, fy, fz):
         x, y, z = _basis(fx), _basis(fy), _basis(fz)
         lhs = left_graft(br(x, y), z)
         rhs = (left_graft(x, left_graft(y, z))
@@ -198,332 +174,280 @@ def _suite_postlie(maxdeg: int, letters: tuple[str, ...]) -> dict:
                - left_graft(y, left_graft(x, z))
                + left_graft(left_graft(y, x), z))
         if lhs != rhs:
-            fails.append(f"x={fx.text} y={fy.text} z={fz.text}")
-    checks.append(_entry("bracket-measures-associator",
-                         f"tree triples, degree sum <= {maxdeg}", fails))
+            return f"x={fx.text} y={fy.text} z={fz.text}"
 
-    fails = []
-    for fx, fy, fz in _tuples(trees, 3, maxdeg):
+    def jacobi(fx, fy, fz):
         x, y, z = _basis(fx), _basis(fy), _basis(fz)
         j = (jacobi_bracket(jacobi_bracket(x, y), z)
              + jacobi_bracket(jacobi_bracket(y, z), x)
              + jacobi_bracket(jacobi_bracket(z, x), y))
         if not j.is_zero:
-            fails.append(f"x={fx.text} y={fy.text} z={fz.text}")
-    checks.append(_entry("derived-bracket-jacobi",
-                         f"tree triples, degree sum <= {maxdeg}", fails))
+            return f"x={fx.text} y={fy.text} z={fz.text}"
 
-    fails = []
-    for na in range(maxdeg + 1):
-        for nb in range(maxdeg - na + 1):
-            for nc in range(maxdeg - na - nb + 1):
-                for a in enumerate_forests(na, letters):
-                    for b in enumerate_forests(nb, letters):
-                        for c in enumerate_forests(nc, letters):
-                            lhs = left_graft(gl_forests(a, b), _basis(c))
-                            rhs = left_graft(_basis(a),
-                                             left_graft(_basis(b), _basis(c)))
-                            if lhs != rhs:
-                                fails.append(
-                                    f"A={a.text} B={b.text} C={c.text}")
-    checks.append(_entry("product-shifts-action",
-                         f"forest triples, degree sum <= {maxdeg}", fails))
+    def shifts_action(a, b, c):
+        lhs = left_graft(gl_forests(a, b), _basis(c))
+        rhs = left_graft(_basis(a), left_graft(_basis(b), _basis(c)))
+        if lhs != rhs:
+            return f"A={a.text} B={b.text} C={c.text}"
 
-    return _finish("post-lie-axioms", maxdeg, letters, checks)
+    return [
+        Law("graft-derives-bracket", triples,
+            tuples(maxdeg, trees, trees, trees), derives_bracket),
+        Law("bracket-measures-associator", triples,
+            tuples(maxdeg, trees, trees, trees), measures_associator),
+        Law("derived-bracket-jacobi", triples,
+            tuples(maxdeg, trees, trees, trees), jacobi),
+        Law("product-shifts-action",
+            f"forest triples, degree sum <= {maxdeg}",
+            forests(letters, maxdeg, k=3), shifts_action),
+    ]
 
 
 # -- product/coproduct dualities ---------------------------------------------
 
-def _suite_gl_duality(maxdeg: int, letters: tuple[str, ...]) -> dict:
-    checks: list[dict] = []
+def _gl_duality_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
+    def cut_coproduct():
+        return [f"A={a.text} B={b.text} x={x.text}"
+                for a, b, x in duality_failures(maxdeg, letters)]
 
-    bad = duality_failures(maxdeg, letters)
-    checks.append(_entry(
-        "gl-product-vs-cut-coproduct", _deg_range(maxdeg),
-        [f"A={a.text} B={b.text} x={x.text}" for a, b, x in bad]))
+    def dual_in_degree(product, coproduct):
+        return lambda n: [f"a={a.text} b={b.text} x={x.text}"
+                          for x, a, b, _, _ in duality_mismatches(
+                              n, lambda i: enumerate_forests(i, letters),
+                              product, coproduct)]
 
-    checks.append(_entry("graft-vs-coaction", _deg_range(maxdeg),
-                         graft_duality_failures(maxdeg, letters)))
-
-    for name, product, coproduct in (
-            ("concat-vs-deconcat",
-             lambda a, b: concat(_basis(a), _basis(b)), deconcat_forest),
-            ("shuffle-vs-deshuffle", shuffle_words, deshuffle_forest)):
-        fails = [f"a={a.text} b={b.text} x={x.text}"
-                 for n in range(maxdeg + 1)
-                 for x, a, b, _, _ in duality_mismatches(
-                     n, lambda i: enumerate_forests(i, letters), product,
-                     coproduct)]
-        checks.append(_entry(name, _deg_range(maxdeg), fails))
-
-    return _finish("gl-duality", maxdeg, letters, checks)
+    return [
+        Law("gl-product-vs-cut-coproduct", deg_range(maxdeg), ONCE,
+            cut_coproduct),
+        Law("graft-vs-coaction", deg_range(maxdeg), ONCE,
+            lambda: graft_duality_failures(maxdeg, letters)),
+        Law("concat-vs-deconcat", deg_range(maxdeg), graded(_degree, maxdeg),
+            dual_in_degree(lambda a, b: concat(_basis(a), _basis(b)),
+                           deconcat_forest)),
+        Law("shuffle-vs-deshuffle", deg_range(maxdeg),
+            graded(_degree, maxdeg),
+            dual_in_degree(shuffle_words, deshuffle_forest)),
+    ]
 
 
 # -- the growth operation against the cut coproduct --------------------------
 
-def _suite_growth(maxdeg: int, letters: tuple[str, ...]) -> dict:
-    checks: list[dict] = []
-    prims = {n: primitive_basis(n, letters) for n in range(1, maxdeg + 1)}
+def _growth_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
+    prims = pool(lambda n: primitive_basis(n, letters), 1, maxdeg)
 
-    fails: list[str] = []
-    for nx in range(1, maxdeg):
-        for x in enumerate_forests(nx, letters):
-            X = _basis(x)
-            rx = reduced_coproduct(X)
-            for m in range(1, maxdeg - nx + 1):
-                for p in prims[m]:
-                    lhs = reduced_coproduct(natural_growth(X, p))
-                    rhs = tensor_of(X, p) + rx.apply_linear(
-                        1, lambda g: natural_growth(_basis(g), p))
-                    if lhs != rhs:
-                        fails.append(
-                            f"x={x.text} p={render_lincomb(p)}")
-    checks.append(_entry("growth-cocycle-for-cuts",
-                         _pair_range(maxdeg), fails))
+    def cocycle(x, p):
+        X = _basis(x)
+        lhs = reduced_coproduct(natural_growth(X, p))
+        rhs = tensor_of(X, p) + reduced_coproduct(X).apply_linear(
+            1, lambda g: natural_growth(_basis(g), p))
+        if lhs != rhs:
+            return f"x={x.text} p={render_lincomb(p)}"
 
-    fails = []
-    pool = [(n, p) for n, ps in prims.items() for p in ps]
-    for k in (2, 3):
-        for ps in _tuples(pool, k, maxdeg):
-            folded = growth_fold(ps)
-            levels = f_decompose(folded)
-            want = {k: tensor_of(*ps)}
-            got = {a: t for a, t in levels.items() if not t.is_zero}
-            if got != want:
-                fails.append("factors "
-                             + " | ".join(render_lincomb(p) for p in ps))
-    checks.append(_entry("folds-deconcatenate",
-                         f"primitive tuples, degree sum <= {maxdeg}", fails))
+    def folds(*ps):
+        levels = f_decompose(growth_fold(ps))
+        got = {a: t for a, t in levels.items() if not t.is_zero}
+        if got != {len(ps): tensor_of(*ps)}:
+            return "factors " + " | ".join(render_lincomb(p) for p in ps)
 
-    fails = []
-    for n in range(1, maxdeg + 1):
-        for f in enumerate_forests(n, letters):
-            X = _basis(f)
-            levels = f_decompose(X)
-            if f_recompose(levels) != X:
-                fails.append(f"x={f.text}")
-            if any(fold_tensor(t).is_zero and not t.is_zero
-                   for t in levels.values()):
-                fails.append(f"degenerate level on {f.text}")
-    checks.append(_entry("decompose-recompose", _deg_range(maxdeg), fails))
+    def recomposes(f):
+        X = _basis(f)
+        levels = f_decompose(X)
+        if f_recompose(levels) != X:
+            yield f"x={f.text}"
+        if any(fold_tensor(t).is_zero and not t.is_zero
+               for t in levels.values()):
+            yield f"degenerate level on {f.text}"
 
-    return _finish("natural-growth", maxdeg, letters, checks)
+    return [
+        Law("growth-cocycle-for-cuts", pair_range(maxdeg),
+            tuples(maxdeg, pool(lambda n: enumerate_forests(n, letters),
+                                 1, maxdeg - 1), prims), cocycle),
+        Law("folds-deconcatenate",
+            f"primitive tuples, degree sum <= {maxdeg}",
+            chain(tuples(maxdeg, prims, prims),
+                  tuples(maxdeg, prims, prims, prims)), folds),
+        Law("decompose-recompose", deg_range(maxdeg),
+            forests(letters, maxdeg, 1), recomposes),
+    ]
 
 
 # -- the projection onto primitives ------------------------------------------
 
-def _suite_primitives(maxdeg: int, letters: tuple[str, ...]) -> dict:
-    checks: list[dict] = []
+def _primitive_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
+    small = min(maxdeg, 4)
 
-    fails: list[str] = []
-    for n in range(maxdeg + 1):
-        for f in enumerate_forests(n, letters):
-            if not is_primitive(primitive_projection(_basis(f))):
-                fails.append(f"x={f.text}")
-    checks.append(_entry("projection-lands-on-primitives",
-                         _deg_range(maxdeg), fails))
+    def lands(f):
+        if not is_primitive(primitive_projection(_basis(f))):
+            return f"x={f.text}"
 
-    fails = []
-    for n in range(1, maxdeg + 1):
-        for p in primitive_basis(n, letters):
-            if primitive_projection(p) != p:
-                fails.append(f"p={render_lincomb(p)}")
-    checks.append(_entry("projection-fixes-primitives",
-                         _deg_range(maxdeg), fails))
+    def fixes(p):
+        if primitive_projection(p) != p:
+            return f"p={render_lincomb(p)}"
 
-    fails = []
-    for n in range(2, maxdeg + 1):
-        for t in enumerate_trees(n, letters):
-            if not primitive_projection(_basis(single(t))).is_zero:
-                fails.append(f"x={single(t).text}")
-    checks.append(_entry("projection-kills-grown-trees",
-                         f"single trees, 2 <= degree <= {maxdeg}", fails))
+    def kills(t):
+        if not primitive_projection(_basis(single(t))).is_zero:
+            return f"x={single(t).text}"
 
-    fails = []
-    ideg = min(maxdeg, 4)
-    for n in range(ideg + 1):
-        for f in enumerate_forests(n, letters):
-            pf = primitive_projection(_basis(f))
-            if primitive_projection(pf) != pf:
-                fails.append(f"x={f.text}")
-    checks.append(_entry("projection-idempotent", _deg_range(ideg), fails))
+    def idempotent(f):
+        pf = primitive_projection(_basis(f))
+        if primitive_projection(pf) != pf:
+            return f"x={f.text}"
 
-    fails = []
-    fdeg = min(maxdeg, 4)
-    for n in range(1, fdeg + 1):
-        for f in enumerate_forests(n, letters):
-            X = _basis(f)
-            if f_recompose(f_decompose(X)) != X:
-                fails.append(f"x={f.text}")
-    checks.append(_entry("fold-round-trip", _deg_range(fdeg), fails))
+    def fold_round_trip(f):
+        X = _basis(f)
+        if f_recompose(f_decompose(X)) != X:
+            return f"x={f.text}"
 
-    return _finish("primitives", maxdeg, letters, checks)
+    return [
+        Law("projection-lands-on-primitives", deg_range(maxdeg),
+            forests(letters, maxdeg), lands),
+        Law("projection-fixes-primitives", deg_range(maxdeg),
+            graded(lambda n: primitive_basis(n, letters), maxdeg, 1), fixes),
+        Law("projection-kills-grown-trees",
+            f"single trees, 2 <= degree <= {maxdeg}",
+            graded(lambda n: enumerate_trees(n, letters), maxdeg, 2), kills),
+        Law("projection-idempotent", deg_range(small),
+            forests(letters, small), idempotent),
+        Law("fold-round-trip", deg_range(small), forests(letters, small, 1),
+            fold_round_trip),
+    ]
 
 
 # -- the word-side isomorphism and rough-path characters ---------------------
 
-def _suite_phi(maxdeg: int, letters: tuple[str, ...]) -> dict:
-    checks: list[dict] = []
+def _phi_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
+    phi_basis = lambda g: phi(_basis(g))
+    n_transport = max(1, min(maxdeg, 4))
+    n_chen = max(1, min(maxdeg, 3))
 
-    fails: list[str] = []
-    for d1 in range(maxdeg + 1):
-        for d2 in range(maxdeg - d1 + 1):
-            for a in enumerate_forests(d1, letters):
-                for b in enumerate_forests(d2, letters):
-                    lhs = phi(gl_forests(a, b))
-                    rhs = concat(phi(_basis(a)), phi(_basis(b)))
-                    if lhs != rhs:
-                        fails.append(f"A={a.text} B={b.text}")
-    checks.append(_entry("product-to-concat-morphism",
-                         _pair_range(maxdeg), fails))
+    def morphism(a, b):
+        if phi(gl_forests(a, b)) != concat(phi(_basis(a)), phi(_basis(b))):
+            return f"A={a.text} B={b.text}"
 
-    fails = []
-    for n in range(maxdeg + 1):
-        for f in enumerate_forests(n, letters):
-            lhs = deshuffle(phi(_basis(f)))
-            rhs = (deshuffle_forest(f)
-                   .apply_linear(0, lambda g: phi(_basis(g)))
-                   .apply_linear(1, lambda g: phi(_basis(g))))
-            if lhs != rhs:
-                fails.append(f"x={f.text}")
-    checks.append(_entry("deshuffle-coalgebra-morphism",
-                         _deg_range(maxdeg), fails))
+    def coalgebra_morphism(f):
+        lhs = deshuffle(phi(_basis(f)))
+        rhs = (deshuffle_forest(f)
+               .apply_linear(0, phi_basis)
+               .apply_linear(1, phi_basis))
+        if lhs != rhs:
+            return f"x={f.text}"
 
-    fails = []
-    for n in range(1, maxdeg + 1):
-        basis, rows = phi_matrix(n, letters)
-        if any(rows[i][i] != 1 for i in range(len(basis))):
-            fails.append(f"degree {n}: diagonal entry differs from 1")
-        if linalg.rank([row[:] for row in rows]) != len(basis):
-            fails.append(f"degree {n}: graded matrix is singular")
-    checks.append(_entry("graded-unitriangular", _deg_range(maxdeg), fails))
+    def round_trip(f):
+        X = _basis(f)
+        if phi_inverse(phi(X)) != X or phi(phi_inverse(X)) != X:
+            return f"x={f.text}"
 
-    fails = []
-    for n in range(maxdeg + 1):
-        for f in enumerate_forests(n, letters):
-            X = _basis(f)
-            if phi_inverse(phi(X)) != X or phi(phi_inverse(X)) != X:
-                fails.append(f"x={f.text}")
-    checks.append(_entry("round-trip", _deg_range(maxdeg), fails))
+    def character_transport():
+        incs = {letters[0]: Fraction(1, 2)}
+        if len(letters) > 1:
+            incs[letters[1]] = Fraction(-1, 3)
+        X = canonical_lift(incs, n_transport)
+        Y = embed_rough_path(X)
+        for f, g, _, _ in character_failures(X):
+            yield f"cut side: f={f.text} g={g.text}"
+        for f, g, _, _ in character_failures(Y):
+            yield f"word side: f={f.text} g={g.text}"
+        if unembed_rough_path(Y).series() != X.series():
+            yield "embedding does not round trip"
 
-    N = max(1, min(maxdeg, 4))
-    fails = []
-    incs = {letters[0]: Fraction(1, 2)}
-    if len(letters) > 1:
-        incs[letters[1]] = Fraction(-1, 3)
-    X = canonical_lift(incs, N)
-    Y = embed_rough_path(X)
-    for f, g, lv, rv in character_failures(X):
-        fails.append(f"cut side: f={f.text} g={g.text}")
-    for f, g, lv, rv in character_failures(Y):
-        fails.append(f"word side: f={f.text} g={g.text}")
-    if unembed_rough_path(Y).series() != X.series():
-        fails.append("embedding does not round trip")
-    checks.append(_entry("character-transport", f"truncation N = {N}", fails))
+    def chen_one_letter():
+        A = canonical_lift({letters[0]: Fraction(1, 2)}, n_chen)
+        B = canonical_lift({letters[0]: Fraction(1, 3)}, n_chen)
+        AB = canonical_lift({letters[0]: Fraction(5, 6)}, n_chen)
+        if char_convolve(A, B).series() != AB.series():
+            yield "one-letter flow property fails on the cut side"
+        if (char_convolve(embed_rough_path(A), embed_rough_path(B)).series()
+                != embed_rough_path(AB).series()):
+            yield "one-letter flow property fails on the word side"
 
-    N = max(1, min(maxdeg, 3))
-    fails = []
-    A = canonical_lift({letters[0]: Fraction(1, 2)}, N)
-    B = canonical_lift({letters[0]: Fraction(1, 3)}, N)
-    AB = canonical_lift({letters[0]: Fraction(5, 6)}, N)
-    if char_convolve(A, B).series() != AB.series():
-        fails.append("one-letter flow property fails on the cut side")
-    if (char_convolve(embed_rough_path(A), embed_rough_path(B)).series()
-            != embed_rough_path(AB).series()):
-        fails.append("one-letter flow property fails on the word side")
-    checks.append(_entry("chen-one-letter", f"truncation N = {N}", fails))
-
-    return _finish("phi-iso", maxdeg, letters, checks)
+    return [
+        Law("product-to-concat-morphism", pair_range(maxdeg),
+            forests(letters, maxdeg, k=2), morphism),
+        Law("deshuffle-coalgebra-morphism", deg_range(maxdeg),
+            forests(letters, maxdeg), coalgebra_morphism),
+        _unitriangular(maxdeg, lambda n: phi_matrix(n, letters)),
+        Law("round-trip", deg_range(maxdeg), forests(letters, maxdeg),
+            round_trip),
+        Law("character-transport", f"truncation N = {n_transport}", ONCE,
+            character_transport),
+        Law("chen-one-letter", f"truncation N = {n_chen}", ONCE,
+            chen_one_letter),
+    ]
 
 
-# -- coaction suites ---------------------------------------------------------
+# -- translations ------------------------------------------------------------
 
-def _suite_cointeraction(maxdeg: int, letters: tuple[str, ...]) -> dict:
-    return verify_cointeraction(maxdeg, letters)
-
-
-def _suite_cotranslation(maxdeg: int, letters: tuple[str, ...]) -> dict:
-    report = verify_cotranslation_cosubstitution(maxdeg, letters)
-    report["suite"] = "cotranslation"
-    return report
-
-
-def _suite_translation(maxdeg: int, letters: tuple[str, ...]) -> dict:
-    checks: list[dict] = []
-
+def _translation_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
     v = {d: _basis(single(leaf(d))) * Fraction(1, 2)
          + _basis(single(tree(d, (leaf(d),)))) for d in letters}
     u = {d: _basis(single(leaf(d))) * Fraction(1, 3) for d in letters}
-
-    fails: list[str] = []
-    for n in range(maxdeg + 1):
-        for f in enumerate_forests(n, letters):
-            if translate({}, _basis(f), maxdeg) != _basis(f):
-                fails.append(f"x={f.text}")
-    checks.append(_entry("zero-vector-is-identity", _deg_range(maxdeg), fails))
-
-    fails = []
     vu = compose_vectors(v, u, maxdeg)
-    for n in range(maxdeg + 1):
-        for f in enumerate_forests(n, letters):
-            lhs = translate(v, translate(u, _basis(f), maxdeg), maxdeg)
-            rhs = translate(vu, _basis(f), maxdeg)
-            if lhs != rhs:
-                fails.append(f"x={f.text}")
-    checks.append(_entry("composition-law", _deg_range(maxdeg), fails))
 
-    fails = []
-    for d1 in range(1, maxdeg):
-        for d2 in range(d1, maxdeg - d1 + 1):
-            for x in enumerate_forests(d1, letters):
-                for y in enumerate_forests(d2, letters):
-                    lhs = translate(v, gl_forests(x, y), maxdeg)
-                    rhs = gl_product(translate(v, _basis(x), maxdeg),
-                                     translate(v, _basis(y), maxdeg)
-                                     ).truncate(maxdeg)
-                    if lhs != rhs:
-                        fails.append(f"x={x.text} y={y.text}")
-    checks.append(_entry("gl-product-morphism", _pair_range(maxdeg), fails))
+    def zero_is_identity(f):
+        if translate({}, _basis(f), maxdeg) != _basis(f):
+            return f"x={f.text}"
 
-    return _finish("translation", maxdeg, letters, checks)
+    def composition(f):
+        lhs = translate(v, translate(u, _basis(f), maxdeg), maxdeg)
+        if lhs != translate(vu, _basis(f), maxdeg):
+            return f"x={f.text}"
+
+    def gl_morphism(x, y):
+        lhs = translate(v, gl_forests(x, y), maxdeg)
+        rhs = gl_product(translate(v, _basis(x), maxdeg),
+                         translate(v, _basis(y), maxdeg)).truncate(maxdeg)
+        if lhs != rhs:
+            return f"x={x.text} y={y.text}"
+
+    return [
+        Law("zero-vector-is-identity", deg_range(maxdeg),
+            forests(letters, maxdeg), zero_is_identity),
+        Law("composition-law", deg_range(maxdeg), forests(letters, maxdeg),
+            composition),
+        Law("gl-product-morphism", pair_range(maxdeg),
+            forests(letters, maxdeg, 1, 2, ascending=True), gl_morphism),
+    ]
 
 
-def _suite_disjointness(maxdeg: int, letters: tuple[str, ...]) -> dict:
-    checks: list[dict] = []
+def _disjointness_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
     seed = letters[0]
 
-    unit = _basis(FOREST_ONE)
-    rep = disjointness_witness(None, unit, maxdeg)
-    fails = ([] if rep["ok"] and rep["xi_is_unit"]
-             else [rep["conclusion"]])
-    checks.append(_entry("unit-series-agreement", _deg_range(maxdeg), fails))
+    def unit_series():
+        rep = disjointness_witness(None, _basis(FOREST_ONE), maxdeg)
+        if not (rep["ok"] and rep["xi_is_unit"]):
+            return rep["conclusion"]
 
-    for label, c in (("full", Fraction(1)), ("half", Fraction(1, 2))):
-        xi = _exp_series(c, seed, maxdeg)
-        rep = disjointness_witness(None, xi, maxdeg)
+    def separates(label: str, c: Fraction) -> Law:
+        def check():
+            rep = disjointness_witness(None, _exp_series(c, seed, maxdeg),
+                                       maxdeg)
+            if rep["conclusion"] != "actions differ":
+                return rep["conclusion"]
+        name = f"{label}-weight-series-separates"
         if maxdeg < 3:
-            fails = []
-            rng = f"cutoff {maxdeg}: too low to separate the actions"
-        else:
-            fails = ([] if rep["conclusion"] == "actions differ"
-                     else [rep["conclusion"]])
-            rng = _deg_range(maxdeg)
-        checks.append(_entry(f"{label}-weight-series-separates", rng, fails))
+            return Law(name, f"cutoff {maxdeg}: too low to separate the "
+                       "actions", (), check)
+        return Law(name, deg_range(maxdeg), ONCE, check)
 
-    xi = _exp_series(Fraction(1), seed, maxdeg)
-    rep = disjointness_witness({}, xi, maxdeg)
-    forced = next((e for e in rep["checks"]
-                   if e["name"] == "vector-has-forced-form"), None)
-    fails = ([] if forced is not None and forced["status"] == "fail"
-             else ["an empty vector was not flagged against the forced form"])
-    checks.append(_entry("forced-form-flagged", _deg_range(maxdeg), fails))
+    def forced_form_flagged():
+        rep = disjointness_witness({}, _exp_series(Fraction(1), seed, maxdeg),
+                                   maxdeg)
+        forced = next((e for e in rep["checks"]
+                       if e["name"] == "vector-has-forced-form"), None)
+        if forced is None or forced["status"] != "fail":
+            return "an empty vector was not flagged against the forced form"
 
-    return _finish("disjointness", maxdeg, letters, checks)
+    return [
+        Law("unit-series-agreement", deg_range(maxdeg), ONCE, unit_series),
+        separates("full", Fraction(1)),
+        separates("half", Fraction(1, 2)),
+        Law("forced-form-flagged", deg_range(maxdeg), ONCE,
+            forced_form_flagged),
+    ]
 
 
 def _exp_series(c: Fraction, letter: str, maxdeg: int) -> LinComb:
     # sum over n of c^n/n! times the n-letter word, group-like for deshuffle
-    from .forest import word
     acc: dict = {FOREST_ONE: Fraction(1)}
     w = FOREST_ONE
     coeff = Fraction(1)
@@ -536,126 +460,95 @@ def _exp_series(c: Fraction, letter: str, maxdeg: int) -> LinComb:
 
 # -- deformed structures -----------------------------------------------------
 
-def _suite_reg_postlie(maxdeg: int, letters: tuple[str, ...]) -> dict:
-    checks: list[dict] = []
+def _reg_trees(n: int) -> tuple:
+    return enumerate_reg_trees(n, 1)
+
+
+def _reg_postlie_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
     one = reg_one(1)
-    pool = [t for n in range(maxdeg) for t in enumerate_reg_trees(n, 1)]
-    graded = [(t.degree, t) for t in pool]
-    vlets = [(n, t) for n in range(1, maxdeg)
-             for t in enumerate_v_letters(n, 1)]
     L = LinComb.basis
+    trees = pool(_reg_trees, 0, maxdeg - 1)
+    vlets = pool(lambda n: enumerate_v_letters(n, 1), 1, maxdeg - 1)
+    gen_triples = f"generator triples, degree sum <= {maxdeg + 1}"
 
     # the inner products of each associator come from the tree-level memo
-    for label, prod, inner in (
-            ("word-product", reg_assoc_product, reg_mul_trees),
-            ("gl-product", reg_gl_product, reg_gl_trees)):
-        fails = [f"a={a.text} b={b.text} c={c.text}"
-                 for a, b, c in _tuples(graded, 3, maxdeg + 1)
-                 if prod(inner(a, b), c) != prod(a, inner(b, c))]
-        checks.append(_entry(f"{label}-associative",
-                             f"degree sum <= {maxdeg + 1}", fails))
-        fails = []
-        for t in pool:
+    def product_laws(label, prod, inner) -> list[Law]:
+        def associative(a, b, c):
+            if prod(inner(a, b), c) != prod(a, inner(b, c)):
+                return f"a={a.text} b={b.text} c={c.text}"
+
+        def unital(t):
             if prod(one, t) != L(t) or prod(t, one) != L(t):
-                fails.append(f"t={t.text}")
-        checks.append(_entry(f"{label}-unital", _deg_range(maxdeg - 1), fails))
+                return f"t={t.text}"
 
-    fails = []
-    for i in range(maxdeg + 1):
-        for j in range(maxdeg + 1 - i):
-            xi, xj = x_power((i,)), x_power((j,))
-            prod = reg_gl_product(xi, xj)
-            if prod != reg_gl_product(xj, xi) or prod != L(x_power((i + j,))):
-                fails.append(f"i={i} j={j}")
-    if (reg_gl_product(x_power((1, 0)), x_power((0, 1)))
-            != reg_gl_product(x_power((0, 1)), x_power((1, 0)))):
-        fails.append("mixed-coordinate pair")
-    checks.append(_entry("polynomial-generators-commute",
-                         f"exponent sum <= {maxdeg + 1}", fails))
+        return [Law(f"{label}-associative", f"degree sum <= {maxdeg + 1}",
+                    tuples(maxdeg + 1, trees, trees, trees), associative),
+                Law(f"{label}-unital", deg_range(maxdeg - 1),
+                    graded(_reg_trees, maxdeg - 1), unital)]
 
-    fails = []
-    fa, fb = parse_lincomb("[a]"), parse_lincomb("[b]")
-    if gl_product(fa, fb) == gl_product(fb, fa):
-        fails.append("planar letters commute, freeness is broken")
-    checks.append(_entry("planar-letters-do-not-commute",
-                         "single pair of distinct letters", fails))
+    # one-coordinate powers must commute and add their exponents to
+    # ``total``; the mixed-coordinate pair is only checked to commute
+    def commute(a, b, witness, total=None):
+        xa, xb = x_power(a), x_power(b)
+        prod = reg_gl_product(xa, xb)
+        if prod != reg_gl_product(xb, xa) or (
+                total is not None and prod != L(x_power(total))):
+            return witness
 
-    fails1: list[str] = []
-    fails2: list[str] = []
-    for x, y, z in _tuples(vlets, 3, maxdeg + 1):
+    def planar_letters():
+        fa, fb = parse_lincomb("[a]"), parse_lincomb("[b]")
+        if gl_product(fa, fb) == gl_product(fb, fa):
+            return "planar letters commute, freeness is broken"
+
+    def derives_bracket(x, y, z):
         lx, ly, lz = L(x), L(y), L(z)
-        a1 = reg_graft(lx, bracket0(ly, lz))
-        a2 = (reg_assoc_product(deformed_graft(lx, ly), lz)
-              - reg_assoc_product(lz, deformed_graft(lx, ly))
-              + reg_assoc_product(ly, deformed_graft(lx, lz))
-              - reg_assoc_product(deformed_graft(lx, lz), ly))
-        if a1 != a2:
-            fails1.append(f"x={x.text} y={y.text} z={z.text}")
-        b1 = reg_graft(bracket0(lx, ly), lz)
-        b2 = (reg_graft(lx, deformed_graft(ly, lz))
-              - reg_graft(deformed_graft(lx, ly), lz)
-              - reg_graft(ly, deformed_graft(lx, lz))
-              + reg_graft(deformed_graft(ly, lx), lz))
-        if b1 != b2:
-            fails2.append(f"x={x.text} y={y.text} z={z.text}")
-    rng = f"generator triples, degree sum <= {maxdeg + 1}"
-    checks.append(_entry("graft-derives-bracket", rng, fails1))
-    checks.append(_entry("bracket-measures-associator", rng, fails2))
+        lhs = reg_graft(lx, bracket0(ly, lz))
+        rhs = (reg_assoc_product(deformed_graft(lx, ly), lz)
+               - reg_assoc_product(lz, deformed_graft(lx, ly))
+               + reg_assoc_product(ly, deformed_graft(lx, lz))
+               - reg_assoc_product(deformed_graft(lx, lz), ly))
+        if lhs != rhs:
+            return f"x={x.text} y={y.text} z={z.text}"
 
-    fails = []
-    for a, b in _tuples(vlets, 2, maxdeg + 1):
+    def measures_associator(x, y, z):
+        lx, ly, lz = L(x), L(y), L(z)
+        lhs = reg_graft(bracket0(lx, ly), lz)
+        rhs = (reg_graft(lx, deformed_graft(ly, lz))
+               - reg_graft(deformed_graft(lx, ly), lz)
+               - reg_graft(ly, deformed_graft(lx, lz))
+               + reg_graft(deformed_graft(ly, lx), lz))
+        if lhs != rhs:
+            return f"x={x.text} y={y.text} z={z.text}"
+
+    def word_commutator(a, b):
         if (bracket0(a, b)
                 != reg_assoc_product(a, b) - reg_assoc_product(b, a)):
-            fails.append(f"a={a.text} b={b.text}")
-    checks.append(_entry("bracket-is-word-commutator",
-                         f"generator pairs, degree sum <= {maxdeg + 1}",
-                         fails))
+            return f"a={a.text} b={b.text}"
 
-    fails = []
-    for t in pool:
+    def deshuffle_bialgebra(t):
         ds = reg_deshuffle(t)
-        left = LinComb.from_terms(
-            (b, c) for (a, b), c in ds.items() if a.is_unit)
-        right = LinComb.from_terms(
-            (a, c) for (a, b), c in ds.items() if b.is_unit)
-        if left != L(t) or right != L(t):
-            fails.append(f"t={t.text} (counit)")
-            continue
+        if ds.counit_legs(_is_unit) != (L(t),) * 2:
+            return f"t={t.text} (counit)"
         if (ds.apply_coproduct(0, reg_deshuffle_tree)
                 != ds.apply_coproduct(1, reg_deshuffle_tree)):
-            fails.append(f"t={t.text} (coassociativity)")
-    checks.append(_entry("deshuffle-counit-coassociative",
-                         _deg_range(maxdeg - 1), fails))
+            return f"t={t.text} (coassociativity)"
 
-    fails = []
-    for a in pool:
-        for b in pool:
-            if a.degree + b.degree > maxdeg:
-                continue
-            for prod_t, prod_l in ((reg_mul_trees, reg_assoc_product),
-                                   (reg_gl_trees, reg_gl_product)):
-                lhs = reg_deshuffle(prod_l(a, b))
-                rhs = _tensor_mul(reg_deshuffle_tree(a),
-                                  reg_deshuffle_tree(b), prod_t)
-                if lhs != rhs:
-                    fails.append(f"a={a.text} b={b.text}")
-    checks.append(_entry("deshuffle-multiplicative", _pair_range(maxdeg),
-                         fails))
+    def deshuffle_multiplicative(a, b):
+        for prod_t, prod_l in ((reg_mul_trees, reg_assoc_product),
+                               (reg_gl_trees, reg_gl_product)):
+            if (reg_deshuffle(prod_l(a, b)) != reg_deshuffle_tree(a)
+                    .legwise(reg_deshuffle_tree(b), prod_t)):
+                yield f"a={a.text} b={b.text}"
 
-    fails = []
-    for n in range(maxdeg + 1):
+    def dual_coproduct_exact(n):
         live: dict = {}
-        for t in enumerate_reg_trees(n, 1):
+        for t in _reg_trees(n):
             dt = deformed_mkw_tree(t)
-            right = LinComb.from_terms(
-                (a, c) for (a, b), c in dt.items() if b.is_unit)
-            left = LinComb.from_terms(
-                (b, c) for (a, b), c in dt.items() if a.is_unit)
-            if right != L(t) or left != L(t):
-                fails.append(f"t={t.text} (counit)")
+            if dt.counit_legs(_is_unit) != (L(t),) * 2:
+                yield f"t={t.text} (counit)"
             elif (dt.apply_coproduct(0, deformed_mkw_tree)
                     != dt.apply_coproduct(1, deformed_mkw_tree)):
-                fails.append(f"t={t.text} (coassociativity)")
+                yield f"t={t.text} (coassociativity)"
             else:
                 live[t] = dt
         # each complementary pair is multiplied once; every product term
@@ -663,127 +556,126 @@ def _suite_reg_postlie(maxdeg: int, letters: tuple[str, ...]) -> dict:
         # shows whether a dual term is left over
         matched = 0
         for i in range(n + 1):
-            for a in enumerate_reg_trees(i, 1):
-                for b in enumerate_reg_trees(n - i, 1):
+            for a in _reg_trees(i):
+                for b in _reg_trees(n - i):
                     for t, c in reg_gl_product(a, b).items():
                         if t in live:
                             if live[t].coeff((a, b)) == c:
                                 matched += 1
                             else:
-                                fails.append(
-                                    f"a={a.text} b={b.text} t={t.text}")
+                                yield f"a={a.text} b={b.text} t={t.text}"
         if matched != sum(len(dt) for dt in live.values()):
-            fails.extend(f"a={a.text} b={b.text} t={t.text}"
-                         for t, dt in live.items() for (a, b), _ in dt.items()
-                         if a.degree + b.degree != n
-                         or not reg_gl_product(a, b).coeff(t))
-    checks.append(_entry("dual-coproduct-exact", _deg_range(maxdeg), fails))
+            yield from (f"a={a.text} b={b.text} t={t.text}"
+                        for t, dt in live.items() for (a, b), _ in dt.items()
+                        if a.degree + b.degree != n
+                        or not reg_gl_product(a, b).coeff(t))
 
-    fails = []
-    try:
-        deformed_mkw_coproduct(x_power((2,)), 1)
-        fails.append("degree overflow was not flagged")
-    except ValueError:
-        pass
-    checks.append(_entry("degree-overflow-guard", "single probe", fails))
+    def overflow_guard():
+        try:
+            deformed_mkw_coproduct(x_power((2,)), 1)
+        except ValueError:
+            return None
+        return "degree overflow was not flagged"
 
-    return _finish("regstruct-postlie", maxdeg, ("dim=1",), checks)
+    exponents = (((i,), (j,), f"i={i} j={j}", (i + j,))
+                 for i, j in graded(_degree, maxdeg, k=2))
+    return [
+        *product_laws("word-product", reg_assoc_product, reg_mul_trees),
+        *product_laws("gl-product", reg_gl_product, reg_gl_trees),
+        Law("polynomial-generators-commute", f"exponent sum <= {maxdeg + 1}",
+            chain(exponents, [((1, 0), (0, 1), "mixed-coordinate pair")]),
+            commute),
+        Law("planar-letters-do-not-commute", "single pair of distinct letters",
+            ONCE, planar_letters),
+        Law("graft-derives-bracket", gen_triples,
+            tuples(maxdeg + 1, vlets, vlets, vlets), derives_bracket),
+        Law("bracket-measures-associator", gen_triples,
+            tuples(maxdeg + 1, vlets, vlets, vlets), measures_associator),
+        Law("bracket-is-word-commutator",
+            f"generator pairs, degree sum <= {maxdeg + 1}",
+            tuples(maxdeg + 1, vlets, vlets), word_commutator),
+        Law("deshuffle-counit-coassociative", deg_range(maxdeg - 1),
+            graded(_reg_trees, maxdeg - 1), deshuffle_bialgebra),
+        Law("deshuffle-multiplicative", pair_range(maxdeg),
+            tuples(maxdeg, trees, trees), deshuffle_multiplicative),
+        Law("dual-coproduct-exact", deg_range(maxdeg),
+            graded(_degree, maxdeg), dual_coproduct_exact),
+        Law("degree-overflow-guard", "single probe", ONCE, overflow_guard),
+    ]
 
 
-def _suite_reg_phi(maxdeg: int, letters: tuple[str, ...]) -> dict:
-    checks: list[dict] = []
+def _reg_phi_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
     L = LinComb.basis
     one = reg_one(1)
-
-    fails: list[str] = []
-    vlets = [t for n in range(1, maxdeg + 1)
-             for t in enumerate_v_letters(n, 1)]
-    if phi_reg(one, maxdeg) != L(one):
-        fails.append("unit moves")
-    for t in vlets:
-        if phi_reg(t, maxdeg) != L(t):
-            fails.append(f"t={t.text}")
-    checks.append(_entry("identity-on-letters", _deg_range(maxdeg), fails))
-
-    fails = []
-    for n in range(1, maxdeg + 2):
-        for t in enumerate_reg_trees(n, 1):
-            if t.letters < 2:
-                continue
-            b, w = _peel(t)
-            lhs = phi_reg(reg_gl_product(b, w), 2 * maxdeg + 2)
-            rhs = reg_assoc_product(L(b), phi_reg(w, maxdeg + 1))
-            if lhs != rhs:
-                fails.append(f"t={t.text}")
-    checks.append(_entry("leading-letter-morphism",
-                         _deg_range(maxdeg + 1), fails))
-
-    fails = []
-    for i in range(maxdeg + 2):
-        for j in range(maxdeg + 2 - i):
-            lhs = phi_reg(reg_gl_product(x_power((i,)), x_power((j,))),
-                          2 * maxdeg + 2)
-            rhs = reg_assoc_product(L(x_power((i,))), L(x_power((j,))))
-            if lhs != rhs:
-                fails.append(f"i={i} j={j}")
-    checks.append(_entry("polynomial-sector-morphism",
-                         f"exponent sum <= {maxdeg + 1}", fails))
-
-    fails = []
     peel_deg = min(maxdeg, 2)
-    for j in (0, 1):
+    dim_two = [t for _, t in pool(lambda n: enumerate_reg_trees(n, 2),
+                                  0, peel_deg)]
+
+    def identity_on_letters(t):
+        if phi_reg(t, maxdeg) != L(t):
+            return "unit moves" if t.is_unit else f"t={t.text}"
+
+    def leading_letter(t):
+        if t.letters < 2:
+            return None
+        b, w = _peel(t)
+        lhs = phi_reg(reg_gl_product(b, w), 2 * maxdeg + 2)
+        if lhs != reg_assoc_product(L(b), phi_reg(w, maxdeg + 1)):
+            return f"t={t.text}"
+
+    def polynomial_sector(i, j):
+        lhs = phi_reg(reg_gl_product(x_power((i,)), x_power((j,))),
+                      2 * maxdeg + 2)
+        if lhs != reg_assoc_product(L(x_power((i,))), L(x_power((j,)))):
+            return f"i={i} j={j}"
+
+    def unit_peel(j, t):
         u = x_power(mi_unit(2, j))
-        for n in range(peel_deg + 1):
-            for t in enumerate_reg_trees(n, 2):
-                lhs = phi_reg(reg_gl_product(u, t), 2 * peel_deg + 2)
-                rhs = reg_assoc_product(L(u), phi_reg(t, peel_deg))
-                if lhs != rhs:
-                    fails.append(f"coordinate {j}, t={t.text}")
-    checks.append(_entry("unit-peel-order-independent",
-                         f"two coordinates, degree <= {peel_deg}", fails))
+        lhs = phi_reg(reg_gl_product(u, t), 2 * peel_deg + 2)
+        if lhs != reg_assoc_product(L(u), phi_reg(t, peel_deg)):
+            return f"coordinate {j}, t={t.text}"
 
-    fails = []
-    for n in range(1, maxdeg + 1):
-        basis, rows = phi_reg_matrix(n, 1)
-        if any(rows[i][i] != 1 for i in range(len(basis))):
-            fails.append(f"degree {n}: diagonal entry differs from 1")
-        if linalg.rank([row[:] for row in rows]) != len(basis):
-            fails.append(f"degree {n}: graded matrix is singular")
-    checks.append(_entry("graded-unitriangular", _deg_range(maxdeg), fails))
+    def round_trip(t):
+        if (phi_reg(phi_reg_inverse(t, maxdeg), 2 * maxdeg) != L(t)
+                or phi_reg_inverse(phi_reg(t, maxdeg), 2 * maxdeg) != L(t)):
+            return f"t={t.text}"
 
-    fails = []
-    for n in range(maxdeg + 1):
-        for t in enumerate_reg_trees(n, 1):
-            if (phi_reg(phi_reg_inverse(t, maxdeg), 2 * maxdeg) != L(t)
-                    or phi_reg_inverse(phi_reg(t, maxdeg), 2 * maxdeg)
-                    != L(t)):
-                fails.append(f"t={t.text}")
-    checks.append(_entry("round-trip", _deg_range(maxdeg), fails))
+    def coalgebra_morphism(t):
+        lhs = reg_deshuffle(phi_reg(t, maxdeg))
+        rhs = (reg_deshuffle_tree(t)
+               .apply_linear(0, _phi_tree).apply_linear(1, _phi_tree))
+        if lhs != rhs:
+            return f"t={t.text}"
 
-    fails = []
-    for n in range(maxdeg + 1):
-        for t in enumerate_reg_trees(n, 1):
-            lhs = reg_deshuffle(phi_reg(t, maxdeg))
-            rhs = (reg_deshuffle_tree(t)
-                   .apply_linear(0, _phi_tree).apply_linear(1, _phi_tree))
-            if lhs != rhs:
-                fails.append(f"t={t.text}")
-    checks.append(_entry("deshuffle-coalgebra-morphism",
-                         _deg_range(maxdeg), fails))
+    def bracket_obstruction():
+        X = x_power((1,))
+        bullet = plant((0,), one)
+        comm_star = reg_gl_product(X, bullet) - reg_gl_product(bullet, X)
+        comm_word = (reg_assoc_product(X, bullet)
+                     - reg_assoc_product(bullet, X))
+        if comm_star != L(plant((0,), x_power((1,)))) or not comm_word.is_zero:
+            return "commutators do not separate the two products"
 
-    fails = []
-    X = x_power((1,))
-    bullet = plant((0,), one)
-    comm_star = reg_gl_product(X, bullet) - reg_gl_product(bullet, X)
-    comm_word = (reg_assoc_product(X, bullet)
-                 - reg_assoc_product(bullet, X))
-    raised = plant((0,), x_power((1,)))
-    if comm_star != L(raised) or not comm_word.is_zero:
-        fails.append("commutators do not separate the two products")
-    checks.append(_entry("bracket-obstruction-witness", "single probe",
-                         fails))
-
-    return _finish("regstruct-phi", maxdeg, ("dim=1",), checks)
+    return [
+        Law("identity-on-letters", deg_range(maxdeg),
+            chain([(one,)],
+                  graded(lambda n: enumerate_v_letters(n, 1), maxdeg, 1)),
+            identity_on_letters),
+        Law("leading-letter-morphism", deg_range(maxdeg + 1),
+            graded(_reg_trees, maxdeg + 1, 1), leading_letter),
+        Law("polynomial-sector-morphism", f"exponent sum <= {maxdeg + 1}",
+            graded(_degree, maxdeg + 1, k=2), polynomial_sector),
+        Law("unit-peel-order-independent",
+            f"two coordinates, degree <= {peel_deg}",
+            product((0, 1), dim_two), unit_peel),
+        _unitriangular(maxdeg, lambda n: phi_reg_matrix(n, 1)),
+        Law("round-trip", deg_range(maxdeg), graded(_reg_trees, maxdeg),
+            round_trip),
+        Law("deshuffle-coalgebra-morphism", deg_range(maxdeg),
+            graded(_reg_trees, maxdeg), coalgebra_morphism),
+        Law("bracket-obstruction-witness", "single probe", ONCE,
+            bracket_obstruction),
+    ]
 
 
 # -- worked examples from the fixture ----------------------------------------
@@ -815,108 +707,74 @@ def _np_lincomb(text: str) -> LinComb:
     return LinComb({key[0]: c for key, c in out.items()})
 
 
-def _suite_examples(maxdeg: int, letters: tuple[str, ...]) -> dict:
+def _example_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
     fx = _load_fixture()
-    checks: list[dict] = []
 
-    def run(name: str, fn: Callable[[], list[str]]) -> None:
-        try:
-            fails = fn()
-        except Exception as err:  # a broken fixture line is a failure too
-            fails = [f"{type(err).__name__}: {err}"]
-        checks.append(_entry(name, "fixture", fails))
+    def row(name: str, check: Callable, *key: str) -> Law:
+        return Law(name, "fixture", (key,), check)
+
+    def args(key: str, parse=parse_lincomb) -> list[LinComb]:
+        return [parse(s) for s in _split_args(fx[key])]
 
     def eq(lhs, rhs) -> list[str]:
         if lhs == rhs:
             return []
         return ["computed value differs from the transcribed display"]
 
-    def graft_case(key: str) -> list[str]:
-        a, b = (parse_lincomb(s) for s in _split_args(fx[f"{key}.args"]))
+    def graft_case(key):
+        a, b = args(f"{key}.args")
         return eq(left_graft(a, b), parse_lincomb(fx[f"{key}.out"]))
 
-    run("graft-tree", lambda: graft_case("graft.tree"))
-    run("graft-forest", lambda: graft_case("graft.forest"))
-
-    def gl_triple() -> list[str]:
-        a, b, c = (parse_lincomb(s) for s in _split_args(fx["gl.triple.args"]))
+    def gl_triple():
+        a, b, c = args("gl.triple.args")
         out = parse_lincomb(fx["gl.triple.out"])
         return (eq(gl_product(gl_product(a, b), c), out)
                 + eq(gl_product(a, gl_product(b, c)), out))
 
-    run("gl-triple-product", gl_triple)
-
-    def anti_single() -> list[str]:
+    def anti_single():
         arg = parse_lincomb(fx["glantipode.single.arg"])
         return eq(gl_antipode(arg), parse_lincomb(fx["glantipode.single.out"]))
 
-    run("gl-antipode-single", anti_single)
-
-    def anti_pair() -> list[str]:
-        f1, f2 = (parse_lincomb(s)
-                  for s in _split_args(fx["glantipode.pair.args"]))
+    def anti_pair():
+        f1, f2 = args("glantipode.pair.args")
         lhs = gl_antipode(concat(f1, f2))
-        rhs = gl_product(f2, f1) + left_graft(f1, f2)
-        return eq(lhs, rhs)
+        return eq(lhs, gl_product(f2, f1) + left_graft(f1, f2))
 
-    run("gl-antipode-two-word", anti_pair)
-
-    def cop_case(key: str) -> list[str]:
+    def cop_case(key):
         arg = parse_lincomb(fx[f"{key}.arg"])
         return eq(mkw_coproduct(arg), parse_tensor(fx[f"{key}.out"]))
 
-    run("cut-coproduct-tree", lambda: cop_case("mkw.tree"))
-    run("cut-coproduct-forest", lambda: cop_case("mkw.forest"))
-
-    def growth_case() -> list[str]:
-        a, b = (parse_lincomb(s) for s in _split_args(fx["growth.args"]))
+    def growth_case():
+        a, b = args("growth.args")
         scale = Fraction(fx["growth.scale"])
         return eq(natural_growth(a, b) * scale, parse_lincomb(fx["growth.out"]))
 
-    run("natural-growth-average", growth_case)
-
-    def pi_case() -> list[str]:
+    def pi_case():
         arg = parse_lincomb(fx["pi.mkw.arg"])
         return eq(primitive_projection(arg), parse_lincomb(fx["pi.mkw.out"]))
 
-    run("primitive-projection", pi_case)
-
-    def rho_case() -> list[str]:
+    def rho_case():
         arg = parse_lincomb(fx["rho.arg"])
         return eq(rho_graft(arg), parse_tensor(fx["rho.out"]))
 
-    run("graft-coaction", rho_case)
-
-    def bck_case(key: str) -> list[str]:
+    def bck_case(key):
         arg = _np_lincomb(fx[f"{key}.arg"])
         return eq(bck_primitive_projection(arg), _np_lincomb(fx[f"{key}.out"]))
 
-    run("nonplanar-projection-two", lambda: bck_case("bck.pi2"))
-    run("nonplanar-projection-three", lambda: bck_case("bck.pi3"))
-
-    def bck_zeros() -> list[str]:
-        fails = []
+    def bck_zeros():
         for raw in _split_args(fx["bck.zero.args"]):
             if not bck_primitive_projection(_np_lincomb(raw)).is_zero:
-                fails.append(f"projection of {raw} is nonzero")
-        return fails
+                yield f"projection of {raw} is nonzero"
 
-    run("nonplanar-projection-zeros", bck_zeros)
-
-    def reg_xx() -> list[str]:
-        a, b = (parse_reg_lincomb(s) for s in _split_args(fx["reg.xx.args"]))
+    def reg_xx():
+        a, b = args("reg.xx.args", parse_reg_lincomb)
         out = parse_reg_lincomb(fx["reg.xx.out"])
-        fails = eq(reg_gl_product(a, b), out)
-        c, d = (parse_reg_lincomb(s)
-                for s in _split_args(fx["reg.xx.commute.args"]))
-        fails += eq(reg_gl_product(c, d), reg_gl_product(d, c))
-        return fails
+        product_differs = eq(reg_gl_product(a, b), out)
+        c, d = args("reg.xx.commute.args", parse_reg_lincomb)
+        return product_differs + eq(reg_gl_product(c, d), reg_gl_product(d, c))
 
-    run("polynomial-product", reg_xx)
-
-    def reg_bracket() -> list[str]:
-        t1, t2, x = (parse_reg_lincomb(s)
-                     for s in _split_args(fx["reg.bracket.args"]))
+    def reg_bracket():
+        t1, t2, x = args("reg.bracket.args", parse_reg_lincomb)
         (xt,) = x.support()
         why = bracket0(t1, t2)
         lhs = reg_assoc_product(why, x) - reg_assoc_product(x, why)
@@ -924,34 +782,55 @@ def _suite_examples(maxdeg: int, letters: tuple[str, ...]) -> dict:
         out = parse_reg_lincomb(fx["reg.bracket.out"])
         return eq(lhs, lowered) + eq(lowered, out)
 
-    run("bracket-lowering", reg_bracket)
-
-    def reg_xstar() -> list[str]:
-        x, y = (parse_reg_lincomb(s)
-                for s in _split_args(fx["reg.xstar.args"]))
+    def reg_xstar():
+        x, y = args("reg.xstar.args", parse_reg_lincomb)
         return eq(reg_gl_product(x, y), parse_reg_lincomb(fx["reg.xstar.out"]))
 
-    run("polynomial-times-planted", reg_xstar)
-
-    return _finish("paper-examples", maxdeg, letters, checks)
+    return [
+        row("graft-tree", graft_case, "graft.tree"),
+        row("graft-forest", graft_case, "graft.forest"),
+        row("gl-triple-product", gl_triple),
+        row("gl-antipode-single", anti_single),
+        row("gl-antipode-two-word", anti_pair),
+        row("cut-coproduct-tree", cop_case, "mkw.tree"),
+        row("cut-coproduct-forest", cop_case, "mkw.forest"),
+        row("natural-growth-average", growth_case),
+        row("primitive-projection", pi_case),
+        row("graft-coaction", rho_case),
+        row("nonplanar-projection-two", bck_case, "bck.pi2"),
+        row("nonplanar-projection-three", bck_case, "bck.pi3"),
+        row("nonplanar-projection-zeros", bck_zeros),
+        row("polynomial-product", reg_xx),
+        row("bracket-lowering", reg_bracket),
+        row("polynomial-times-planted", reg_xstar),
+    ]
 
 
 # -- registry ----------------------------------------------------------------
 
-_SUITES: dict[str, tuple[Callable[[int, tuple[str, ...]], dict], int]] = {
-    "hopf-axioms": (_suite_hopf, 4),
-    "post-lie-axioms": (_suite_postlie, 4),
-    "gl-duality": (_suite_gl_duality, 4),
-    "natural-growth": (_suite_growth, 4),
-    "primitives": (_suite_primitives, 4),
-    "phi-iso": (_suite_phi, 4),
-    "cointeraction": (_suite_cointeraction, 3),
-    "cotranslation": (_suite_cotranslation, 3),
-    "translation": (_suite_translation, 3),
-    "disjointness": (_suite_disjointness, 3),
-    "regstruct-postlie": (_suite_reg_postlie, 3),
-    "regstruct-phi": (_suite_reg_phi, 3),
-    "paper-examples": (_suite_examples, 0),
+class _Suite(NamedTuple):
+    laws: Callable[[int, tuple[str, ...]], list[Law]]
+    default: int
+    alphabet: tuple[str, ...] | None = None  # reported instead of the letters
+    guarded: bool = False  # a raising row fails instead of the suite
+
+
+_DIM_ONE = ("dim=1",)
+
+_SUITES: dict[str, _Suite] = {
+    "hopf-axioms": _Suite(_hopf_laws, 4),
+    "post-lie-axioms": _Suite(_postlie_laws, 4),
+    "gl-duality": _Suite(_gl_duality_laws, 4),
+    "natural-growth": _Suite(_growth_laws, 4),
+    "primitives": _Suite(_primitive_laws, 4),
+    "phi-iso": _Suite(_phi_laws, 4),
+    "cointeraction": _Suite(cointeraction_laws, 3),
+    "cotranslation": _Suite(cotranslation_laws, 3),
+    "translation": _Suite(_translation_laws, 3),
+    "disjointness": _Suite(_disjointness_laws, 3),
+    "regstruct-postlie": _Suite(_reg_postlie_laws, 3, _DIM_ONE),
+    "regstruct-phi": _Suite(_reg_phi_laws, 3, _DIM_ONE),
+    "paper-examples": _Suite(_example_laws, 0, guarded=True),
 }
 
 
@@ -964,17 +843,21 @@ def run_suite(name: str, maxdeg: int | None = None,
     """Run one suite and return its report.
 
     ``maxdeg`` falls back to the suite's default and must stay within
-    :func:`degree_cap`; ``alphabet`` feeds the planar sweeps and is ignored
-    by the decorated suites, which fix dimension one.
+    :func:`degree_cap`; ``alphabet`` must list at least one letter.  It
+    feeds the planar sweeps and is ignored by the decorated suites, which
+    fix dimension one.
     """
     try:
-        fn, default = _SUITES[name]
+        suite = _SUITES[name]
     except KeyError:
         known = ", ".join(_SUITES)
         raise ValueError(f"unknown suite {name!r}; choose one of {known}") \
             from None
+    letters = tuple(alphabet)
+    if not letters:
+        raise ValueError("alphabet must list at least one letter")
     if maxdeg is None:
-        maxdeg = default
+        maxdeg = suite.default
     if maxdeg < 0:
         raise ValueError("max degree must be nonnegative")
     cap = degree_cap()
@@ -982,4 +865,5 @@ def run_suite(name: str, maxdeg: int | None = None,
         raise DegreeCapError(
             f"max degree {maxdeg} exceeds the degree cap {cap}; "
             "set POSTLIE_DEGREE_CAP to raise it")
-    return fn(maxdeg, tuple(alphabet))
+    return run_laws(name, maxdeg, suite.alphabet or letters,
+                    suite.laws(maxdeg, letters), suite.guarded)
