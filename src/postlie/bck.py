@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .forest import OrderedForest, PlanarTree, parse_forest
-from .lincomb import LinComb, Tensor, _add_into, _quotient
+from .lincomb import LinComb, Tensor, _add_into
 from .memo import memo
 
 
@@ -170,7 +170,7 @@ def forget_planarity(x: LinComb) -> LinComb:
     acc: dict = {}
     for f, c in x.items():
         _add_into(acc, np_of_forest(f), c)
-    return LinComb(acc)
+    return LinComb._adopt(acc)
 
 
 def np_parse(text: str, alphabet: Iterable[str] | None = None) -> NonplanarForest:
@@ -183,7 +183,7 @@ def np_mul(x: LinComb, y: LinComb) -> LinComb:
     for f1, c1 in x.items():
         for f2, c2 in y.items():
             _add_into(acc, np_word(f1, f2), c1 * c2)
-    return LinComb(acc)
+    return LinComb._adopt(acc)
 
 
 @memo
@@ -191,7 +191,7 @@ def bck_coproduct_tree(t: NonplanarTree) -> Tensor:
     acc: dict = {(np_single(t), NP_ONE): 1}
     for (l, r), c in bck_coproduct_forest(np_forest(t.children)).items():
         _add_into(acc, (l, np_single(np_tree(t.decoration, r.trees))), c)
-    return Tensor(2, acc)
+    return Tensor._adopt(2, acc)
 
 
 @memo
@@ -203,7 +203,7 @@ def bck_coproduct_forest(f: NonplanarForest) -> Tensor:
             for (l2, r2), c2 in bck_coproduct_tree(t).items():
                 _add_into(nxt, (np_word(l1, l2), np_word(r1, r2)), c1 * c2)
         acc = nxt
-    return Tensor(2, acc)
+    return Tensor._adopt(2, acc)
 
 
 def bck_coproduct(x: LinComb) -> Tensor:
@@ -239,7 +239,7 @@ def _bck_antipode_forest(f: NonplanarForest) -> LinComb:
     for (l, r), c in bck_reduced_forest(f).items():
         for f2, c2 in np_mul(_bck_antipode_forest(l), LinComb.basis(r)).items():
             _add_into(acc, f2, -c * c2)
-    return LinComb(acc)
+    return LinComb._adopt(acc)
 
 
 def bck_antipode(x: LinComb) -> LinComb:
@@ -280,7 +280,7 @@ def _np_growth_forests(w1: NonplanarForest, w2: NonplanarForest) -> LinComb:
         rebuilt = np_forest(_np_replace_at(t, vi, existing + w1.trees, counter)
                             for t in w2.trees)
         _add_into(acc, rebuilt, 1)
-    return LinComb({f: _quotient(m, w2.degree) for f, m in acc.items()})
+    return LinComb._make(acc, w2.degree)
 
 
 def bck_natural_growth(x: LinComb, y: LinComb) -> LinComb:

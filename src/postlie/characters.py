@@ -139,7 +139,7 @@ class TruncChar:
         """Representing series: the unit plus all stored values."""
         acc = {FOREST_ONE: 1}
         acc.update(self._values)
-        return LinComb(acc)
+        return LinComb._adopt(acc)
 
     def letters(self) -> tuple[str, ...]:
         out: set = set()

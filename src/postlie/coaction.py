@@ -70,7 +70,7 @@ def rho_forest(f: OrderedForest) -> Tensor:
             c = c1 * c2
             for a, ca in shuffle_words(a1, a2).items():
                 _add_into(acc, (a, right), c * ca)
-    return Tensor(2, acc)
+    return Tensor._adopt(2, acc)
 
 
 def rho_graft(x: LinComb | OrderedForest) -> Tensor:

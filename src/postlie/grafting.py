@@ -72,7 +72,7 @@ def _graft_words(a: tuple, w: tuple, memo: dict, splits: dict) -> dict:
 def graft_forests(w1: OrderedForest, w2: OrderedForest) -> LinComb:
     """Left grafting of basis forests through the deshuffle recursion."""
     terms = _graft_words(w1.trees, w2.trees, {}, {})
-    return LinComb({forest(f): c for f, c in terms.items()})
+    return LinComb._adopt({forest(f): c for f, c in terms.items()})
 
 
 def left_graft(x: LinComb, y: LinComb) -> LinComb:
@@ -86,7 +86,7 @@ def gl_forests(a: OrderedForest, b: OrderedForest) -> LinComb:
     for (a1, a2), c in deshuffle_forest(a).items():
         for f, c2 in graft_forests(a2, b).items():
             _add_into(acc, word(a1, f), c * c2)
-    return LinComb(acc)
+    return LinComb._adopt(acc)
 
 
 def gl_product(x: LinComb, y: LinComb) -> LinComb:
@@ -100,7 +100,7 @@ def concat_antipode(x: LinComb) -> LinComb:
     for f, c in x.items():
         sign = -c if len(f) % 2 else c
         _add_into(acc, forest(reversed(f.trees)), sign)
-    return LinComb(acc)
+    return LinComb._adopt(acc)
 
 
 @memo
@@ -132,7 +132,7 @@ def gl_inverse_product(x: LinComb, y: LinComb) -> LinComb:
             rhs = left_graft(_gl_antipode_forest(a2), y)
             for f3, c3 in gl_product(LinComb.basis(a1), rhs).items():
                 _add_into(acc, f3, c1 * c * c3)
-    return LinComb(acc)
+    return LinComb._adopt(acc)
 
 
 def jacobi_bracket(x: LinComb, y: LinComb) -> LinComb:

@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .forest import FOREST_ONE, OrderedForest, PlanarTree, enumerate_forests, forest, tree
-from .lincomb import LinComb, Tensor, _add_into, _quotient, tensor_of
+from .lincomb import LinComb, Tensor, _add_into, tensor_of
 from .linalg import kernel_basis, rank
 from .memo import memo
 from .mkw import reduced_coproduct, reduced_coproduct_forest
@@ -47,7 +47,7 @@ def gr_shuffle(u: tuple, v: tuple) -> LinComb:
             if out[i] is None:
                 out[i] = next(it)
         _add_into(acc, tuple(out), 1)
-    return LinComb(acc)
+    return LinComb._adopt(acc)
 
 
 def _vertex_children(f: OrderedForest) -> list[tuple[PlanarTree, ...]]:
@@ -86,8 +86,8 @@ def _growth_forests(w1: OrderedForest, w2: OrderedForest) -> LinComb:
             rebuilt = forest(_replace_at(t, vi, newkids, counter)
                              for t in w2.trees)
             _add_into(acc, rebuilt, mult)
-    # Integer counts first, then one share 1/|w2| per term.
-    return LinComb({f: _quotient(m, w2.degree) for f, m in acc.items()})
+    # Integer counts over one shared denominator |w2|.
+    return LinComb._make(acc, w2.degree)
 
 
 def natural_growth(x: LinComb, y: LinComb) -> LinComb:
@@ -120,7 +120,7 @@ def _fold_key(key: tuple) -> LinComb:
 
 def fold_tensor(t: Tensor) -> LinComb:
     """Growth fold applied legwise to a tensor, leg 0 outermost."""
-    return LinComb(dict(t.items())).map_basis(_fold_key)
+    return t.map_basis(_fold_key)
 
 
 def is_primitive(x: LinComb) -> bool:
@@ -319,7 +319,7 @@ def coalgebra_endomorphism(u: Mapping[int, Callable[[Tensor], LinComb]],
                     pieces = pieces + c * tensor_of(*legs)
                 for f2, c2 in fold_tensor(pieces).items():
                     _add_into(acc, f2, c2)
-    return LinComb(acc)
+    return LinComb._adopt(acc)
 
 
 def u1_rank_by_degree(u1: Callable[[Tensor], LinComb], maxdeg: int,

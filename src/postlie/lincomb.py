@@ -1,27 +1,43 @@
 """Sparse linear combinations with exact coefficients, and small tensors.
 
-:class:`LinComb` maps basis keys to nonzero exact coefficients: an ``int``
-or a ``Fraction``.  The combinatorial kernels (grafting, the cut and BCK
-coproducts, shuffles and deshuffles) emit ``int`` multiplicities; rationals
-arise only where the maths divides (growth shares, exponentials, characters,
-linear algebra).  The two types agree on ``==``, ``hash`` and ``str``, so the
-mix never shows in equality, memo keys or rendering.  A ``float`` is refused
-with ``TypeError`` wherever a coefficient enters.
+:class:`LinComb` maps basis keys to nonzero exact coefficients.  It stores
+them as integer numerators over one shared denominator: ``num`` maps each key
+to a nonzero ``int``, ``den >= 1`` and ``gcd(den, *num.values()) == 1``, so
+every value has exactly one stored form.  The combinatorial kernels
+(grafting, the cut and BCK coproducts, shuffles and deshuffles) emit integer
+multiplicities, so ``den == 1`` is the common case; it costs plain ``int``
+arithmetic and nothing else.  Where the maths divides (growth shares
+``1/|w|``, exponentials, characters, translations, linear algebra) the linear
+and bilinear extensions bring every image to the lcm of the images'
+denominators, sum plain integers, and divide out one gcd at the end, so no
+``Fraction`` is made per term.
+
+Outside this module the form does not show: ``items()`` and ``coeff()`` hand
+out each coefficient as an ``int`` when it is integral and as a ``Fraction``
+otherwise, and ``==``, ``hash`` and ``str`` agree with those values.  So
+rendering, memo keys and every other consumer see the same numbers whatever
+arithmetic produced them.  A ``float`` is refused with ``TypeError`` wherever
+a coefficient enters.
 
 Keys are any hashable basis values; the degree-aware helpers additionally
 expect a ``.degree`` attribute (planar forests, nonplanar forests, decorated
 trees all qualify).  Instances are immutable and hashable, so a LinComb can
 itself be used as a letter of a formal word.
 
-:class:`Tensor` is the flat sparse analogue for tensor products: terms are
-keyed by tuples of basis keys, one per leg.  Coproduct iteration is done by
-reapplying maps legwise (``apply_coproduct``), products by merging two legs
-(``merge_legs``) or, for two rank-2 tensors, leg by leg (``legwise``).
+:class:`Tensor` is the flat sparse analogue for tensor products, stored the
+same way: terms are keyed by tuples of basis keys, one per leg.  Coproduct
+iteration is done by reapplying maps legwise (``apply_coproduct``), products
+by merging two legs (``merge_legs``) or, for two rank-2 tensors, leg by leg
+(``legwise``).
 
 Maps defined on basis keys extend through one method each: linearly with
-``LinComb.map_basis`` (or ``apply_coproduct`` for a two-leg value), and
-bilinearly with ``LinComb.map_pairs``, which sums ``c1 c2 fn(k1, k2)`` over
-the term pairs in iteration order.
+``map_basis`` (on a LinComb, or on a Tensor whose basis keys are its tuples
+of legs; ``apply_coproduct`` for a two-leg value), and bilinearly with
+``LinComb.map_pairs``, which sums ``c1 c2 fn(k1, k2)`` over the term pairs in
+iteration order.  The kernels of other modules build their results through
+the trusted constructors ``_adopt`` (a fresh dict of nonzero exact
+coefficients, as ``_add_into`` leaves it) and ``_make`` (integer numerators
+over a denominator), which skip the public constructors' copy and checks.
 
 Word operations on forests (concatenation, shuffle, deshuffle,
 deconcatenation, Kronecker pairing) live here as module functions.
@@ -31,6 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from .forest import FOREST_ONE, OrderedForest, forest, word
@@ -38,6 +55,7 @@ from .forest import FOREST_ONE, OrderedForest, forest, word
 Coeff = int | Fraction
 
 _EXACT = frozenset((int, Fraction))
+_INT = frozenset((int,))
 
 
 def _reject_inexact(values: Iterable) -> None:
@@ -80,19 +98,145 @@ def _add_into(acc: dict, key: Hashable, coeff: Coeff) -> None:
             del acc[key]
 
 
-class LinComb:
-    """Immutable sparse linear combination with exact coefficients."""
+def _split(terms: dict) -> tuple[dict, int]:
+    """Integer numerators and their least common denominator for a dict of
+    nonzero exact coefficients; the dict itself when they are all ints."""
+    if _INT.issuperset(map(type, terms.values())):
+        return terms, 1
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator)
+            for k, c in terms.items()}, den
 
-    __slots__ = ("_terms", "_hash")
 
-    def __init__(self, terms: Mapping[Hashable, Coeff] | None = None):
+def _widen(acc: dict, den: int, d: int) -> int:
+    """Rescale numerators over ``den`` to ``lcm(den, d)`` and return it."""
+    new = lcm(den, d)
+    r = new // den
+    for k in acc:
+        acc[k] *= r
+    return new
+
+
+class _Exact:
+    """Storage and arithmetic shared by :class:`LinComb` and :class:`Tensor`."""
+
+    __slots__ = ("_num", "_den", "_hash")
+
+    def _checked(self, terms: Mapping | None) -> None:
         data = {k: v for k, v in (terms or {}).items() if v}
         if not _EXACT.issuperset(map(type, data.values())):
             _reject_inexact(data.values())
-        self._terms = data
-        self._hash: int | None = None
+        self._num, self._den = _split(data)
+        self._hash = None
+
+    def _set(self, num: dict, den: int):
+        # Store num / den in normal form: divide out their common factor.
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                num = {k: n // g for k, n in num.items()}
+        self._num = num
+        self._den = den
+        self._hash = None
+        return self
+
+    def items(self) -> Iterator[tuple[Hashable, Coeff]]:
+        den = self._den
+        if den == 1:
+            return iter(self._num.items())
+        return ((k, _quotient(n, den)) for k, n in self._num.items())
+
+    def coeff(self, key: Hashable) -> Coeff:
+        n = self._num.get(key, 0)
+        return _quotient(n, self._den) if n and self._den != 1 else n
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def __len__(self) -> int:
+        return len(self._num)
+
+    def _plus(self, other: "_Exact", sign: int):
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            den, acc = d1, dict(self._num)
+        else:
+            den = lcm(d1, d2)
+            r = den // d1
+            acc = {k: n * r for k, n in self._num.items()}
+        s = sign * (den // d2)
+        for k, n in other._num.items():
+            _add_into(acc, k, s * n)
+        return self._like(acc, den)
+
+    def __add__(self, other):
+        return self._plus(other, 1) if self._matches(other) else NotImplemented
+
+    def __sub__(self, other):
+        return self._plus(other, -1) if self._matches(other) else NotImplemented
+
+    def __neg__(self):
+        return self._like({k: -n for k, n in self._num.items()}, self._den)
+
+    def scale(self, scalar: int | Fraction):
+        s = as_coeff(scalar)
+        p = s.numerator
+        return self._like({k: n * p for k, n in self._num.items()} if p else {},
+                          self._den * s.denominator)
+
+    __mul__ = scale
+    __rmul__ = scale
+
+    def _linear(self, fn: Callable[[Hashable], "_Exact"]) -> tuple[dict, int]:
+        # Numerators and denominator of sum(c * fn(key)).  Like every
+        # extension here it sums integer numerators over ``big``, the lcm of
+        # the images' denominators so far, rescaling the sum when an image
+        # needs a wider one; the constructor divides out one gcd at the end.
+        acc: dict = {}
+        big = 1
+        for k, n in self._num.items():
+            img = fn(k)
+            d = img._den
+            if big % d:
+                big = _widen(acc, big, d)
+            s = n * big // d
+            for k2, c2 in img._num.items():
+                _add_into(acc, k2, s * c2)
+        return acc, self._den * big
+
+    def map_basis(self, fn: Callable[[Hashable], "LinComb"]) -> "LinComb":
+        """Linear extension of a basis-valued map; on a Tensor the basis
+        keys are its tuples of legs."""
+        return LinComb._make(*self._linear(fn))
+
+
+class LinComb(_Exact):
+    """Immutable sparse linear combination with exact coefficients."""
+
+    __slots__ = ()
+
+    def __init__(self, terms: Mapping[Hashable, Coeff] | None = None):
+        self._checked(terms)
 
     # construction ---------------------------------------------------------
+
+    @staticmethod
+    def _make(num: dict, den: int = 1) -> "LinComb":
+        """Trusted: adopt ``num``, nonzero ints, as the numerators over ``den``."""
+        return LinComb.__new__(LinComb)._set(num, den)
+
+    @staticmethod
+    def _adopt(terms: dict) -> "LinComb":
+        """Trusted: adopt ``terms``, a fresh dict of nonzero exact values."""
+        return LinComb._make(*_split(terms))
+
+    def _like(self, num: dict, den: int) -> "LinComb":
+        return LinComb._make(num, den)
+
+    def _matches(self, other) -> bool:
+        return isinstance(other, LinComb)
 
     @staticmethod
     def zero() -> "LinComb":
@@ -100,220 +244,169 @@ class LinComb:
 
     @staticmethod
     def basis(key: Hashable) -> "LinComb":
-        return LinComb({key: 1})
+        return LinComb._make({key: 1})
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple[Hashable, int | Fraction]]) -> "LinComb":
         acc: dict = {}
         for k, c in pairs:
             _add_into(acc, k, as_coeff(c))
-        return LinComb(acc)
+        return LinComb._adopt(acc)
 
     # accessors ------------------------------------------------------------
 
-    def items(self) -> Iterator[tuple[Hashable, Coeff]]:
-        return iter(self._terms.items())
-
     def support(self):
-        return self._terms.keys()
+        return self._num.keys()
 
-    def coeff(self, key: Hashable) -> Coeff:
-        return self._terms.get(key, 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    # arithmetic -----------------------------------------------------------
-
-    def __add__(self, other: "LinComb") -> "LinComb":
-        if not isinstance(other, LinComb):
-            return NotImplemented
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            _add_into(acc, k, c)
-        return LinComb(acc)
-
-    def __sub__(self, other: "LinComb") -> "LinComb":
-        if not isinstance(other, LinComb):
-            return NotImplemented
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            _add_into(acc, k, -c)
-        return LinComb(acc)
-
-    def __neg__(self) -> "LinComb":
-        return LinComb({k: -c for k, c in self._terms.items()})
-
-    def scale(self, scalar: int | Fraction) -> "LinComb":
-        s = as_coeff(scalar)
-        if not s:
-            return _ZERO
-        return LinComb({k: c * s for k, c in self._terms.items()})
-
-    __mul__ = scale
-    __rmul__ = scale
-
-    def map_basis(self, fn: Callable[[Hashable], "LinComb"]) -> "LinComb":
-        """Linear extension of a basis-valued map."""
-        acc: dict = {}
-        for k, c in self._terms.items():
-            for k2, c2 in fn(k)._terms.items():
-                _add_into(acc, k2, c * c2)
-        return LinComb(acc)
+    # bilinear and coproduct extensions (summed as ``_Exact._linear``) ----
 
     def map_pairs(self, other: "LinComb",
                   fn: Callable[[Hashable, Hashable], "LinComb"]) -> "LinComb":
         """Bilinear extension of a map on pairs of basis keys."""
         acc: dict = {}
-        for k1, c1 in self._terms.items():
-            for k2, c2 in other._terms.items():
-                for k3, c3 in fn(k1, k2)._terms.items():
-                    _add_into(acc, k3, c1 * c2 * c3)
-        return LinComb(acc)
+        big = 1
+        right = other._num.items()
+        for k1, n1 in self._num.items():
+            for k2, n2 in right:
+                img = fn(k1, k2)
+                d = img._den
+                if big % d:
+                    big = _widen(acc, big, d)
+                s = n1 * n2 * big // d
+                for k3, c3 in img._num.items():
+                    _add_into(acc, k3, s * c3)
+        return LinComb._make(acc, self._den * other._den * big)
 
     def apply_coproduct(self, fn: Callable[[Hashable], "Tensor"]) -> "Tensor":
         """Linear extension of a basis-valued two-leg map."""
-        acc: dict = {}
-        for k, c in self._terms.items():
-            for key, c2 in fn(k)._terms.items():
-                _add_into(acc, key, c * c2)
-        return Tensor(2, acc)
+        return Tensor._make(2, *self._linear(fn))
 
     # degree-aware helpers (keys must expose .degree) ----------------------
 
     def degrees(self) -> set[int]:
-        return {k.degree for k in self._terms}
+        return {k.degree for k in self._num}
 
     def homogeneous(self, n: int) -> "LinComb":
-        return LinComb({k: c for k, c in self._terms.items() if k.degree == n})
+        return LinComb._make({k: c for k, c in self._num.items()
+                              if k.degree == n}, self._den)
 
     def truncate(self, maxdeg: int) -> "LinComb":
-        return LinComb({k: c for k, c in self._terms.items() if k.degree <= maxdeg})
+        return LinComb._make({k: c for k, c in self._num.items()
+                              if k.degree <= maxdeg}, self._den)
 
     def max_degree(self) -> int:
-        return max((k.degree for k in self._terms), default=0)
+        return max((k.degree for k in self._num), default=0)
 
     # equality -------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinComb):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(frozenset(self._terms.items()))
+            h = hash(frozenset(self.items()))
             self._hash = h
         return h
 
     def __repr__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "LinComb(0)"
-        bits = ", ".join(f"{k!r}: {c}" for k, c in self._terms.items())
+        bits = ", ".join(f"{k!r}: {c}" for k, c in self.items())
         return f"LinComb({{{bits}}})"
 
 
-_ZERO = LinComb({})
+_ZERO = LinComb._make({})
 
 
 def combine(coeffs: Iterable[int | Fraction], elems: Iterable[LinComb]) -> LinComb:
     """Linear combination sum(c_i * x_i)."""
     acc: dict = {}
+    big = 1
     for c, x in zip(coeffs, elems):
-        cc = as_coeff(c)
-        for k, v in x._terms.items():
-            _add_into(acc, k, cc * v)
-    return LinComb(acc)
+        c = as_coeff(c)
+        d = c.denominator * x._den
+        if big % d:
+            big = _widen(acc, big, d)
+        s = c.numerator * big // d
+        for k, n in x._num.items():
+            _add_into(acc, k, s * n)
+    return LinComb._make(acc, big)
 
 
-class Tensor:
+class Tensor(_Exact):
     """Sparse tensor of fixed arity; terms keyed by tuples of basis keys."""
 
-    __slots__ = ("arity", "_terms", "_hash")
+    __slots__ = ("arity",)
 
     def __init__(self, arity: int, terms: Mapping[tuple, Coeff] | None = None):
         self.arity = arity
-        self._terms = {k: v for k, v in (terms or {}).items() if v}
-        if not _EXACT.issuperset(map(type, self._terms.values())):
-            _reject_inexact(self._terms.values())
-        self._hash: int | None = None
+        self._checked(terms)
+
+    @staticmethod
+    def _make(arity: int, num: dict, den: int = 1) -> "Tensor":
+        """Trusted: adopt ``num``, nonzero ints, as the numerators over ``den``."""
+        t = Tensor.__new__(Tensor)
+        t.arity = arity
+        return t._set(num, den)
+
+    @staticmethod
+    def _adopt(arity: int, terms: dict) -> "Tensor":
+        """Trusted: adopt ``terms``, a fresh dict of nonzero exact values."""
+        return Tensor._make(arity, *_split(terms))
+
+    def _like(self, num: dict, den: int) -> "Tensor":
+        return Tensor._make(self.arity, num, den)
+
+    def _matches(self, other) -> bool:
+        return isinstance(other, Tensor) and other.arity == self.arity
 
     @staticmethod
     def zero(arity: int) -> "Tensor":
-        return Tensor(arity)
+        return Tensor._make(arity, {})
 
     @staticmethod
     def basis(key: tuple) -> "Tensor":
-        return Tensor(len(key), {key: 1})
+        return Tensor._make(len(key), {key: 1})
 
     @staticmethod
     def from_terms(arity: int, pairs: Iterable[tuple[tuple, int | Fraction]]) -> "Tensor":
         acc: dict = {}
         for k, c in pairs:
             _add_into(acc, k, as_coeff(c))
-        return Tensor(arity, acc)
-
-    def items(self) -> Iterator[tuple[tuple, Coeff]]:
-        return iter(self._terms.items())
-
-    def coeff(self, key: tuple) -> Coeff:
-        return self._terms.get(key, 0)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        if not isinstance(other, Tensor) or other.arity != self.arity:
-            return NotImplemented
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            _add_into(acc, k, c)
-        return Tensor(self.arity, acc)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        if not isinstance(other, Tensor) or other.arity != self.arity:
-            return NotImplemented
-        acc = dict(self._terms)
-        for k, c in other._terms.items():
-            _add_into(acc, k, -c)
-        return Tensor(self.arity, acc)
-
-    def __neg__(self) -> "Tensor":
-        return Tensor(self.arity, {k: -c for k, c in self._terms.items()})
-
-    def scale(self, scalar: int | Fraction) -> "Tensor":
-        s = as_coeff(scalar)
-        if not s:
-            return Tensor(self.arity)
-        return Tensor(self.arity, {k: c * s for k, c in self._terms.items()})
-
-    __mul__ = scale
-    __rmul__ = scale
+        return Tensor._adopt(arity, acc)
 
     def apply_linear(self, leg: int, fn: Callable[[Hashable], LinComb]) -> "Tensor":
         """Apply a linear map to one leg, keeping the arity."""
         acc: dict = {}
-        for key, c in self._terms.items():
-            for k2, c2 in fn(key[leg]).items():
-                _add_into(acc, key[:leg] + (k2,) + key[leg + 1:], c * c2)
-        return Tensor(self.arity, acc)
+        big = 1
+        for key, n in self._num.items():
+            img = fn(key[leg])
+            d = img._den
+            if big % d:
+                big = _widen(acc, big, d)
+            s = n * big // d
+            head, tail = key[:leg], key[leg + 1:]
+            for k2, c2 in img._num.items():
+                _add_into(acc, head + (k2,) + tail, s * c2)
+        return Tensor._make(self.arity, acc, self._den * big)
 
     def apply_coproduct(self, leg: int, fn: Callable[[Hashable], "Tensor"]) -> "Tensor":
         """Apply a two-leg coproduct to one leg, raising the arity by one."""
         acc: dict = {}
-        for key, c in self._terms.items():
-            for (l, r), c2 in fn(key[leg]).items():
-                _add_into(acc, key[:leg] + (l, r) + key[leg + 1:], c * c2)
-        return Tensor(self.arity + 1, acc)
+        big = 1
+        for key, n in self._num.items():
+            img = fn(key[leg])
+            d = img._den
+            if big % d:
+                big = _widen(acc, big, d)
+            s = n * big // d
+            head, tail = key[:leg], key[leg + 1:]
+            for pair, c2 in img._num.items():
+                _add_into(acc, head + pair + tail, s * c2)
+        return Tensor._make(self.arity + 1, acc, self._den * big)
 
     def merge_legs(self, i: int, j: int,
                    product: Callable[[Hashable, Hashable], LinComb]) -> "Tensor":
@@ -321,47 +414,63 @@ class Tensor:
         if not 0 <= i < j < self.arity:
             raise ValueError("need 0 <= i < j < arity")
         acc: dict = {}
-        for key, c in self._terms.items():
+        big = 1
+        for key, n in self._num.items():
+            img = product(key[i], key[j])
+            d = img._den
+            if big % d:
+                big = _widen(acc, big, d)
+            s = n * big // d
             rest = key[:j] + key[j + 1:]
-            for k2, c2 in product(key[i], key[j]).items():
-                _add_into(acc, rest[:i] + (k2,) + rest[i + 1:], c * c2)
-        return Tensor(self.arity - 1, acc)
+            head, tail = rest[:i], rest[i + 1:]
+            for k2, c2 in img._num.items():
+                _add_into(acc, head + (k2,) + tail, s * c2)
+        return Tensor._make(self.arity - 1, acc, self._den * big)
 
     def legwise(self, other: "Tensor",
                 product: Callable[[Hashable, Hashable], LinComb]) -> "Tensor":
         """Product of two rank-2 tensors, leg by leg through ``product``."""
         acc: dict = {}
-        for (a1, b1), c1 in self._terms.items():
-            for (a2, b2), c2 in other._terms.items():
-                c = c1 * c2
-                for a, ca in product(a1, a2).items():
-                    cca = c * ca
-                    for b, cb in product(b1, b2).items():
-                        _add_into(acc, (a, b), cca * cb)
-        return Tensor(2, acc)
+        big = 1
+        right = other._num.items()
+        for (a1, b1), n1 in self._num.items():
+            for (a2, b2), n2 in right:
+                left = product(a1, a2)
+                if not left._num:
+                    continue
+                second = product(b1, b2)
+                d = left._den * second._den
+                if big % d:
+                    big = _widen(acc, big, d)
+                s = n1 * n2 * big // d
+                for a, ca in left._num.items():
+                    sa = s * ca
+                    for b, cb in second._num.items():
+                        _add_into(acc, (a, b), sa * cb)
+        return Tensor._make(2, acc, self._den * other._den * big)
 
     def counit_legs(self, is_unit: Callable[[Hashable], bool],
                     ) -> tuple[LinComb, LinComb]:
         """``(counit (x) id)`` and ``(id (x) counit)`` of a rank-2 tensor,
         for the counit that keeps exactly the keys ``is_unit`` accepts."""
-        pairs = self._terms.items()
-        return (LinComb.from_terms((b, c) for (a, b), c in pairs if is_unit(a)),
-                LinComb.from_terms((a, c) for (a, b), c in pairs if is_unit(b)))
+        return (LinComb.from_terms((b, c) for (a, b), c in self.items() if is_unit(a)),
+                LinComb.from_terms((a, c) for (a, b), c in self.items() if is_unit(b)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Tensor):
             return NotImplemented
-        return self.arity == other.arity and self._terms == other._terms
+        return (self.arity == other.arity and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.arity, frozenset(self._terms.items())))
+            h = hash((self.arity, frozenset(self.items())))
             self._hash = h
         return h
 
     def __repr__(self) -> str:
-        return f"Tensor(arity={self.arity}, nterms={len(self._terms)})"
+        return f"Tensor(arity={self.arity}, nterms={len(self._num)})"
 
 
 def graded_transpose(n: int, basis: Callable[[int], Iterable[Hashable]],
@@ -384,7 +493,7 @@ def graded_transpose(n: int, basis: Callable[[int], Iterable[Hashable]],
                     if terms is not None:
                         terms[(a, b)] = c
     for x, terms in acc.items():
-        acc[x] = Tensor(2, terms)  # in place: one degree's terms held once
+        acc[x] = Tensor._adopt(2, terms)  # in place: one degree's terms held once
     return acc
 
 
@@ -402,13 +511,12 @@ def duality_mismatches(n: int, basis: Callable[[int], Iterable[Hashable]],
 def tensor_of(*factors: LinComb) -> Tensor:
     """Outer product of LinCombs as a Tensor."""
     acc: dict = {(): 1}
+    den = 1
     for f in factors:
-        nxt: dict = {}
-        for key, c in acc.items():
-            for k, c2 in f.items():
-                nxt[key + (k,)] = c * c2
-        acc = nxt
-    return Tensor(len(factors), acc)
+        acc = {key + (k,): n * n2 for key, n in acc.items()
+               for k, n2 in f._num.items()}
+        den *= f._den
+    return Tensor._make(len(factors), acc, den)
 
 
 # -- word operations on ordered forests ------------------------------------
@@ -416,10 +524,11 @@ def tensor_of(*factors: LinComb) -> Tensor:
 def concat(x: LinComb, y: LinComb) -> LinComb:
     """Bilinear concatenation of forests as words of trees."""
     acc: dict = {}
-    for f1, c1 in x.items():
-        for f2, c2 in y.items():
-            _add_into(acc, word(f1, f2), c1 * c2)
-    return LinComb(acc)
+    right = y._num.items()
+    for f1, n1 in x._num.items():
+        for f2, n2 in right:
+            _add_into(acc, word(f1, f2), n1 * n2)
+    return LinComb._make(acc, x._den * y._den)
 
 
 def shuffle_words(f1: OrderedForest, f2: OrderedForest) -> LinComb:
@@ -441,7 +550,7 @@ def shuffle_words(f1: OrderedForest, f2: OrderedForest) -> LinComb:
             if out[p] is None:
                 out[p] = next(it)
         _add_into(acc, forest(out), 1)
-    return LinComb(acc)
+    return LinComb._make(acc)
 
 
 def shuffle(x: LinComb, y: LinComb) -> LinComb:
@@ -468,8 +577,8 @@ def _deshuffle_words(trees_: tuple) -> dict[tuple[tuple, tuple], int]:
 
 def deshuffle_forest(f: OrderedForest) -> Tensor:
     """Unshuffle coproduct of one forest: sum over subsets of tree positions."""
-    return Tensor(2, {(forest(left), forest(right)): m
-                      for (left, right), m in _deshuffle_words(f.trees).items()})
+    return Tensor._make(2, {(forest(left), forest(right)): m
+                            for (left, right), m in _deshuffle_words(f.trees).items()})
 
 
 def deshuffle(x: LinComb) -> Tensor:
@@ -482,7 +591,7 @@ def deconcat_forest(f: OrderedForest) -> Tensor:
     acc: dict = {}
     for i in range(len(trees_) + 1):
         _add_into(acc, (forest(trees_[:i]), forest(trees_[i:])), 1)
-    return Tensor(2, acc)
+    return Tensor._make(2, acc)
 
 
 def deconcat(x: LinComb) -> Tensor:
@@ -492,10 +601,11 @@ def deconcat(x: LinComb) -> Tensor:
 def pairing(x: LinComb, y: LinComb) -> Coeff:
     """Kronecker pairing: basis forests are orthonormal."""
     a, b = (x, y) if len(x) <= len(y) else (y, x)
+    other = b._num
     total = 0
-    for k, c in a.items():
-        total += c * b.coeff(k)
-    return total
+    for k, n in a._num.items():
+        total += n * other.get(k, 0)
+    return _quotient(total, a._den * b._den)
 
 
 def counit(x: LinComb) -> Coeff:

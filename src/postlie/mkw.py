@@ -63,7 +63,7 @@ def mkw_coproduct_tree(t: PlanarTree) -> Tensor:
         for f, c in left.items():
             _add_into(acc, (f, single(trunk)), c)
     _add_into(acc, (single(t), FOREST_ONE), 1)
-    return Tensor(2, acc)
+    return Tensor._adopt(2, acc)
 
 
 @memo
@@ -78,7 +78,7 @@ def mkw_coproduct_forest(f: OrderedForest) -> Tensor:
         if right.is_empty:
             continue  # the B+(w) (x) 1 term is subtracted
         _add_into(acc, (left, b_minus(right.trees[0])), c)
-    return Tensor(2, acc)
+    return Tensor._adopt(2, acc)
 
 
 def mkw_coproduct(x: LinComb | OrderedForest) -> Tensor:
@@ -124,7 +124,7 @@ def _antipode_forest(f: OrderedForest) -> LinComb:
         for fl, cl in _antipode_forest(left).items():
             for fs, cs in shuffle_words(fl, right).items():
                 _add_into(acc, fs, -c * cl * cs)
-    return LinComb(acc)
+    return LinComb._adopt(acc)
 
 
 def mkw_antipode(x: LinComb) -> LinComb:

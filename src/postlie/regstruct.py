@@ -447,7 +447,7 @@ def lower_root_adjacent(x: LinComb | RegTree, i: MultiIndex) -> LinComb:
                 continue
             eds = t.edges[:k] + ((na, sub),) + t.edges[k + 1:]
             _add_into(acc, reg_tree(t.dec, eds), c)
-    return LinComb(acc)
+    return LinComb._adopt(acc)
 
 
 # -- the associative word product -------------------------------------------
@@ -492,7 +492,7 @@ def reg_deshuffle_tree(t: RegTree) -> Tensor:
                 right = reg_tree(n2, tuple(
                     edges[i] for i in range(n) if i not in picked))
                 _add_into(acc, (left, right), w)
-    return Tensor(2, acc)
+    return Tensor._adopt(2, acc)
 
 
 def reg_deshuffle(x: LinComb | RegTree) -> Tensor:
@@ -535,7 +535,7 @@ def _graft_letters(t1: RegTree, t2: RegTree) -> LinComb:
                 sigma, v,
                 lambda dec, eds: (mi_sub(dec, l), ((na, tau),) + eds))
             _add_into(acc, plant(b, attached), w)
-    return LinComb(acc)
+    return LinComb._adopt(acc)
 
 
 @memo
@@ -553,7 +553,7 @@ def reg_graft_trees(t1: RegTree, t2: RegTree) -> LinComb:
                 for f2, c2 in reg_graft_trees(a2, r2).items():
                     for f3, c3 in reg_mul_trees(f1, f2).items():
                         _add_into(acc, f3, c * c1 * c2 * c3)
-        return LinComb(acc)
+        return LinComb._adopt(acc)
     if t1.letters <= 1:
         return _graft_letters(t1, t2)
     u, w = _peel(t1)
@@ -631,7 +631,7 @@ def bracket0(x: LinComb | RegTree, y: LinComb | RegTree) -> LinComb:
                 continue
             for t3, c3 in part.items():
                 _add_into(acc, t3, c1 * c2 * c3)
-    return LinComb(acc)
+    return LinComb._adopt(acc)
 
 
 # -- the Grossman-Larson style product --------------------------------------
@@ -643,7 +643,7 @@ def reg_gl_trees(a: RegTree, b: RegTree) -> LinComb:
         for f, c2 in reg_graft_trees(a2, b).items():
             for f3, c3 in reg_mul_trees(a1, f).items():
                 _add_into(acc, f3, c * c2 * c3)
-    return LinComb(acc)
+    return LinComb._adopt(acc)
 
 
 def reg_gl_product(x: LinComb | RegTree, y: LinComb | RegTree) -> LinComb:

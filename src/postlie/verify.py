@@ -437,12 +437,14 @@ def _disjointness_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
         if forced is None or forced["status"] != "fail":
             return "an empty vector was not flagged against the forced form"
 
+    # below degree 2 the forced shifts truncate to zero: nothing to flag
+    forced_sweep = ((deg_range(maxdeg), ONCE) if maxdeg >= 2 else
+                    (f"cutoff {maxdeg}: forced shifts truncate to zero", ()))
     return [
         Law("unit-series-agreement", deg_range(maxdeg), ONCE, unit_series),
         separates("full", Fraction(1)),
         separates("half", Fraction(1, 2)),
-        Law("forced-form-flagged", deg_range(maxdeg), ONCE,
-            forced_form_flagged),
+        Law("forced-form-flagged", *forced_sweep, forced_form_flagged),
     ]
 
 
@@ -455,7 +457,7 @@ def _exp_series(c: Fraction, letter: str, maxdeg: int) -> LinComb:
         w = word(w, single(leaf(letter)))
         coeff = Fraction(coeff * c, n)  # TypeError, never a float
         acc[w] = coeff
-    return LinComb(acc)
+    return LinComb._adopt(acc)
 
 
 # -- deformed structures -----------------------------------------------------
@@ -578,7 +580,7 @@ def _reg_postlie_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
         return "degree overflow was not flagged"
 
     exponents = (((i,), (j,), f"i={i} j={j}", (i + j,))
-                 for i, j in graded(_degree, maxdeg, k=2))
+                 for i, j in graded(_degree, maxdeg + 1, k=2))
     return [
         *product_laws("word-product", reg_assoc_product, reg_mul_trees),
         *product_laws("gl-product", reg_gl_product, reg_gl_trees),

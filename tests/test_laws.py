@@ -103,3 +103,23 @@ def test_the_runner_alone_builds_check_entries_and_reports():
     assert entries == ["laws"]
     assert reports == ["laws"]
     assert set(appends) <= {"laws"}
+
+
+@pytest.mark.parametrize("maxdeg", range(5))
+def test_polynomial_generators_commute_sweeps_its_labelled_range(maxdeg):
+    law = next(law for law in verify._reg_postlie_laws(maxdeg, ("o",))
+               if law.name == "polynomial-generators-commute")
+    assert law.rng == f"exponent sum <= {maxdeg + 1}"
+    pairs = {(a[0], b[0]) for a, b, *rest in law.sweep if rest[1:]}
+    assert pairs == {(i, j) for i in range(maxdeg + 2)
+                     for j in range(maxdeg + 2 - i)}
+
+
+@pytest.mark.parametrize("alphabet", [("o",), ("a", "b")])
+@pytest.mark.parametrize("maxdeg", [0, 1])
+def test_disjointness_below_degree_two_is_ok(maxdeg, alphabet):
+    rep = run_suite("disjointness", maxdeg, alphabet)
+    assert rep["ok"]
+    forced = rep["checks"][-1]
+    assert forced["name"] == "forced-form-flagged"
+    assert forced["range"].startswith(f"cutoff {maxdeg}:")

@@ -25,12 +25,7 @@ DATA = Path(__file__).parent / "data"
 
 
 def reports() -> dict:
-    """Every suite at degrees 0-4 on ``o`` and 0-3 on ``a,b``.
-
-    All of them pass except ``disjointness`` at degrees 0 and 1, where
-    ``forced-form-flagged`` fails: below degree 2 the forced shifts
-    truncate to zero, so an empty vector has the forced form.
-    """
+    """Every suite at degrees 0-4 on ``o`` and 0-3 on ``a,b``; all pass."""
     out = {}
     for name in suite_names():
         if name == "paper-examples":
