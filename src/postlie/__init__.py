@@ -5,9 +5,10 @@ forests: left grafting, the Grossman-Larson product and its Hopf-algebra
 dual built from left-admissible cuts, natural growth with the projection
 onto primitives, the isomorphism onto the word side together with
 truncated rough-path characters, grafting and translation coactions, a
-nonplanar comparison layer, and the deformed (decorated) variants driven
-by edge and vertex multi-indices.  All coefficients are exact: ``int``
-where the maths is integral, ``Fraction`` where it divides.
+nonplanar comparison layer whose forests are canonical planar forests, and
+the deformed (decorated) variants driven by edge and vertex multi-indices.
+All coefficients are exact: ``int`` where the maths is integral,
+``Fraction`` where it divides.
 """
 
 from .forest import (FOREST_ONE, ForestSyntaxError, OrderedForest,
@@ -22,9 +23,10 @@ from .grafting import (concat_antipode, gl_antipode, gl_exp, gl_forests,
                        jacobi_bracket, left_graft)
 from .mkw import (duality_failures, iterated_reduced, mkw_antipode,
                   mkw_coproduct, reduced_coproduct)
-from .growth import (f_decompose, f_recompose, fold_tensor, growth_fold,
-                     is_primitive, natural_growth, primitive_basis,
-                     primitive_projection)
+from .growth import (coalgebra_endomorphism, comodule_coaction, f_decompose,
+                     f_recompose, fold_tensor, growth_fold, is_primitive,
+                     natural_growth, primitive_basis, primitive_projection,
+                     u1_rank_by_degree)
 from .bck import (bck_antipode, bck_coproduct, bck_natural_growth,
                   bck_primitive_projection, forget_planarity, np_bminus,
                   np_bplus, np_parse)

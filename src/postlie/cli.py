@@ -7,7 +7,7 @@ rendering of the same data.  Degree-bearing options, the operands of the
 forest and decorated operations, and the truncation degree of character
 files are capped by ``POSTLIE_DEGREE_CAP`` (default 7) and must be
 nonnegative; ``basis`` also refuses more forests than two letters give at
-the cap.
+the cap, and ``reg-basis`` more trees than dimension two gives there.
 
 Exit codes: 0 on success, 1 for failed verification suites and other
 errors, 2 for malformed input expressions (the message carries the
@@ -198,6 +198,26 @@ def _cmd_embed(args) -> int:
     return _emit_char(args, embed_rough_path(_read_char(args.X)))
 
 
+def _refuse_wide(what: str, size: int, unit: str, limit: int,
+                 reference: str) -> None:
+    # the cap bounds a listing's size, not only its degree: at most what
+    # the reference gives at the cap
+    if size > limit:
+        raise DegreeCapError(
+            f"{what} has {size} {unit}, more than the {limit} of {reference} "
+            f"at the degree cap {degree_cap()}; "
+            "set POSTLIE_DEGREE_CAP to raise it")
+
+
+def _emit_listing(args, items) -> int:
+    if args.output == "json":
+        print(json.dumps([x.text for x in items], indent=2))
+    else:
+        for x in items:
+            print(x.text)
+    return 0
+
+
 def _basis_size(letters: int, n: int) -> int:
     # planar forests of degree n: letters**n times the Catalan number C(n)
     return letters ** n * comb(2 * n, n) // (n + 1)
@@ -206,22 +226,10 @@ def _basis_size(letters: int, n: int) -> int:
 def _cmd_basis(args) -> int:
     n = _cap(args.degree, "degree")
     alpha = _alphabet(args) or ("o",)
-    # the cap bounds the listing, not only n: at most what two letters
-    # give at the cap
-    k, cap = len(set(alpha)), degree_cap()
-    size, limit = _basis_size(k, n), _basis_size(2, cap)
-    if size > limit:
-        raise DegreeCapError(
-            f"basis of degree {n} over {k} letters has {size} forests, "
-            f"more than the {limit} of two letters at the degree cap {cap}; "
-            "set POSTLIE_DEGREE_CAP to raise it")
-    forests = enumerate_forests(n, alpha)
-    if args.output == "json":
-        print(json.dumps([f.text for f in forests], indent=2))
-    else:
-        for f in forests:
-            print(f.text)
-    return 0
+    k = len(set(alpha))
+    _refuse_wide(f"basis of degree {n} over {k} letters", _basis_size(k, n),
+                 "forests", _basis_size(2, degree_cap()), "two letters")
+    return _emit_listing(args, enumerate_forests(n, alpha))
 
 
 def _cmd_reg_binary(fn):
@@ -251,17 +259,33 @@ def _cmd_reg_phi(fn):
     return cmd
 
 
+def _reg_basis_size(n: int, d: int, max_norm: int | None = None) -> int:
+    # decorated trees of degree n, counted by degree k: a tree is a root
+    # multi-index of norm p and a branch sequence of degree k - p; a branch
+    # is an edge multi-index of norm q and a subtree of degree k - 1 - q
+    if d < 1:
+        raise ValueError("dimension must be at least 1")
+    top = n if max_norm is None else min(n, max_norm)
+    mis = [comb(p + d - 1, d - 1) for p in range(top + 1)]
+    trees, seqs, branches = [0] * (n + 1), [1] + [0] * n, [0] * (n + 1)
+    for k in range(n + 1):
+        if k:
+            branches[k] = sum(mis[q] * trees[k - 1 - q]
+                              for q in range(min(k - 1, top) + 1))
+            seqs[k] = sum(branches[j] * seqs[k - j] for j in range(1, k + 1))
+        trees[k] = sum(mis[p] * seqs[k - p] for p in range(min(k, top) + 1))
+    return trees[n]
+
+
 def _cmd_reg_basis(args) -> int:
-    _cap(args.degree, "degree")
+    n = _cap(args.degree, "degree")
     if args.max_norm is not None:
         _cap(args.max_norm, "max norm")
-    trees = enumerate_reg_trees(args.degree, args.dim, args.max_norm)
-    if args.output == "json":
-        print(json.dumps([t.text for t in trees], indent=2))
-    else:
-        for t in trees:
-            print(t.text)
-    return 0
+    _refuse_wide(f"reg-basis of degree {n} over dimension {args.dim}",
+                 _reg_basis_size(n, args.dim, args.max_norm), "trees",
+                 _reg_basis_size(degree_cap(), 2), "dimension 2")
+    return _emit_listing(args,
+                         enumerate_reg_trees(n, args.dim, args.max_norm))
 
 
 def _cmd_verify(args) -> int:

@@ -48,6 +48,9 @@ class PlanarTree:
             self._text = t
         return t
 
+    def sort_key(self) -> tuple[int, str]:
+        return (self.degree, self.text)
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -266,7 +269,7 @@ def _tree_basis(n: int, alpha: tuple[str, ...]) -> tuple[PlanarTree, ...]:
             (tree(d, f.trees)
              for d in alpha
              for f in enumerate_forests(n - 1, alpha)),
-            key=lambda t: (t.degree, t.text),
+            key=PlanarTree.sort_key,
         )
     )
 

@@ -24,30 +24,13 @@ order.
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .forest import FOREST_ONE, OrderedForest, PlanarTree, enumerate_forests, forest, tree
-from .lincomb import LinComb, Tensor, _add_into, tensor_of
+from .lincomb import LinComb, Tensor, _add_into, _shuffle_words, tensor_of
 from .linalg import kernel_basis, rank
 from .memo import memo
 from .mkw import reduced_coproduct, reduced_coproduct_forest
-
-
-def gr_shuffle(u: tuple, v: tuple) -> LinComb:
-    """Shuffle two words given as tuples of letters; keys are merged tuples."""
-    nu, nv = len(u), len(v)
-    acc: dict = {}
-    for pick in combinations(range(nu + nv), nu):
-        out: list = [None] * (nu + nv)
-        for idx, p in enumerate(pick):
-            out[p] = u[idx]
-        it = iter(v)
-        for i in range(nu + nv):
-            if out[i] is None:
-                out[i] = next(it)
-        _add_into(acc, tuple(out), 1)
-    return LinComb._adopt(acc)
 
 
 def _vertex_children(f: OrderedForest) -> list[tuple[PlanarTree, ...]]:
@@ -81,7 +64,7 @@ def _growth_forests(w1: OrderedForest, w2: OrderedForest) -> LinComb:
         return LinComb.basis(w2)
     acc: dict = {}
     for vi, existing in enumerate(_vertex_children(w2)):
-        for newkids, mult in gr_shuffle(w1.trees, existing).items():
+        for newkids, mult in _shuffle_words(w1.trees, existing).items():
             counter = [0]
             rebuilt = forest(_replace_at(t, vi, newkids, counter)
                              for t in w2.trees)

@@ -20,9 +20,9 @@ arithmetic produced them.  A ``float`` is refused with ``TypeError`` wherever
 a coefficient enters.
 
 Keys are any hashable basis values; the degree-aware helpers additionally
-expect a ``.degree`` attribute (planar forests, nonplanar forests, decorated
-trees all qualify).  Instances are immutable and hashable, so a LinComb can
-itself be used as a letter of a formal word.
+expect a ``.degree`` attribute (forests and decorated trees qualify).
+Instances are immutable and hashable, so a LinComb can itself be used as a
+letter of a formal word.
 
 :class:`Tensor` is the flat sparse analogue for tensor products, stored the
 same way: terms are keyed by tuples of basis keys, one per leg.  Coproduct
@@ -531,26 +531,32 @@ def concat(x: LinComb, y: LinComb) -> LinComb:
     return LinComb._make(acc, x._den * y._den)
 
 
-def shuffle_words(f1: OrderedForest, f2: OrderedForest) -> LinComb:
-    """Shuffle two forests as words of trees (multiplicities included)."""
-    t1, t2 = f1.trees, f2.trees
-    n1, n2 = len(t1), len(t2)
-    if not n1:
-        return LinComb.basis(f2)
-    if not n2:
-        return LinComb.basis(f1)
+def _shuffle_words(u: tuple, v: tuple) -> dict[tuple, int]:
+    """Distinct shuffles of two words given as tuples, with their integer
+    multiplicities: the number of position subsets that give each."""
+    nu, n = len(u), len(u) + len(v)
     acc: dict = {}
-    slots = range(n1 + n2)
-    for pick in combinations(slots, n1):
-        out: list = [None] * (n1 + n2)
+    for pick in combinations(range(n), nu):
+        out: list = [None] * n
         for idx, p in enumerate(pick):
-            out[p] = t1[idx]
-        it = iter(t2)
-        for p in slots:
+            out[p] = u[idx]
+        it = iter(v)
+        for p in range(n):
             if out[p] is None:
                 out[p] = next(it)
-        _add_into(acc, forest(out), 1)
-    return LinComb._make(acc)
+        key = tuple(out)
+        acc[key] = acc.get(key, 0) + 1
+    return acc
+
+
+def shuffle_words(f1: OrderedForest, f2: OrderedForest) -> LinComb:
+    """Shuffle two forests as words of trees (multiplicities included)."""
+    if f1.is_empty:
+        return LinComb.basis(f2)
+    if f2.is_empty:
+        return LinComb.basis(f1)
+    return LinComb._make({forest(w): m for w, m in
+                          _shuffle_words(f1.trees, f2.trees).items()})
 
 
 def shuffle(x: LinComb, y: LinComb) -> LinComb:

@@ -35,12 +35,13 @@ duality against the product is exact on degree-complementary pairs.
 from __future__ import annotations
 
 import re
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 from math import comb
 from typing import Iterator
 
 from .forest import MAX_NESTING, NESTING_ERROR, ForestSyntaxError
-from .lincomb import LinComb, Tensor, _add_into, graded_transpose
+from .lincomb import (LinComb, Tensor, _add_into, _deshuffle_words,
+                      graded_transpose)
 from .memo import memo
 
 MultiIndex = tuple[int, ...]
@@ -480,18 +481,12 @@ def reg_assoc_product(x: LinComb | RegTree, y: LinComb | RegTree) -> LinComb:
 
 @memo
 def reg_deshuffle_tree(t: RegTree) -> Tensor:
-    edges = t.edges
-    n = len(edges)
+    splits = _deshuffle_words(t.edges).items()
     acc: dict = {}
     for n1, n2 in mi_splits(t.dec):
         w = mi_binom(t.dec, n1)
-        for r in range(n + 1):
-            for pick in combinations(range(n), r):
-                picked = set(pick)
-                left = reg_tree(n1, tuple(edges[i] for i in pick))
-                right = reg_tree(n2, tuple(
-                    edges[i] for i in range(n) if i not in picked))
-                _add_into(acc, (left, right), w)
+        for (left, right), m in splits:
+            _add_into(acc, (reg_tree(n1, left), reg_tree(n2, right)), w * m)
     return Tensor._adopt(2, acc)
 
 
@@ -704,12 +699,6 @@ def _branches(deg: int, d: int, max_norm: int | None) -> list[tuple]:
             for sub in enumerate_reg_trees(deg - 1 - q, d, max_norm):
                 out.append((a, sub))
     return out
-
-
-def reg_trees_up_to(n: int, d: int,
-                    max_norm: int | None = None) -> Iterator[RegTree]:
-    for k in range(n + 1):
-        yield from enumerate_reg_trees(k, d, max_norm)
 
 
 def enumerate_v_letters(n: int, d: int,

@@ -273,3 +273,22 @@ def test_basis_alphabet_width_cap_exit_1(capsys):
     assert (code, out) == (1, "")
     assert "7028736 forests" in err and "54912" in err
     assert "POSTLIE_DEGREE_CAP" in err
+
+
+def test_reg_basis_width_cap_exit_1(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "reg-basis", "--degree", "4", "--dim", "40")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert "460264 trees" in err and "46821" in err
+    assert "POSTLIE_DEGREE_CAP" in err
+
+
+@pytest.mark.parametrize("max_norm", [None, 0, 1, 2])
+def test_reg_basis_size_counts_the_enumeration(max_norm):
+    from postlie.cli import _reg_basis_size
+    from postlie.regstruct import enumerate_reg_trees
+    for d in (1, 2, 3):
+        for n in range(5):
+            assert _reg_basis_size(n, d, max_norm) \
+                == len(enumerate_reg_trees(n, d, max_norm))

@@ -4,11 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from postlie.forest import FOREST_ONE, forests_up_to, parse_forest
+from postlie import coalgebra_endomorphism, comodule_coaction, u1_rank_by_degree
+from postlie.forest import FOREST_ONE, forests_up_to, parse_forest, word
 from postlie.growth import (f_decompose, f_recompose, growth_fold,
                             is_primitive, natural_growth, primitive_basis,
                             primitive_degree, primitive_projection)
-from postlie.lincomb import LinComb, tensor_of
+from postlie.lincomb import LinComb, Tensor, counit, tensor_of
+from postlie.mkw import mkw_coproduct
 
 
 def b(text):
@@ -104,3 +106,76 @@ def test_fold_decomposition_matches_two_pass_reference():
         x = LinComb.basis(f) + LinComb.basis(g) * Fraction(-2, 3)
         got, want = f_decompose(x), _f_decompose_two_pass(x)
         assert got == want and list(got) == list(want)
+
+
+# -- comodules and coalgebra endomorphisms ------------------------------------
+
+def _arity_one(t):
+    return t.map_basis(lambda key: LinComb.basis(key[0]))
+
+
+def _concat_legs(t):
+    return t.map_basis(lambda key: LinComb.basis(word(*key)))
+
+
+def _endomorphism_sweep(u, alphabet, maxdeg):
+    def phi(f):
+        return coalgebra_endomorphism(u, LinComb.basis(f))
+
+    moved = failed = 0
+    for f in forests_up_to(maxdeg, alphabet):
+        if f.is_empty:
+            continue
+        x = LinComb.basis(f)
+        y = phi(f)
+        moved += y != x
+        failed += (mkw_coproduct(y)
+                   != mkw_coproduct(x).apply_linear(0, phi).apply_linear(1, phi))
+    return moved, failed
+
+
+def test_endomorphism_from_primitive_family_commutes_with_coproduct():
+    u = {1: _arity_one, 2: lambda t: primitive_projection(_concat_legs(t))}
+    assert _endomorphism_sweep(u, ("a", "b"), 3) == (48, 0)
+
+
+def test_endomorphism_from_non_primitive_family_breaks_coproduct():
+    _, failed = _endomorphism_sweep({1: _arity_one, 2: _concat_legs},
+                                       ("a", "b"), 3)
+    assert failed > 0
+
+
+def test_u1_rank_by_degree_of_identity():
+    assert u1_rank_by_degree(_arity_one, 3, "ab") \
+        == {1: (2, 2), 2: (4, 4), 3: (16, 16)}
+
+
+def _degree_one_family(n):
+    return {(i, j): b("[a]") * i + b("[b]") * j
+            for i in range(1, n + 1) for j in range(i, n + 1)}
+
+
+def test_comodule_coaction_counit_and_coassociativity():
+    n = 3
+    rows = comodule_coaction(n, _degree_one_family(n))
+    zero = Tensor(2)
+    for i in range(n + 1):
+        for k in range(i + 1):
+            c = rows[i].get(k, LinComb.zero())
+            assert counit(c) == (1 if k == i else 0)
+            split = sum((tensor_of(rows[i][j], rows[j][k])
+                         for j in range(k, i + 1)
+                         if j in rows[i] and k in rows[j]), zero)
+            assert mkw_coproduct(c) == split
+    assert all(j in rows[i] for i in range(n + 1) for j in range(i + 1))
+
+
+@pytest.mark.parametrize("entry", [None, "[a[b]]"])
+def test_comodule_coaction_refuses_bad_family(entry):
+    family = _degree_one_family(2)
+    if entry is None:
+        del family[(1, 2)]
+    else:
+        family[(1, 2)] = b(entry)
+    with pytest.raises(ValueError):
+        comodule_coaction(2, family)

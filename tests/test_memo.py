@@ -21,7 +21,6 @@ SRC = Path(postlie.__file__).parent
 # Tree and forest types intern their instances so that equal text parses to
 # the same object; these tables are not memos and are never cleared.
 INTERN_TABLES = {("forest", "_TREES"), ("forest", "_FORESTS"),
-                 ("bck", "_NP_TREES"), ("bck", "_NP_FORESTS"),
                  ("regstruct", "_REG_TREES")}
 
 
@@ -47,7 +46,7 @@ def test_cache_sizes_names_one_entry_per_memo():
                     for d in node.decorator_list):
                 decorated.append(f"{path.stem}.{node.name}")
     assert sorted(cache_sizes()) == sorted(decorated)
-    assert len(decorated) == 34
+    assert len(decorated) == 33
 
 
 def sample_values():
