@@ -9,7 +9,7 @@ it follows the rewriting
 which terminates because every term on the right has fewer trees.  Its
 inverse rebuilds with the grafting product instead: a word t.w maps to
 t * phi_inverse(w).  Both preserve degree and are unitriangular with respect
-to tree count, which ``phi_matrix`` exposes for rank checks.
+to tree count, as the graded matrix from ``phi_matrix`` shows.
 
 ``TruncChar`` is a linear functional on forests of bounded degree, stored
 extensionally.  Both flavors are multiplicative for the shuffle of forests;
@@ -190,14 +190,10 @@ def group_like_failures(series: LinComb, N: int) -> list[tuple]:
     """Split failures of deshuffle(series) = series (x) series below degree N."""
     lhs = deshuffle(series.truncate(N))
     rhs = tensor_of(series, series)
-    bad: list = []
-    keys = set(k for k, _ in lhs.items()) | set(k for k, _ in rhs.items())
-    for l, r in sorted(keys, key=lambda p: (p[0].sort_key(), p[1].sort_key())):
-        if l.degree + r.degree > N:
-            continue
-        if lhs.coeff((l, r)) != rhs.coeff((l, r)):
-            bad.append((l, r, lhs.coeff((l, r)), rhs.coeff((l, r))))
-    return bad
+    keys = sorted((lhs - rhs).support(),
+                  key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+    return [(l, r, lhs.coeff((l, r)), rhs.coeff((l, r)))
+            for l, r in keys if l.degree + r.degree <= N]
 
 
 def char_convolve(X: TruncChar, Y: TruncChar) -> TruncChar:

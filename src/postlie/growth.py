@@ -212,13 +212,7 @@ def primitive_basis(n: int, alphabet: Iterable[str]) -> tuple[LinComb, ...]:
 def _primitive_basis(n: int, alphabet: tuple[str, ...]) -> tuple[LinComb, ...]:
     if n <= 0:
         return ()
-    forests = enumerate_forests(n, alphabet)
-    images = [reduced_coproduct_forest(f) for f in forests]
-    targets = sorted({k for img in images for k, _ in img.items()},
-                     key=lambda p: (p[0].sort_key(), p[1].sort_key()))
-    matrix = [[img.coeff(tkey) for img in images] for tkey in targets]
-    return tuple(LinComb.from_terms(zip(forests, vec))
-                 for vec in kernel_basis(matrix, len(forests)))
+    return kernel_basis(enumerate_forests(n, alphabet), reduced_coproduct_forest)
 
 
 def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -316,16 +310,8 @@ def u1_rank_by_degree(u1: Callable[[Tensor], LinComb], maxdeg: int,
     out: dict = {}
     for d in range(1, maxdeg + 1):
         basis = primitive_basis(d, alphabet)
-        forests = enumerate_forests(d, alphabet)
-        index = {f: i for i, f in enumerate(forests)}
-        rows = []
-        for p in basis:
-            img = u1(Tensor(1, {(f,): c for f, c in p.items()}))
-            row = [0] * len(forests)
-            for f, c in img.items():
-                if f.degree != d:
-                    raise ValueError("arity-one map does not preserve degree")
-                row[index[f]] = c
-            rows.append(row)
-        out[d] = (rank(rows) if rows else 0, len(basis))
+        images = [u1(Tensor(1, {(f,): c for f, c in p.items()})) for p in basis]
+        if any(f.degree != d for img in images for f in img.support()):
+            raise ValueError("arity-one map does not preserve degree")
+        out[d] = (rank(images), len(basis))
     return out

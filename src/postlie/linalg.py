@@ -1,97 +1,98 @@
-"""Exact fraction-free Gauss-Jordan elimination, sized for graded basis work.
+"""Exact sparse elimination on the library's own vectors.
 
-Matrices hold ``int`` or ``Fraction`` entries (a ``float`` raises
-``TypeError``).  ``rref`` scales each row to integers by the lcm of its
-denominators, eliminates by integer cross-multiplication, and keeps every
-row primitive by dividing out the gcd of its entries, so no ``Fraction`` is
-built while eliminating (the integer-preserving idea of Bareiss, *Sylvester's
-identity and multistep integer-preserving Gaussian elimination*, 1968).  Each
-pivot row is divided by its pivot once, at the end.  The reduced row echelon
-form is unique and row scaling keeps the row space, so the result is the one
-Gauss-Jordan elimination over the rationals gives; entries that are whole
-numbers come back as ``int``.
+One elimination, ``_reduce``, serves every entry point.  It takes the images
+a caller already has, ``LinComb`` or ``Tensor`` values, in order, and reduces
+each against the pivots stored so far, earliest first, with their own
+arithmetic.  A nonzero residue is stored as a pivot, scaled to 1 at a key of
+its support and already reduced against every earlier pivot.  A vector that
+reduces to zero equals a unique combination of the earlier vectors; that is
+the canonical free-column kernel vector of the matrix whose columns are the
+images, whichever pivot keys were chosen.  ``rref`` and ``invert`` are dense
+adapters: columns become vectors keyed by row index, the pivot columns are
+the independent ones, and a dependent column's entry in pivot row ``i`` is
+minus its tracked combination at pivot column ``i``.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
-from typing import Sequence
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .lincomb import _EXACT, Coeff, _quotient, _reject_inexact
+from .lincomb import Coeff, LinComb, Tensor
 
 
 class SingularMatrixError(ValueError):
     pass
 
 
-def _primitive(row: list[int]) -> list[int]:
-    g = gcd(*row)
-    return row if g <= 1 else [v // g for v in row]
+def _reduce(vectors: Iterable[LinComb | Tensor], track: bool,
+            ) -> Iterator[tuple[bool, LinComb | None]]:
+    """Per vector: whether it became a pivot and, with ``track``, the
+    combination of input positions its residue equals (zero residue for a
+    dependent vector)."""
+    pivots: list = []   # (key, monic residue, its combination of inputs)
+    index: dict = {}    # pivot key -> position in ``pivots``
+    for j, v in enumerate(vectors):
+        combo = LinComb.basis(j) if track else None
+        todo = [index[k] for k in v.support() if k in index]
+        heapify(todo)
+        while todo:
+            i = heappop(todo)
+            key, p, pc = pivots[i]
+            c = v.coeff(key)
+            if not c:
+                continue
+            v = v - c * p
+            if track:
+                combo = combo - c * pc
+            for k in p.support():  # only later pivots' keys can come in
+                later = index.get(k, i)
+                if later > i:
+                    heappush(todo, later)
+        if v.is_zero:
+            yield False, combo
+            continue
+        key = next(iter(v.support()))
+        s = Fraction(1) / v.coeff(key)
+        index[key] = len(pivots)
+        pivots.append((key, s * v, s * combo if track else None))
+        yield True, combo
 
 
-def _integral(row: Sequence[Coeff]) -> list[int]:
-    # The row scaled to coprime integers; a zero row stays zero.
-    if not _EXACT.issuperset(map(type, row)):
-        _reject_inexact(row)
-    den = lcm(*(v.denominator for v in row))
-    return _primitive([v.numerator * (den // v.denominator) for v in row])
+def rank(vectors: Iterable[LinComb | Tensor]) -> int:
+    """Dimension of the span of ``vectors``."""
+    return sum(pivot for pivot, _ in _reduce(vectors, False))
+
+
+def kernel_basis(basis: Iterable[Hashable],
+                 image: Callable[[Hashable], LinComb | Tensor],
+                 ) -> tuple[LinComb, ...]:
+    """Kernel of the linear extension of ``image``: for each ``b`` whose
+    image depends on the earlier ones, ``b`` minus the earlier basis
+    elements' combination with that image, terms in basis order."""
+    basis = tuple(basis)
+    return tuple(
+        LinComb.from_terms((basis[i], c) for i, c in sorted(combo.items()))
+        for pivot, combo in _reduce(map(image, basis), True) if not pivot)
 
 
 def rref(matrix: Sequence[Sequence[Coeff]]) -> tuple[list[list[Coeff]], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [_integral(r) for r in matrix]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        prow = rows[r]
-        p = prow[col]
-        for i, row in enumerate(rows):
-            f = row[col]
-            if i != r and f:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                rows[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    for i, col in enumerate(pivots):
-        p = rows[i][col]
-        rows[i] = [_quotient(v, p) for v in rows[i]]
-    return rows, pivots
-
-
-def rank(matrix: Sequence[Sequence[Coeff]]) -> int:
-    return len(rref(matrix)[1])
-
-
-def kernel_basis(matrix: Sequence[Sequence[Coeff]], ncols: int) -> list[list[Coeff]]:
-    """Basis of {v : M v = 0} for M given as rows of length ``ncols``.
-
-    The basis is the canonical free-column one from the RREF, so it is
-    deterministic for a fixed row and column order.
-    """
     if not matrix:
-        return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
-    reduced, pivots = rref(matrix)
-    pivot_set = set(pivots)
-    out = []
-    for free in range(ncols):
-        if free in pivot_set:
+        return [], []
+    rows: list[list[Coeff]] = [[0] * len(matrix[0]) for _ in matrix]
+    row_of: dict[int, int] = {}   # pivot column -> its row
+    columns = [LinComb(dict(enumerate(col))) for col in zip(*matrix)]
+    for col, (pivot, combo) in enumerate(_reduce(columns, True)):
+        if pivot:
+            rows[len(row_of)][col] = 1
+            row_of[col] = len(row_of)
             continue
-        v = [0] * ncols
-        v[free] = 1
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = -reduced[prow][free]
-        out.append(v)
-    return out
+        for p, c in combo.items():
+            if p != col:
+                rows[row_of[p]][col] = -c
+    return rows, list(row_of)
 
 
 def invert(matrix: Sequence[Sequence[Coeff]]) -> list[list[Coeff]]:

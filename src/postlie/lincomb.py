@@ -151,6 +151,10 @@ class _Exact:
         n = self._num.get(key, 0)
         return _quotient(n, self._den) if n and self._den != 1 else n
 
+    def support(self):
+        """The keys, read without building a coefficient."""
+        return self._num.keys()
+
     @property
     def is_zero(self) -> bool:
         return not self._num
@@ -252,11 +256,6 @@ class LinComb(_Exact):
         for k, c in pairs:
             _add_into(acc, k, as_coeff(c))
         return LinComb._adopt(acc)
-
-    # accessors ------------------------------------------------------------
-
-    def support(self):
-        return self._num.keys()
 
     # bilinear and coproduct extensions (summed as ``_Exact._linear``) ----
 
@@ -504,7 +503,7 @@ def duality_mismatches(n: int, basis: Callable[[int], Iterable[Hashable]],
     support of ``coproduct(x)`` minus the transpose, on degree ``n``."""
     for x, dual in graded_transpose(n, basis, product).items():
         cop = coproduct(x)
-        for key, _ in (cop - dual).items():
+        for key in (cop - dual).support():
             yield (x, key[0], key[1], cop.coeff(key), dual.coeff(key))
 
 

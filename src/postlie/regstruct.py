@@ -786,15 +786,3 @@ def phi_reg_inverse(x: LinComb | RegTree, maxdeg: int) -> LinComb:
         raise ValueError(f"degree overflow: input has degree {top}, cap {maxdeg}")
     return lx.map_basis(_psi_tree)
 
-
-def phi_reg_matrix(n: int, d: int):
-    """Degree ``n`` basis and the matrix of the isomorphism's graded part.
-
-    Entry [i][j] is the coefficient of basis[i] in the image of basis[j];
-    lower-degree components are dropped.  The matrix is unitriangular in
-    the letter-count order, hence invertible.
-    """
-    basis = enumerate_reg_trees(n, d)
-    images = [_phi_tree(b) for b in basis]
-    rows = [[img.coeff(a) for img in images] for a in basis]
-    return basis, rows

@@ -27,9 +27,9 @@ from typing import Callable, NamedTuple
 
 from . import linalg
 from .bck import NP_ONE, bck_primitive_projection, np_parse
-from .characters import (canonical_lift, char_convolve, character_failures,
-                         embed_rough_path, phi, phi_inverse, phi_matrix,
-                         unembed_rough_path)
+from .characters import (_phi_forest, canonical_lift, char_convolve,
+                         character_failures, embed_rough_path, phi,
+                         phi_inverse, unembed_rough_path)
 from .coaction import (compose_vectors, cointeraction_laws,
                        cotranslation_laws, disjointness_witness,
                        graft_duality_failures, rho_graft, translate)
@@ -52,10 +52,10 @@ from .mkw import (duality_failures, mkw_antipode, mkw_coproduct,
 from .regstruct import (bracket0, deformed_graft, deformed_mkw_coproduct,
                         deformed_mkw_tree, enumerate_reg_trees,
                         enumerate_v_letters, lower_root_adjacent, mi_unit,
-                        phi_reg, phi_reg_inverse, phi_reg_matrix, plant,
-                        reg_assoc_product, reg_deshuffle, reg_deshuffle_tree,
-                        reg_gl_product, reg_gl_trees, reg_graft,
-                        reg_mul_trees, reg_one, x_power, _peel, _phi_tree)
+                        phi_reg, phi_reg_inverse, plant, reg_assoc_product,
+                        reg_deshuffle, reg_deshuffle_tree, reg_gl_product,
+                        reg_gl_trees, reg_graft, reg_mul_trees, reg_one,
+                        x_power, _peel, _phi_tree)
 
 DEFAULT_DEGREE_CAP = 7
 
@@ -93,13 +93,16 @@ def _degree(n: int) -> tuple[int]:
     return (n,)
 
 
-def _unitriangular(maxdeg: int, matrix: Callable[[int], tuple]) -> Law:
-    """Each graded block ``matrix(n)`` has unit diagonal and full rank."""
+def _unitriangular(maxdeg: int, basis: Callable[[int], tuple],
+                   image: Callable) -> Law:
+    """On each ``basis(n)``, ``image`` is 1 on the diagonal and its degree-n
+    part has full rank."""
     def check(n: int):
-        basis, rows = matrix(n)
-        if any(rows[i][i] != 1 for i in range(len(basis))):
+        bs = basis(n)
+        images = [image(b) for b in bs]
+        if any(img.coeff(b) != 1 for b, img in zip(bs, images)):
             yield f"degree {n}: diagonal entry differs from 1"
-        if linalg.rank([row[:] for row in rows]) != len(basis):
+        if linalg.rank(img.homogeneous(n) for img in images) != len(bs):
             yield f"degree {n}: graded matrix is singular"
     return Law("graded-unitriangular", deg_range(maxdeg),
                graded(_degree, maxdeg, 1), check)
@@ -365,7 +368,8 @@ def _phi_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
             forests(letters, maxdeg, k=2), morphism),
         Law("deshuffle-coalgebra-morphism", deg_range(maxdeg),
             forests(letters, maxdeg), coalgebra_morphism),
-        _unitriangular(maxdeg, lambda n: phi_matrix(n, letters)),
+        _unitriangular(maxdeg, lambda n: enumerate_forests(n, letters),
+                       _phi_forest),
         Law("round-trip", deg_range(maxdeg), forests(letters, maxdeg),
             round_trip),
         Law("character-transport", f"truncation N = {n_transport}", ONCE,
@@ -670,7 +674,7 @@ def _reg_phi_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
         Law("unit-peel-order-independent",
             f"two coordinates, degree <= {peel_deg}",
             product((0, 1), dim_two), unit_peel),
-        _unitriangular(maxdeg, lambda n: phi_reg_matrix(n, 1)),
+        _unitriangular(maxdeg, lambda n: enumerate_reg_trees(n, 1), _phi_tree),
         Law("round-trip", deg_range(maxdeg), graded(_reg_trees, maxdeg),
             round_trip),
         Law("deshuffle-coalgebra-morphism", deg_range(maxdeg),

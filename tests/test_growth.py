@@ -179,3 +179,10 @@ def test_comodule_coaction_refuses_bad_family(entry):
         family[(1, 2)] = b(entry)
     with pytest.raises(ValueError):
         comodule_coaction(2, family)
+
+
+def test_u1_rank_by_degree_refuses_a_map_that_moves_the_degree():
+    def shifted(t):  # grafts each primitive onto a new root: degree + 1
+        return t.map_basis(lambda key: b(f"[o{key[0].text}]"))
+    with pytest.raises(ValueError, match="does not preserve degree"):
+        u1_rank_by_degree(shifted, 2, "o")

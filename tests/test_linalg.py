@@ -1,4 +1,4 @@
-"""Fraction-free elimination against Gauss-Jordan over Fraction."""
+"""The sparse elimination against dense Gauss-Jordan over Fraction."""
 
 import random
 from fractions import Fraction
@@ -7,7 +7,7 @@ import pytest
 
 from postlie.forest import enumerate_forests
 from postlie.growth import primitive_basis
-from postlie.lincomb import LinComb
+from postlie.lincomb import LinComb, Tensor
 from postlie.linalg import SingularMatrixError, invert, kernel_basis, rank, rref
 from postlie.mkw import reduced_coproduct_forest
 
@@ -93,14 +93,29 @@ def _cases():
         yield random_matrix(rng, rng.randint(1, 8), rng.randint(1, 8))
 
 
+def columns(m):
+    """The matrix's columns as vectors keyed by row index."""
+    return [LinComb(dict(enumerate(col))) for col in zip(*m)]
+
+
+def as_vectors(dense):
+    return tuple(LinComb.from_terms(enumerate(vec)) for vec in dense)
+
+
 def test_rref_and_kernel_match_oracle():
     for m in _cases():
         ncols = len(m[0])
         got = rref(m)
         assert got == rref_oracle(m), m
         assert all(type(v) in (int, Fraction) for row in got[0] for v in row)
-        assert kernel_basis(m, ncols) == kernel_oracle(m, ncols), m
-        assert rank(m) == len(rref_oracle(m)[1])
+        cols = columns(m)
+        kernel = kernel_basis(range(ncols), cols.__getitem__)
+        assert kernel == as_vectors(kernel_oracle(m, ncols)), m
+        for vec in kernel:  # terms in basis order
+            assert list(vec.support()) == sorted(vec.support())
+        want = len(rref_oracle(m)[1])
+        assert rank(cols) == want
+        assert rank(LinComb(dict(enumerate(row))) for row in m) == want
 
 
 def test_invert_matches_oracle_or_raises():
@@ -122,7 +137,11 @@ def test_invert_matches_oracle_or_raises():
 
 def test_edge_shapes():
     assert rref([]) == ([], [])
-    assert kernel_basis([], 2) == [[1, 0], [0, 1]]
+    zero = LinComb.zero()
+    assert kernel_basis("ab", lambda _: zero) == (LinComb.basis("a"),
+                                                  LinComb.basis("b"))
+    assert kernel_basis((), lambda _: zero) == ()
+    assert rank([]) == 0
     assert rref([[0, 0], [0, 0]]) == rref_oracle([[0, 0], [0, 0]])
     assert invert([[Fraction(1, 2)]]) == [[2]]
     with pytest.raises(SingularMatrixError):
@@ -134,12 +153,17 @@ def test_float_entries_are_refused():
         rref([[1, 0.5]])
 
 
+def _dense_images(forests, image):
+    """Rows: the image keys in sorted order; columns: the forests."""
+    images = [image(f) for f in forests]
+    targets = sorted({k for img in images for k in img.support()},
+                     key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+    return [[Fraction(img.coeff(t)) for img in images] for t in targets]
+
+
 def _oracle_primitive_basis(n, alphabet):
     forests = enumerate_forests(n, alphabet)
-    images = [reduced_coproduct_forest(f) for f in forests]
-    targets = sorted({k for img in images for k, _ in img.items()},
-                     key=lambda p: (p[0].sort_key(), p[1].sort_key()))
-    matrix = [[Fraction(img.coeff(t)) for img in images] for t in targets]
+    matrix = _dense_images(forests, reduced_coproduct_forest)
     return tuple(LinComb.from_terms(zip(forests, vec))
                  for vec in kernel_oracle(matrix, len(forests)))
 
@@ -153,3 +177,25 @@ def test_primitive_basis_matches_oracle(maxdeg, alphabet):
         for g, w in zip(got, want):
             assert sorted(g.items(), key=lambda kv: kv[0].sort_key()) == \
                 sorted(w.items(), key=lambda kv: kv[0].sort_key())
+
+
+def test_tensor_images_with_denominators():
+    third = Fraction(1, 3)
+    for n, alphabet in [(4, ("o",)), (3, ("a", "b"))]:
+        forests = enumerate_forests(n, alphabet)
+        image = lambda f: third * reduced_coproduct_forest(f)
+        assert any(type(c) is Fraction  # images with den > 1 are exercised
+                   for f in forests for _, c in image(f).items())
+        matrix = _dense_images(forests, image)
+        got = kernel_basis(forests, image)
+        assert got == tuple(LinComb.from_terms(zip(forests, vec))
+                            for vec in kernel_oracle(matrix, len(forests)))
+        assert got == primitive_basis(n, alphabet)
+        assert rank(map(image, forests)) == len(rref_oracle(matrix)[1])
+
+
+def test_rank_takes_a_generator():
+    t = lambda *legs: Tensor.basis(legs)
+    vectors = (v for v in [t("a", "b"), t("a", "b") * Fraction(2, 5),
+                           t("b", "a") - t("a", "b"), t("b", "a")])
+    assert rank(vectors) == 2

@@ -11,10 +11,11 @@ from postlie.regstruct import (bracket0, deformed_graft, deformed_mkw_coproduct,
                                deformed_mkw_tree, enumerate_reg_trees,
                                enumerate_v_letters, is_v_letter,
                                lower_root_adjacent, parse_reg_tree, phi_reg,
-                               phi_reg_inverse, phi_reg_matrix, plant,
+                               phi_reg_inverse, plant,
                                reg_assoc_product, reg_deshuffle, reg_gl_product,
                                reg_graft, reg_one, reg_raise, reg_tree,
-                               reg_tree_from_json, reg_tree_to_json, x_power)
+                               reg_tree_from_json, reg_tree_to_json, x_power,
+                               _phi_tree)
 
 L = LinComb.basis
 
@@ -237,8 +238,9 @@ def test_phi_round_trips():
 
 def test_phi_matrix_full_rank():
     for n in range(4):
-        basis, rows = phi_reg_matrix(n, 1)
-        assert linalg.rank([row[:] for row in rows]) == len(basis)
+        basis = enumerate_reg_trees(n, 1)
+        images = [_phi_tree(t).homogeneous(n) for t in basis]
+        assert linalg.rank(images) == len(basis)
 
 
 def test_phi_is_filtered_not_graded():
