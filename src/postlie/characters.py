@@ -16,8 +16,7 @@ extensionally.  Both flavors are multiplicative for the shuffle of forests;
 they differ in which coproduct drives convolution: the cut coproduct for the
 "mkw" flavor, deconcatenation for the "tensor" flavor.  ``canonical_lift``
 exponentiates a degree-one increment element, ``embed_rough_path`` moves a
-lift to the tensor flavor by pushing its representing series through ``phi``,
-and ``PiScaling``/``deg_pi`` grade words of trees by vertex share.
+lift to the tensor flavor by pushing its representing series through ``phi``.
 """
 
 from __future__ import annotations
@@ -26,11 +25,11 @@ import json
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .forest import (FOREST_ONE, OrderedForest, PlanarTree, enumerate_forests,
-                     enumerate_trees, forest, parse_forest, single)
+from .forest import (FOREST_ONE, OrderedForest, enumerate_forests, forest,
+                     letters_in, parse_forest, single)
 from .grafting import concat_antipode, gl_exp, gl_product, graft_forests
-from .lincomb import (Coeff, LinComb, Tensor, as_coeff, concat,
-                      deconcat_forest, deshuffle, shuffle, tensor_of)
+from .lincomb import (Coeff, LinComb, as_coeff, concat, deconcat_forest,
+                      deshuffle, shuffle, tensor_of)
 from .memo import memo
 from .mkw import mkw_coproduct_forest, mkw_antipode
 
@@ -142,14 +141,7 @@ class TruncChar:
         return LinComb._adopt(acc)
 
     def letters(self) -> tuple[str, ...]:
-        out: set = set()
-        for f in self._values:
-            stack = list(f.trees)
-            while stack:
-                t = stack.pop()
-                out.add(t.decoration)
-                stack.extend(t.children)
-        return tuple(sorted(out))
+        return letters_in(*self._values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncChar):
@@ -249,32 +241,6 @@ def unembed_rough_path(Y: TruncChar) -> TruncChar:
     if Y.flavor != TENSOR_FLAVOR:
         raise ValueError("un-embedding starts from the tensor flavor")
     return TruncChar(Y.N, dict(phi_inverse(Y.series()).items()), MKW_FLAVOR)
-
-
-class PiScaling:
-    """Inhomogeneous scaling: tree j of size s gets exponent N/s."""
-
-    __slots__ = ("N", "trees", "exponents")
-
-    def __init__(self, N: int, alphabet: Iterable[str]):
-        if N < 1:
-            raise ValueError("truncation degree must be at least 1")
-        ts: list = []
-        for d in range(1, N + 1):
-            ts.extend(enumerate_trees(d, tuple(alphabet)))
-        self.N = N
-        self.trees = tuple(ts)
-        self.exponents = tuple(Fraction(N, t.degree) for t in ts)
-
-
-def deg_pi(w: OrderedForest, scaling: PiScaling) -> Fraction:
-    """Scaled degree of a word: each tree contributes size over N."""
-    total = Fraction(0)
-    for t in w.trees:
-        if t.degree > scaling.N:
-            raise ValueError(f"tree {t.text} exceeds the scaling window {scaling.N}")
-        total += Fraction(t.degree, scaling.N)
-    return total
 
 
 def char_to_json(X: TruncChar) -> str:

@@ -34,8 +34,8 @@ from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
 from .forest import (FOREST_ONE, OrderedForest, b_minus, b_plus,
-                     enumerate_forests, forest, leaf, render_forest, single,
-                     tree, word)
+                     enumerate_forests, forest, leaf, letters_in as _letters,
+                     render_forest, single, tree, word)
 from .grafting import gl_forests, gl_product, graft_forests, left_graft
 from .laws import ONCE, Law, deg_range, forests, pair_range, run_laws
 from .lincomb import (LinComb, Tensor, _add_into, deconcat_forest,
@@ -99,16 +99,6 @@ def graft_duality_failures(maxdeg: int, alphabet: Iterable[str],
 
 
 # -- dual coproducts by transposition --------------------------------------
-
-def _letters(f: OrderedForest) -> tuple[str, ...]:
-    out: set[str] = set()
-    stack = list(f.trees)
-    while stack:
-        t = stack.pop()
-        out.add(t.decoration)
-        stack.extend(t.children)
-    return tuple(sorted(out))
-
 
 def transpose_product(f: OrderedForest, product: ForestProduct,
                       alphabet: Iterable[str] | None = None) -> Tensor:

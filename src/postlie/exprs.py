@@ -242,17 +242,28 @@ class _Parser:
                 raise ForestSyntaxError("expected )", close[2])
             if inner.arity != 1:
                 raise ForestSyntaxError("tensor inside parentheses", tok[2])
-            return LinComb({key[0]: c for key, c in inner.items()})
+            return _one_leg(inner)
         raise ForestSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
 
 
-def _forest_atom(alphabet) -> Callable[[str, int], LinComb]:
+def _atom(parse: Callable[[str], object]) -> Callable[[str, int], LinComb]:
+    """The basis element of ``parse(token)``, a syntax error in the token
+    moved to its position in the whole expression."""
     def atom(text: str, pos: int) -> LinComb:
         try:
-            return LinComb.basis(parse_forest(text, alphabet))
+            return LinComb.basis(parse(text))
         except ForestSyntaxError as err:
             raise ForestSyntaxError(err.message, pos + err.position) from None
     return atom
+
+
+def _forest_atom(alphabet) -> Callable[[str, int], LinComb]:
+    return _atom(lambda text: parse_forest(text, alphabet))
+
+
+def _one_leg(t: Tensor) -> LinComb:
+    """A tensor of arity one as the combination it is."""
+    return LinComb({key[0]: c for key, c in t.items()})
 
 
 def _parse(text: str, atom, shuffle_fn, unit) -> Tensor:
@@ -265,7 +276,7 @@ def parse_lincomb(text: str, alphabet=None) -> LinComb:
                  LinComb.basis(parse_forest("1")))
     if out.arity != 1:
         raise ForestSyntaxError("expected a plain sum, found tensor legs", 0)
-    return LinComb({key[0]: c for key, c in out.items()})
+    return _one_leg(out)
 
 
 def parse_tensor(text: str, alphabet=None) -> Tensor:
@@ -278,19 +289,17 @@ def parse_reg_lincomb(text: str, d: int | None = None) -> LinComb:
     """Parse a sum of decorated words; dimension inferred when not given."""
     dim = [d]
 
-    def atom(tok: str, pos: int) -> LinComb:
-        try:
-            t = parse_reg_tree(tok, dim[0])
-        except ForestSyntaxError as err:
-            raise ForestSyntaxError(err.message, pos + err.position) from None
+    def parse(tok: str) -> RegTree:
+        t = parse_reg_tree(tok, dim[0])
         dim[0] = t.dim
-        return LinComb.basis(t)
+        return t
 
     unit_text = "[o{" + ",".join("0" for _ in range(d or 1)) + "}]"
-    out = _parse(text, atom, None, LinComb.basis(parse_reg_tree(unit_text)))
+    out = _parse(text, _atom(parse), None,
+                 LinComb.basis(parse_reg_tree(unit_text)))
     if out.arity != 1:
         raise ForestSyntaxError("expected a plain sum, found tensor legs", 0)
-    return LinComb({key[0]: c for key, c in out.items()})
+    return _one_leg(out)
 
 
 # -- JSON --------------------------------------------------------------------

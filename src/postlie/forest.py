@@ -9,8 +9,10 @@ When the session alphabet has a single letter the decoration token may be
 omitted, so ``[[][]]`` parses as ``[o[o][o]]`` over alphabet ``{"o"}``.
 
 Trees and forests are immutable and hash-consed: structurally equal values
-are the same object, hashes are precomputed, and child order is load-bearing
-(``[a[b][c]]`` differs from ``[a[c][b]]``).
+are the same object, and child order is load-bearing (``[a[b][c]]`` differs
+from ``[a[c][b]]``).  So equality and hashing are Python's identity ones.
+That rests on every instance being built through ``tree`` or ``forest`` and
+on their intern tables never being cleared.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ class ForestSyntaxError(ValueError):
 
 
 class PlanarTree:
-    __slots__ = ("decoration", "children", "degree", "_hash", "_text")
+    __slots__ = ("decoration", "children", "degree", "_text")
 
     def __init__(self, decoration: str, children: tuple["PlanarTree", ...]):
         self.decoration = decoration
         self.children = children
         self.degree = 1 + sum(c.degree for c in children)
-        self._hash = hash((decoration, children))
         self._text: str | None = None
 
     @property
@@ -50,20 +51,6 @@ class PlanarTree:
 
     def sort_key(self) -> tuple[int, str]:
         return (self.degree, self.text)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, PlanarTree):
-            return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.decoration == other.decoration
-            and self.children == other.children
-        )
 
     def __repr__(self) -> str:
         return f"PlanarTree({self.text!r})"
@@ -87,12 +74,11 @@ def leaf(decoration: str) -> PlanarTree:
 
 
 class OrderedForest:
-    __slots__ = ("trees", "degree", "_hash", "_text")
+    __slots__ = ("trees", "degree", "_text")
 
     def __init__(self, trees_: tuple[PlanarTree, ...]):
         self.trees = trees_
         self.degree = sum(t.degree for t in trees_)
-        self._hash = hash(trees_)
         self._text: str | None = None
 
     @property
@@ -112,16 +98,6 @@ class OrderedForest:
 
     def __len__(self) -> int:
         return len(self.trees)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, OrderedForest):
-            return NotImplemented
-        return self._hash == other._hash and self.trees == other.trees
 
     def __repr__(self) -> str:
         return f"OrderedForest({self.text!r})"
@@ -155,8 +131,15 @@ def word(f1: OrderedForest, f2: OrderedForest) -> OrderedForest:
     return forest(f1.trees + f2.trees)
 
 
-def degree(x: PlanarTree | OrderedForest) -> int:
-    return x.degree
+def letters_in(*forests: OrderedForest) -> tuple[str, ...]:
+    """Sorted decorations that occur anywhere in the given forests."""
+    out: set[str] = set()
+    stack = [t for f in forests for t in f.trees]
+    while stack:
+        t = stack.pop()
+        out.add(t.decoration)
+        stack.extend(t.children)
+    return tuple(sorted(out))
 
 
 def b_plus(f: OrderedForest, decoration: str) -> PlanarTree:

@@ -6,8 +6,8 @@ tuple of arguments otherwise.  The wrapper is a plain function carrying the
 wrapped one's name and module, so it reads and traces as the original.
 Every cache is registered here: ``cache_sizes`` reports their entry counts
 and ``clear_caches`` empties them.  The intern tables of the tree and forest
-types are not memos and are never cleared: equal text must keep parsing to
-the same object.
+types are not memos and are never cleared: those types compare and hash by
+identity, which is sound only while equal shapes stay one object.
 """
 
 from __future__ import annotations

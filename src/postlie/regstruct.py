@@ -110,16 +110,16 @@ class RegTree:
     ``dec`` is the root's multi-index, ``edges`` the ordered tuple of
     (edge decoration, subtree) pairs.  ``degree`` counts edges plus the
     norms of every decoration below and including this vertex.  Instances
-    are unique per shape, so identity works as equality.
+    are unique per shape (built only by ``reg_tree``, whose table is never
+    cleared), so equality and hashing are Python's identity ones.
     """
 
-    __slots__ = ("dec", "edges", "degree", "_hash", "_text")
+    __slots__ = ("dec", "edges", "degree", "_text")
 
     def __init__(self, dec: MultiIndex, edges: tuple, degree: int):
         self.dec = dec
         self.edges = edges
         self.degree = degree
-        self._hash = hash((dec, edges))
         self._text: str | None = None
 
     @property
@@ -145,9 +145,6 @@ class RegTree:
 
     def sort_key(self) -> tuple[int, str]:
         return (self.degree, self.text)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __repr__(self) -> str:
         return f"RegTree({self.text!r})"
@@ -362,24 +359,11 @@ def vertex_count(t: RegTree) -> int:
     return 1 + sum(vertex_count(sub) for _, sub in t.edges)
 
 
-def vertex_decoration(t: RegTree, v: int) -> MultiIndex:
-    """Decoration of vertex ``v`` in depth-first preorder (root is 0)."""
-    found = _find_vertex(t, v, 0)
-    if found is None:
-        raise ValueError(f"vertex index {v} out of range")
-    return found
-
-
-def _find_vertex(t: RegTree, target: int, idx: int):
-    if idx == target:
-        return t.dec
-    idx += 1
+def _preorder_decs(t: RegTree) -> Iterator[MultiIndex]:
+    """Vertex decorations in depth-first preorder (root first)."""
+    yield t.dec
     for _, sub in t.edges:
-        n = vertex_count(sub)
-        if target < idx + n:
-            return _find_vertex(sub, target, idx)
-        idx += n
-    return None
+        yield from _preorder_decs(sub)
 
 
 def _map_vertex(node: RegTree, target: int, fn, idx: int = 0):
@@ -521,8 +505,7 @@ def _graft_letters(t1: RegTree, t2: RegTree) -> LinComb:
             for v in range(vertex_count(sigma)))
     a, tau = t1.edges[0]
     acc: dict = {}
-    for v in range(vertex_count(sigma)):
-        nv = vertex_decoration(sigma, v)
+    for v, nv in enumerate(_preorder_decs(sigma)):
         for l in iproduct(*[range(min(p, q) + 1) for p, q in zip(nv, a)]):
             w = mi_binom(nv, l)
             na = mi_sub(a, l)
@@ -710,6 +693,15 @@ def enumerate_v_letters(n: int, d: int,
 
 # -- dual coproduct ---------------------------------------------------------
 
+def _capped(x: LinComb | RegTree, maxdeg: int) -> LinComb:
+    """``x`` as a combination, refused when its degree exceeds ``maxdeg``."""
+    lx = _as_lin(x)
+    top = lx.max_degree()
+    if top > maxdeg:
+        raise ValueError(f"degree overflow: input has degree {top}, cap {maxdeg}")
+    return lx
+
+
 @memo
 def _reg_gl_transpose(n: int, d: int) -> dict[RegTree, Tensor]:
     return graded_transpose(n, lambda i: enumerate_reg_trees(i, d),
@@ -731,11 +723,7 @@ def deformed_mkw_coproduct(x: LinComb | RegTree, maxdeg: int) -> Tensor:
     the coproduct is coassociative as the dual of the associated graded.
     ``maxdeg`` bounds the enumeration; input above it raises.
     """
-    lx = _as_lin(x)
-    top = lx.max_degree()
-    if top > maxdeg:
-        raise ValueError(f"degree overflow: input has degree {top}, cap {maxdeg}")
-    return lx.apply_coproduct(deformed_mkw_tree)
+    return _capped(x, maxdeg).apply_coproduct(deformed_mkw_tree)
 
 
 # -- isomorphism between the two products -----------------------------------
@@ -771,18 +759,10 @@ def phi_reg(x: LinComb | RegTree, maxdeg: int) -> LinComb:
     identity-on-letters map can be (see X * I_0(.) vs I_0(.) * X).
     ``maxdeg`` guards the input degree.
     """
-    lx = _as_lin(x)
-    top = lx.max_degree()
-    if top > maxdeg:
-        raise ValueError(f"degree overflow: input has degree {top}, cap {maxdeg}")
-    return lx.map_basis(_phi_tree)
+    return _capped(x, maxdeg).map_basis(_phi_tree)
 
 
 def phi_reg_inverse(x: LinComb | RegTree, maxdeg: int) -> LinComb:
     """Inverse isomorphism: rebuilds each word as a left-nested * product."""
-    lx = _as_lin(x)
-    top = lx.max_degree()
-    if top > maxdeg:
-        raise ValueError(f"degree overflow: input has degree {top}, cap {maxdeg}")
-    return lx.map_basis(_psi_tree)
+    return _capped(x, maxdeg).map_basis(_psi_tree)
 

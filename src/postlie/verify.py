@@ -33,10 +33,10 @@ from .characters import (_phi_forest, canonical_lift, char_convolve,
 from .coaction import (compose_vectors, cointeraction_laws,
                        cotranslation_laws, disjointness_witness,
                        graft_duality_failures, rho_graft, translate)
-from .exprs import (_parse, parse_lincomb, parse_reg_lincomb, parse_tensor,
-                    render_lincomb)
-from .forest import (FOREST_ONE, ForestSyntaxError, enumerate_forests,
-                     enumerate_trees, leaf, single, tree, word)
+from .exprs import (_atom, _one_leg, _parse, parse_lincomb, parse_reg_lincomb,
+                    parse_tensor, render_lincomb)
+from .forest import (FOREST_ONE, enumerate_forests, enumerate_trees, leaf,
+                     single, tree, word)
 from .grafting import (gl_antipode, gl_forests, gl_product, jacobi_bracket,
                        left_graft)
 from .growth import (f_decompose, f_recompose, fold_tensor, growth_fold,
@@ -44,7 +44,7 @@ from .growth import (f_decompose, f_recompose, fold_tensor, growth_fold,
                      primitive_projection)
 from .laws import (ONCE, Law, deg_range, forests, graded, pair_range, pool,
                    run_laws, tuples)
-from .lincomb import (LinComb, Tensor, concat, deconcat_forest, deshuffle,
+from .lincomb import (LinComb, concat, deconcat_forest, deshuffle,
                       deshuffle_forest, duality_mismatches, shuffle_words,
                       tensor_of)
 from .mkw import (duality_failures, mkw_antipode, mkw_coproduct,
@@ -82,10 +82,6 @@ def degree_cap() -> int:
 _basis = LinComb.basis
 _is_empty = attrgetter("is_empty")
 _is_unit = attrgetter("is_unit")
-
-
-def _flatten1(t: Tensor) -> LinComb:
-    return LinComb({key[0]: c for key, c in t.items()})
 
 
 def _degree(n: int) -> tuple[int]:
@@ -131,10 +127,10 @@ def _hopf_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
 
     def antipode(f):
         t = mkw_coproduct_forest(f)
-        lhs = _flatten1(t.apply_linear(0, anti)
-                        .merge_legs(0, 1, shuffle_words))
-        rhs = _flatten1(t.apply_linear(1, anti)
-                        .merge_legs(0, 1, shuffle_words))
+        lhs = _one_leg(t.apply_linear(0, anti)
+                       .merge_legs(0, 1, shuffle_words))
+        rhs = _one_leg(t.apply_linear(1, anti)
+                       .merge_legs(0, 1, shuffle_words))
         want = _basis(FOREST_ONE) if f.is_empty else LinComb.zero()
         if lhs != want or rhs != want:
             return f"x={f.text}"
@@ -704,13 +700,7 @@ def _split_args(raw: str) -> list[str]:
 
 
 def _np_lincomb(text: str) -> LinComb:
-    def atom(tok: str, pos: int) -> LinComb:
-        try:
-            return LinComb.basis(np_parse(tok))
-        except ForestSyntaxError as err:
-            raise ForestSyntaxError(err.message, pos + err.position) from None
-    out = _parse(text, atom, None, LinComb.basis(NP_ONE))
-    return LinComb({key[0]: c for key, c in out.items()})
+    return _one_leg(_parse(text, _atom(np_parse), None, LinComb.basis(NP_ONE)))
 
 
 def _example_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:

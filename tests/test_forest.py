@@ -2,10 +2,16 @@
 
 import pytest
 
-from postlie.forest import (FOREST_ONE, ForestSyntaxError, b_minus, b_plus,
-                            compare, enumerate_forests, enumerate_trees,
-                            forest, forest_from_json, forest_to_json, leaf,
-                            parse_forest, render_forest, single, tree, word)
+from postlie.bck import np_parse
+from postlie.characters import TruncChar
+from postlie.coaction import _letters
+from postlie.forest import (FOREST_ONE, ForestSyntaxError, OrderedForest,
+                            PlanarTree, b_minus, b_plus, compare,
+                            enumerate_forests, enumerate_trees, forest,
+                            forest_from_json, forest_to_json, leaf,
+                            letters_in, parse_forest, render_forest, single,
+                            tree, word)
+from postlie.memo import clear_caches
 
 
 def test_unit_forest():
@@ -96,3 +102,48 @@ def test_json_round_trip():
 def test_forest_from_iterable():
     f = forest([tree("a"), tree("b", (leaf("c"),))])
     assert f is parse_forest("[a][b[c]]")
+
+
+def test_equality_and_hash_are_identity():
+    for cls in (PlanarTree, OrderedForest):
+        assert cls.__eq__ is object.__eq__
+        assert cls.__hash__ is object.__hash__
+        assert "_hash" not in cls.__slots__
+
+
+def _built_every_way():
+    # the forest [d][a[b][c]], from text, from nodes, from JSON and as the
+    # canonical form of a nonplanar shape written in another order
+    by_nodes = forest([leaf("d"), tree("a", [leaf("b"), leaf("c")])])
+    return [parse_forest("[d][a[b][c]]"), parse_forest(" [d] [a[b][c]] "),
+            by_nodes, forest_from_json(forest_to_json(by_nodes)),
+            forest_from_json([{"d": "d", "c": []},
+                              {"d": "a", "c": [{"d": "b"}, {"d": "c"}]}]),
+            np_parse("[a[c][b]][d]"),
+            word(single(leaf("d")), parse_forest("[a[b][c]]"))]
+
+
+def test_equal_shapes_are_one_object_however_built():
+    first, *rest = _built_every_way()
+    assert all(f is first for f in rest)
+    assert all(f.trees[1] is first.trees[1] for f in rest)
+    assert len({*_built_every_way(), *_built_every_way()}) == 1
+
+
+def test_identity_survives_clear_caches():
+    before = _built_every_way()[0]
+    basis = enumerate_forests(3, ("a", "b"))
+    clear_caches()
+    assert all(f is before for f in _built_every_way())
+    again = enumerate_forests(3, ("a", "b"))
+    assert again is not basis
+    assert all(x is y for x, y in zip(again, basis, strict=True))
+    assert all(parse_forest(f.text) is f for f in basis)
+
+
+def test_one_letter_walk_for_coaction_and_characters():
+    f, g = parse_forest("[b[c]][a]"), parse_forest("[d[a[e]]]")
+    assert letters_in(f) == _letters(f) == ("a", "b", "c")
+    assert letters_in() == letters_in(FOREST_ONE) == ()
+    X = TruncChar(5, {f: 1, g: 2})
+    assert X.letters() == letters_in(f, g) == ("a", "b", "c", "d", "e")

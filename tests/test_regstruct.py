@@ -6,8 +6,10 @@ from itertools import product as iproduct
 import pytest
 
 from postlie import linalg
+from postlie.exprs import parse_reg_lincomb
 from postlie.lincomb import LinComb, Tensor
-from postlie.regstruct import (bracket0, deformed_graft, deformed_mkw_coproduct,
+from postlie.memo import clear_caches
+from postlie.regstruct import (RegTree, bracket0, deformed_graft, deformed_mkw_coproduct,
                                deformed_mkw_tree, enumerate_reg_trees,
                                enumerate_v_letters, is_v_letter,
                                lower_root_adjacent, parse_reg_tree, phi_reg,
@@ -272,3 +274,50 @@ def test_planted_product_has_single_letter_corrections():
                     assert reg_gl_product(ya, yb) == \
                         reg_assoc_product(L(ya), L(yb)) + corr
                     assert all(is_v_letter(s) for s in corr.support())
+
+
+def test_equality_and_hash_are_identity():
+    assert RegTree.__eq__ is object.__eq__
+    assert RegTree.__hash__ is object.__hash__
+    assert "_hash" not in RegTree.__slots__
+
+
+def _reg_built_every_way():
+    # [o{1,0}[o{0,2}]{0,1}[o{0,0}]{0,0}] from text, nodes and JSON
+    by_nodes = reg_tree((1, 0), [((0, 1), x_power((0, 2))),
+                                 ((0, 0), reg_one(2))])
+    return [parse_reg_tree("[o{1,0}[o{0,2}]{0,1}[o{0,0}]{0,0}]"),
+            parse_reg_tree("[{1,0} [o{a=(0,2)}]{0,1} []]"),
+            parse_reg_tree("[o{1,0}[o{0,2}]{a=0,1}[o]]", 2),
+            by_nodes, reg_tree_from_json(reg_tree_to_json(by_nodes)),
+            reg_tree_from_json({"n": [1, 0], "e": [
+                {"a": [0, 1], "t": {"n": [0, 2]}},
+                {"a": [0, 0], "t": {"n": [0, 0], "e": []}}]}),
+            next(iter(parse_reg_lincomb(
+                "[o{1,0}[o{0,2}]{0,1}[o{0,0}]{0,0}]").support()))]
+
+
+def test_equal_shapes_are_one_object_however_built():
+    first, *rest = _reg_built_every_way()
+    assert all(t is first for t in rest)
+    assert all(t.edges[0][1] is x_power((0, 2)) for t in rest)
+    assert len({*_reg_built_every_way(), *_reg_built_every_way()}) == 1
+
+
+def test_identity_survives_clear_caches():
+    before = _reg_built_every_way()[0]
+    basis = enumerate_reg_trees(3, 2)
+    clear_caches()
+    assert all(t is before for t in _reg_built_every_way())
+    again = enumerate_reg_trees(3, 2)
+    assert again is not basis
+    assert all(x is y for x, y in zip(again, basis, strict=True))
+    assert all(parse_reg_tree(t.text) is t for t in basis)
+
+
+def test_overflow_guards_share_one_message():
+    msg = "degree overflow: input has degree 2, cap 1"
+    for op in (deformed_mkw_coproduct, phi_reg, phi_reg_inverse):
+        with pytest.raises(ValueError) as err:
+            op(X2, 1)
+        assert str(err.value) == msg
