@@ -175,10 +175,8 @@ def bck_is_primitive(x: LinComb) -> bool:
 def _np_pi_forest(f: OrderedForest) -> LinComb:
     if f.is_empty:
         return LinComb.zero()
-    got = LinComb.basis(f)
-    for (l, r), c in bck_reduced_forest(f).items():
-        got = got - c * bck_natural_growth(LinComb.basis(l), _np_pi_forest(r))
-    return got
+    return LinComb.basis(f) - bck_reduced_forest(f).map_basis(
+        lambda key: bck_natural_growth(LinComb.basis(key[0]), _np_pi_forest(key[1])))
 
 
 def bck_primitive_projection(x: LinComb) -> LinComb:

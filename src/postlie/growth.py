@@ -24,6 +24,8 @@ order.
 
 from __future__ import annotations
 
+from functools import reduce
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .forest import FOREST_ONE, OrderedForest, PlanarTree, enumerate_forests, forest, tree
@@ -87,18 +89,15 @@ def growth_fold(factors: Sequence[LinComb]) -> LinComb:
     """Left-nested growth fold; the first factor is outermost."""
     if not factors:
         return LinComb.basis(FOREST_ONE)
-    out = factors[0]
-    for p in factors[1:]:
-        out = natural_growth(out, p)
-    return out
+    return reduce(natural_growth, factors)
 
 
 @memo
 def _fold_key(key: tuple) -> LinComb:
-    got = LinComb.basis(key[0])
-    for f in key[1:]:
-        got = natural_growth(got, LinComb.basis(f))
-    return got
+    # The same left fold on basis elements.  It reduces with natural_growth
+    # rather than calling growth_fold, so a fault in the public fold shows up
+    # apart from the fold of tensors.
+    return reduce(natural_growth, map(LinComb.basis, key))
 
 
 def fold_tensor(t: Tensor) -> LinComb:
@@ -118,10 +117,8 @@ def is_primitive(x: LinComb) -> bool:
 def _pi_forest(f: OrderedForest) -> LinComb:
     if f.is_empty:
         return LinComb.zero()
-    got = LinComb.basis(f)
-    for (l, r), c in reduced_coproduct_forest(f).items():
-        got = got - c * natural_growth(LinComb.basis(l), _pi_forest(r))
-    return got
+    return LinComb.basis(f) - reduced_coproduct_forest(f).map_basis(
+        lambda key: natural_growth(LinComb.basis(key[0]), _pi_forest(key[1])))
 
 
 def primitive_projection(x: LinComb) -> LinComb:
@@ -133,62 +130,38 @@ def primitive_projection(x: LinComb) -> LinComb:
     return x.map_basis(_pi_forest)
 
 
-def _top_level(x: LinComb) -> tuple[int, Tensor | None]:
-    # (primitive degree m, last nonzero iterated reduced coproduct): the
-    # (m-1)-fold one, with x itself as a one-leg tensor when m is 1.
-    if x.is_zero:
-        return 0, None
-    if x.coeff(FOREST_ONE):
-        if len(x) == 1:
-            return 0, None
-        raise ValueError("mixed constant and augmentation-ideal components")
-    top = None
-    t = reduced_coproduct(x)
-    k = 1
-    bound = x.max_degree()
-    while not t.is_zero:
-        top = t
-        t = t.apply_coproduct(0, reduced_coproduct_forest)
-        k += 1
-        if k > bound:
-            raise RuntimeError("iterated reduced coproduct failed to vanish")
-    if top is None:
-        top = Tensor(1, {(f,): c for f, c in x.items()})
-    return k, top
-
-
 def primitive_degree(x: LinComb) -> int:
     """Number of fold factors needed to express x; 0 for constants."""
-    return _top_level(x)[0]
-
-
-def _require_primitive_legs(t: Tensor) -> None:
-    for leg in range(t.arity):
-        if not t.apply_coproduct(leg, reduced_coproduct_forest).is_zero:
-            raise RuntimeError("decomposition produced a non-primitive leg")
+    if x.coeff(FOREST_ONE):
+        if len(x) == 1:
+            return 0
+        raise ValueError("mixed constant and augmentation-ideal components")
+    return max(f_decompose(x), default=0)
 
 
 def f_decompose(x: LinComb) -> dict[int, Tensor]:
     """Split x into levels: x = sum over k of fold_tensor(levels[k]).
 
-    levels[k] is a tensor of k primitive legs, recovered as the (k-1)-fold
-    reduced coproduct of what remains after stripping all higher levels.
-    Raises ValueError on a constant component.
+    Expanding pi(x) = x - x^(1) T pi(x^(2)) on its left leg gives every level
+    in closed form: levels[k] is pi applied to each of the k legs of the
+    (k-1)-fold reduced coproduct of x, iterated on leg 0.  One pass lifts x
+    to a one-leg tensor and splits leg 0 until the tensor vanishes, which it
+    does because each split lowers the degree of leg 0.  Zero levels are
+    dropped and the rest returned top level first.  Raises ValueError on a
+    constant component.
     """
     if x.coeff(FOREST_ONE):
         raise ValueError("constants have no fold decomposition")
     levels: dict[int, Tensor] = {}
-    r = x
-    m, t = _top_level(r)
-    while not r.is_zero:
-        _require_primitive_legs(t)
-        levels[m] = t
-        r = r - fold_tensor(t)
-        level = m
-        m, t = _top_level(r)  # m is 0 once r is zero
-        if m >= level:
-            raise RuntimeError("fold decomposition did not descend")
-    return levels
+    t = tensor_of(x)
+    while not t.is_zero:
+        level = t
+        for leg in range(t.arity):
+            level = level.apply_linear(leg, _pi_forest)
+        if not level.is_zero:
+            levels[t.arity] = level
+        t = t.apply_coproduct(0, reduced_coproduct_forest)
+    return dict(reversed(levels.items()))
 
 
 def f_recompose(levels: Mapping[int, Tensor]) -> LinComb:
@@ -286,14 +259,9 @@ def coalgebra_endomorphism(u: Mapping[int, Callable[[Tensor], LinComb]],
             for comp in compositions(nlevel, k):
                 if any(a not in u for a in comp):
                     continue
-                pieces = Tensor(k)
-                for key, c in t.items():
-                    legs = []
-                    pos = 0
-                    for a in comp:
-                        legs.append(u[a](Tensor.basis(key[pos:pos + a])))
-                        pos += a
-                    pieces = pieces + c * tensor_of(*legs)
+                ends = tuple(accumulate(comp))
+                pieces = Tensor._make(k, *t._linear(lambda key: tensor_of(
+                    *(u[a](Tensor.basis(key[e - a:e])) for a, e in zip(comp, ends)))))
                 for f2, c2 in fold_tensor(pieces).items():
                     _add_into(acc, f2, c2)
     return LinComb._adopt(acc)
@@ -310,7 +278,7 @@ def u1_rank_by_degree(u1: Callable[[Tensor], LinComb], maxdeg: int,
     out: dict = {}
     for d in range(1, maxdeg + 1):
         basis = primitive_basis(d, alphabet)
-        images = [u1(Tensor(1, {(f,): c for f, c in p.items()})) for p in basis]
+        images = [u1(tensor_of(p)) for p in basis]
         if any(f.degree != d for img in images for f in img.support()):
             raise ValueError("arity-one map does not preserve degree")
         out[d] = (rank(images), len(basis))

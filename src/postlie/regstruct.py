@@ -155,6 +155,15 @@ _REG_TREES: dict[tuple, RegTree] = {}
 
 def reg_tree(dec: MultiIndex, edges=()) -> RegTree:
     """Intern the tree with the given root decoration and child edges."""
+    # Kernels pass int tuples and mostly hit: look up first and normalise
+    # only on a miss or on unhashable input.  An interned key is valid, so
+    # a hit needs no checks.
+    try:
+        got = _REG_TREES.get((dec, edges))
+    except TypeError:
+        got = None
+    if got is not None:
+        return got
     dec = tuple(int(a) for a in dec)
     edges = tuple((tuple(int(a) for a in e), sub) for e, sub in edges)
     key = (dec, edges)

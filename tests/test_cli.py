@@ -69,6 +69,12 @@ def test_f_decompose_levels(capsys):
     assert out.splitlines() == ["level 2: [a] (x) [b]"]
 
 
+def test_f_decompose_refuses_a_constant_component(capsys):
+    code, out, err = run(capsys, "f-decompose", "1+[a]")
+    assert (code, out) == (1, "")
+    assert err.strip() == "error: constants have no fold decomposition"
+
+
 def test_translate(capsys):
     code, out, _ = run(capsys, "translate", "[o]", "--v", "o=1/2*[o]",
                        "--max-degree", "2")

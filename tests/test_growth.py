@@ -1,5 +1,6 @@
 """Natural growth, primitive projection, and fold decomposition."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -81,23 +82,48 @@ def test_fold_decomposition_rejects_constants():
         f_decompose(LinComb.basis(FOREST_ONE) + b("[a]"))
 
 
+def _require_primitive_legs(t):
+    from postlie.mkw import reduced_coproduct_forest
+    for leg in range(t.arity):
+        if not t.apply_coproduct(leg, reduced_coproduct_forest).is_zero:
+            raise RuntimeError("decomposition produced a non-primitive leg")
+
+
+def _primitive_degree_two_pass(r):
+    # The m with a nonzero (m-1)-fold and a zero m-fold iterated reduced
+    # coproduct, counted without the library's primitive_degree.
+    from postlie.mkw import iterated_reduced
+    m = 1
+    while not iterated_reduced(r, m).is_zero:
+        m += 1
+    return m
+
+
 def _f_decompose_two_pass(x):
     # Reference: primitive degree and iterated reduced coproduct computed
-    # apart, as separate passes over each remainder.
-    from postlie.growth import _require_primitive_legs, fold_tensor
+    # apart, as separate passes over each remainder, stripping the top
+    # level each time.
+    from postlie.growth import fold_tensor
     from postlie.lincomb import Tensor
     from postlie.mkw import iterated_reduced
     levels = {}
     r = x
     while not r.is_zero:
-        m = primitive_degree(r)
+        m = _primitive_degree_two_pass(r)
         t = (Tensor(1, {(f,): c for f, c in r.items()}) if m == 1
              else iterated_reduced(r, m - 1))
         _require_primitive_legs(t)
         levels[m] = t
         r = r - fold_tensor(t)
-        assert r.is_zero or primitive_degree(r) < m
+        assert r.is_zero or _primitive_degree_two_pass(r) < m
     return levels
+
+
+def _assert_matches_two_pass(x):
+    got, want = f_decompose(x), _f_decompose_two_pass(x)
+    assert list(got) == list(want), x
+    assert got == want, x
+    assert primitive_degree(x) == max(want, default=0)
 
 
 def test_fold_decomposition_matches_two_pass_reference():
@@ -106,6 +132,41 @@ def test_fold_decomposition_matches_two_pass_reference():
         x = LinComb.basis(f) + LinComb.basis(g) * Fraction(-2, 3)
         got, want = f_decompose(x), _f_decompose_two_pass(x)
         assert got == want and list(got) == list(want)
+    # Every forest with o <= 6 and a,b <= 4, and seeded rational combinations.
+    for alphabet, top in ((("o",), 6), (("a", "b"), 4)):
+        for f in forests_up_to(top, alphabet):
+            if not f.is_empty:
+                _assert_matches_two_pass(LinComb.basis(f))
+    rng = random.Random(20)
+    pool = [f for f in forests_up_to(5, ("a", "b")) if not f.is_empty]
+    for _ in range(60):
+        _assert_matches_two_pass(LinComb.from_terms(
+            (f, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6)))
+            for f in rng.sample(pool, rng.randint(1, 5))))
+
+
+def test_primitive_degree_of_zero_and_constants():
+    assert primitive_degree(LinComb.zero()) == 0
+    assert primitive_degree(LinComb.basis(FOREST_ONE)) == 0
+    assert primitive_degree(LinComb.basis(FOREST_ONE) * Fraction(2, 3)) == 0
+    with pytest.raises(ValueError, match="mixed constant"):
+        primitive_degree(LinComb.basis(FOREST_ONE) + b("[a]"))
+
+
+def test_fold_decomposition_of_zero_is_empty():
+    assert f_decompose(LinComb.zero()) == {}
+
+
+def test_fold_decomposition_levels_are_top_first_and_nonzero():
+    # A grown tree has zero levels below its top; [a][b] has two levels.
+    assert list(f_decompose(b("[c[b[a]]]"))) == [3]
+    x = b("[a][b]") + b("[c[b[a]]]") * Fraction(-1, 4)
+    levels = f_decompose(x)
+    assert list(levels) == [3, 2, 1]
+    assert levels[3] == tensor_of(b("[a]"), b("[b]"), b("[c]")) * Fraction(-1, 4)
+    assert levels[2] == tensor_of(b("[a]"), b("[b]"))
+    assert levels[1] == tensor_of(b("[a][b]") - b("[b[a]]"))
+    assert f_recompose(levels) == x
 
 
 # -- comodules and coalgebra endomorphisms ------------------------------------

@@ -315,6 +315,30 @@ def test_identity_survives_clear_caches():
     assert all(parse_reg_tree(t.text) is t for t in basis)
 
 
+def test_reg_tree_normalises_outside_input_on_hits_and_misses():
+    t = reg_tree((1, 0), (((0, 1), x_power((0, 2))),))
+    assert reg_tree([1, 0], [([0, 1], x_power([0, 2]))]) is t
+    assert reg_tree((1.0, False), (((0, True), x_power((0, 2))),)) is t
+    assert reg_tree(iter((1, 0)), iter([((0, 1), x_power((0, 2)))])) is t
+    fresh = reg_tree(["7", 5.0])
+    assert fresh.dec == (7, 5) and all(type(a) is int for a in fresh.dec)
+    assert reg_tree((7, 5)) is fresh
+
+
+@pytest.mark.parametrize("dec, edges", [
+    ((), ()),
+    ((-1,), ()),
+    ([-1, 0], ()),
+    ((0,), (((-1,), reg_one(1)),)),
+    ((0,), (((0, 0), reg_one(1)),)),
+    ((0, 0), (((0, 0), reg_one(1)),)),
+    ((0,), (((0,), "[o]"),)),
+])
+def test_reg_tree_refuses_invalid_trees(dec, edges):
+    with pytest.raises(ValueError):
+        reg_tree(dec, edges)
+
+
 def test_overflow_guards_share_one_message():
     msg = "degree overflow: input has degree 2, cap 1"
     for op in (deformed_mkw_coproduct, phi_reg, phi_reg_inverse):
