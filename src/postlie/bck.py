@@ -24,7 +24,7 @@ from typing import Iterable
 from .forest import (FOREST_ONE, OrderedForest, PlanarTree, enumerate_forests,
                      enumerate_trees, forest, parse_forest, tree)
 from .growth import _replace_at, _vertex_children
-from .lincomb import LinComb, Tensor, _add_into
+from .lincomb import LinComb, Tensor
 from .memo import memo
 
 
@@ -88,10 +88,9 @@ def np_mul(x: LinComb, y: LinComb) -> LinComb:
 
 @memo
 def bck_coproduct_tree(t: PlanarTree) -> Tensor:
-    acc: dict = {(np_single(t), NP_ONE): 1}
-    for (l, r), c in bck_coproduct_forest(np_bminus(t)).items():
-        _add_into(acc, (l, np_single(np_bplus(r, t.decoration))), c)
-    return Tensor._adopt(2, acc)
+    attached = bck_coproduct_forest(np_bminus(t)).apply_linear(
+        1, lambda r: LinComb.basis(np_single(np_bplus(r, t.decoration))))
+    return Tensor.basis((np_single(t), NP_ONE)) + attached
 
 
 @memo
@@ -131,11 +130,8 @@ def _bck_antipode_forest(f: OrderedForest) -> LinComb:
         for t in f.trees:
             out = np_mul(out, _bck_antipode_forest(np_single(t)))
         return out
-    acc: dict = {f: -1}
-    for (l, r), c in bck_reduced_forest(f).items():
-        for f2, c2 in np_mul(_bck_antipode_forest(l), LinComb.basis(r)).items():
-            _add_into(acc, f2, -c * c2)
-    return LinComb._adopt(acc)
+    return -(LinComb.basis(f) + bck_reduced_forest(f).contract(
+        _bck_antipode_forest, LinComb.basis, _np_product))
 
 
 def bck_antipode(x: LinComb) -> LinComb:
@@ -154,7 +150,7 @@ def _np_growth_forests(w1: OrderedForest, w2: OrderedForest) -> LinComb:
         counter = [0]
         rebuilt = np_forest(np_of_tree(_replace_at(t, vi, kids, counter))
                             for t in w2.trees)
-        _add_into(acc, rebuilt, 1)
+        acc[rebuilt] = acc.get(rebuilt, 0) + 1
     return LinComb._make(acc, w2.degree)
 
 

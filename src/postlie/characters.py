@@ -4,9 +4,10 @@
 on grafting into plain word concatenation, fixing single trees.  On a forest
 it follows the rewriting
 
-    phi(t w) = t . phi(w) - sum over trees s of w: phi(w with s replaced by t <| s)
+    phi(t w) = t . phi(w) - phi(t <| w),
 
-which terminates because every term on the right has fewer trees.  Its
+where ``t <| w`` grafts the tree ``t`` onto each tree of ``w`` in turn.  The
+rewriting terminates because every term on the right has fewer trees.  Its
 inverse rebuilds with the grafting product instead: a word t.w maps to
 t * phi_inverse(w).  Both preserve degree and are unitriangular with respect
 to tree count, as the graded matrix from ``phi_matrix`` shows.
@@ -39,15 +40,11 @@ def _phi_forest(f: OrderedForest) -> LinComb:
     ts = f.trees
     if len(ts) <= 1:
         return LinComb.basis(f)
+    # f = t * w - t <| w for its first tree t, and phi(t * w) = t . phi(w)
     head = single(ts[0])
     rest = forest(ts[1:])
-    out = concat(LinComb.basis(head), _phi_forest(rest))
-    for j in range(1, len(ts)):
-        grafted = graft_forests(single(ts[0]), single(ts[j]))
-        for g, c in grafted.items():
-            replaced = forest(ts[1:j] + g.trees + ts[j + 1:])
-            out = out - c * _phi_forest(replaced)
-    return out
+    return (concat(LinComb.basis(head), _phi_forest(rest))
+            - graft_forests(head, rest).map_basis(_phi_forest))
 
 
 def phi(x: LinComb) -> LinComb:

@@ -8,11 +8,11 @@ except the one pruning the entire tree; on a longer forest it cuts each
 tree separately, shuffles all pruned groups into the left leg and keeps
 the trimmed trees concatenated in their original order on the right.
 
-The coproducts dual to the Grossman-Larson and concatenation products,
-needed by the interaction axioms, are not given second combinatorial
-definitions.  They are obtained by transposing those products degree by
-degree through the pairing (`transpose_product`), so each identity is
-checked against a single source of truth.
+The coproduct dual to the Grossman-Larson product, needed by the
+cosubstitution identity, is not given a second combinatorial definition.
+It is read off the transpose of that product degree by degree through the
+pairing (`graded_transpose`), so the identity is checked against a single
+source of truth.
 
 The interaction identities are stated as rows of laws (see
 :mod:`postlie.laws`): ``cointeraction_laws`` and ``cotranslation_laws``
@@ -35,16 +35,15 @@ from typing import Callable, Iterable, Mapping
 
 from .forest import (FOREST_ONE, OrderedForest, b_minus, b_plus,
                      enumerate_forests, forest, leaf, letters_in as _letters,
-                     render_forest, single, tree, word)
+                     render_forest, single, tree)
 from .grafting import gl_forests, gl_product, graft_forests, left_graft
 from .laws import ONCE, Law, deg_range, forests, pair_range, run_laws
-from .lincomb import (LinComb, Tensor, _add_into, deconcat_forest,
+from .lincomb import (LinComb, Tensor, _concat_product, deconcat_forest,
                       deshuffle, duality_mismatches, graded_transpose,
                       shuffle_words, tensor_of)
 from .memo import memo
 from .mkw import mkw_coproduct_forest
 
-ForestProduct = Callable[[OrderedForest, OrderedForest], LinComb]
 ForestCoaction = Callable[[OrderedForest], Tensor]
 TranslationVector = Mapping[str, LinComb]
 
@@ -61,16 +60,8 @@ def rho_forest(f: OrderedForest) -> Tensor:
     if len(f) == 1:
         # all cuts except the one removing the whole tree
         return mkw_coproduct_forest(f) - Tensor.basis((f, FOREST_ONE))
-    head = rho_forest(single(f.trees[0]))
-    rest = rho_forest(forest(f.trees[1:]))
-    acc: dict = {}
-    for (a1, b1), c1 in head.items():
-        for (a2, b2), c2 in rest.items():
-            right = word(b1, b2)
-            c = c1 * c2
-            for a, ca in shuffle_words(a1, a2).items():
-                _add_into(acc, (a, right), c * ca)
-    return Tensor._adopt(2, acc)
+    return rho_forest(single(f.trees[0])).legwise(
+        rho_forest(forest(f.trees[1:])), shuffle_words, _concat_product)
 
 
 def rho_graft(x: LinComb | OrderedForest) -> Tensor:
@@ -98,22 +89,7 @@ def graft_duality_failures(maxdeg: int, alphabet: Iterable[str],
                 rho_fn)]
 
 
-# -- dual coproducts by transposition --------------------------------------
-
-def transpose_product(f: OrderedForest, product: ForestProduct,
-                      alphabet: Iterable[str] | None = None) -> Tensor:
-    """Dualize a degree-additive forest product through the pairing.
-
-    Returns the sum of ``a (x) b`` weighted by the coefficient of ``f``
-    in ``product(a, b)``, read off `graded_transpose`.  Restricting the
-    sweep to the decorations of ``f`` is exact: the products transposed
-    here neither create nor destroy vertices, so mismatched letters pair
-    to zero anyway.
-    """
-    letters = _letters(f) if alphabet is None else tuple(sorted(set(alphabet)))
-    return graded_transpose(f.degree, lambda i: enumerate_forests(i, letters),
-                            product).get(f, Tensor(2))
-
+# -- the coproduct dual to the Grossman-Larson product ---------------------
 
 @memo
 def _gl_transpose(n: int, letters: tuple[str, ...]) -> dict[OrderedForest, Tensor]:
@@ -125,23 +101,11 @@ def delta_star_forest(f: OrderedForest) -> Tensor:
     """Coproduct dual to the Grossman-Larson product.
 
     Read off the transpose of the whole degree over the letters of ``f``,
-    which is computed once per degree and letter set.
+    which is computed once per degree and letter set.  Restricting the
+    sweep to the decorations of ``f`` is exact: grafting neither creates
+    nor destroys vertices, so mismatched letters pair to zero anyway.
     """
     return _gl_transpose(f.degree, _letters(f))[f]
-
-
-def _concat_product(a: OrderedForest, b: OrderedForest) -> LinComb:
-    return LinComb.basis(word(a, b))
-
-
-def delta_concat_forest(f: OrderedForest) -> Tensor:
-    """Coproduct dual to concatenation, computed by transposition.
-
-    Deconcatenation is the closed form of this transpose; the library
-    keeps using the closed form in hot paths and the equality of the two
-    is part of the test suite.
-    """
-    return transpose_product(f, _concat_product)
 
 
 # -- interaction axioms ----------------------------------------------------

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .forest import FOREST_ONE, OrderedForest, forest, tree, word
-from .lincomb import (LinComb, _add_into, _deshuffle_words, concat, counit,
-                      deshuffle_forest)
+from .forest import FOREST_ONE, OrderedForest, forest, tree
+from .lincomb import (LinComb, _concat_product, _deshuffle_words, concat,
+                      counit, deshuffle_forest)
 from .memo import memo
 
 
@@ -82,11 +82,8 @@ def left_graft(x: LinComb, y: LinComb) -> LinComb:
 
 @memo
 def gl_forests(a: OrderedForest, b: OrderedForest) -> LinComb:
-    acc: dict = {}
-    for (a1, a2), c in deshuffle_forest(a).items():
-        for f, c2 in graft_forests(a2, b).items():
-            _add_into(acc, word(a1, f), c * c2)
-    return LinComb._adopt(acc)
+    return deshuffle_forest(a).contract(
+        LinComb.basis, lambda a2: graft_forests(a2, b), _concat_product)
 
 
 def gl_product(x: LinComb, y: LinComb) -> LinComb:
@@ -94,13 +91,13 @@ def gl_product(x: LinComb, y: LinComb) -> LinComb:
     return x.map_pairs(y, gl_forests)
 
 
+def _reversal(f: OrderedForest) -> LinComb:
+    return LinComb._make({forest(reversed(f.trees)): -1 if len(f) % 2 else 1})
+
+
 def concat_antipode(x: LinComb) -> LinComb:
     """Antipode of the concatenation/deshuffle Hopf algebra: signed reversal."""
-    acc: dict = {}
-    for f, c in x.items():
-        sign = -c if len(f) % 2 else c
-        _add_into(acc, forest(reversed(f.trees)), sign)
-    return LinComb._adopt(acc)
+    return x.map_basis(_reversal)
 
 
 @memo
@@ -126,13 +123,9 @@ def gl_antipode(x: LinComb) -> LinComb:
 
 def gl_inverse_product(x: LinComb, y: LinComb) -> LinComb:
     """Recover concatenation from * : A . B = A_(1) * (S*(A_(2)) < B)."""
-    acc: dict = {}
-    for f1, c1 in x.items():
-        for (a1, a2), c in deshuffle_forest(f1).items():
-            rhs = left_graft(_gl_antipode_forest(a2), y)
-            for f3, c3 in gl_product(LinComb.basis(a1), rhs).items():
-                _add_into(acc, f3, c1 * c * c3)
-    return LinComb._adopt(acc)
+    return x.map_basis(lambda f: deshuffle_forest(f).contract(
+        LinComb.basis, lambda a2: left_graft(_gl_antipode_forest(a2), y),
+        gl_forests))
 
 
 def jacobi_bracket(x: LinComb, y: LinComb) -> LinComb:

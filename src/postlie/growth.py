@@ -29,7 +29,7 @@ from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .forest import FOREST_ONE, OrderedForest, PlanarTree, enumerate_forests, forest, tree
-from .lincomb import LinComb, Tensor, _add_into, _shuffle_words, tensor_of
+from .lincomb import LinComb, Tensor, _shuffle_words, tensor_of
 from .linalg import kernel_basis, rank
 from .memo import memo
 from .mkw import reduced_coproduct, reduced_coproduct_forest
@@ -70,7 +70,7 @@ def _growth_forests(w1: OrderedForest, w2: OrderedForest) -> LinComb:
             counter = [0]
             rebuilt = forest(_replace_at(t, vi, newkids, counter)
                              for t in w2.trees)
-            _add_into(acc, rebuilt, mult)
+            acc[rebuilt] = acc.get(rebuilt, 0) + mult
     # Integer counts over one shared denominator |w2|.
     return LinComb._make(acc, w2.degree)
 
@@ -249,22 +249,16 @@ def coalgebra_endomorphism(u: Mapping[int, Callable[[Tensor], LinComb]],
     fold of the blockwise images.  The result is bijective exactly when
     ``u[1]`` is invertible on primitives.
     """
-    acc: dict = {}
-    c0 = x.coeff(FOREST_ONE)
-    if c0:
-        _add_into(acc, FOREST_ONE, c0)
-        x = x - c0 * LinComb.basis(FOREST_ONE)
-    for nlevel, t in f_decompose(x).items():
+    out = x.coeff(FOREST_ONE) * LinComb.basis(FOREST_ONE)
+    for nlevel, t in f_decompose(x - out).items():
         for k in range(1, nlevel + 1):
             for comp in compositions(nlevel, k):
                 if any(a not in u for a in comp):
                     continue
                 ends = tuple(accumulate(comp))
-                pieces = Tensor._make(k, *t._linear(lambda key: tensor_of(
+                out = out + t.map_basis(lambda key: fold_tensor(tensor_of(
                     *(u[a](Tensor.basis(key[e - a:e])) for a, e in zip(comp, ends)))))
-                for f2, c2 in fold_tensor(pieces).items():
-                    _add_into(acc, f2, c2)
-    return LinComb._adopt(acc)
+    return out
 
 
 def u1_rank_by_degree(u1: Callable[[Tensor], LinComb], maxdeg: int,

@@ -32,12 +32,19 @@ by merging two legs (``merge_legs``) or, for two rank-2 tensors, leg by leg
 
 Maps defined on basis keys extend through one method each: linearly with
 ``map_basis`` (on a LinComb, or on a Tensor whose basis keys are its tuples
-of legs; ``apply_coproduct`` for a two-leg value), and bilinearly with
-``LinComb.map_pairs``, which sums ``c1 c2 fn(k1, k2)`` over the term pairs in
-iteration order.  The kernels of other modules build their results through
-the trusted constructors ``_adopt`` (a fresh dict of nonzero exact
-coefficients, as ``_add_into`` leaves it) and ``_make`` (integer numerators
-over a denominator), which skip the public constructors' copy and checks.
+of legs; ``apply_coproduct`` for a two-leg value), one leg at a time with
+``Tensor.apply_linear``, and bilinearly with ``LinComb.map_pairs``, which sums
+``c1 c2 fn(k1, k2)`` over the term pairs in iteration order.
+``Tensor.contract`` sums ``c product(left(x), right(y))`` over the terms
+``c x (x) y`` of a two-leg tensor in one pass; the Guin-Oudom products and
+the antipode recursions are each one such expression.  The accumulator
+behind every extension (``_add_into`` over the lcm of the images'
+denominators) lives in this module only.  Combinatorial kernels elsewhere
+create terms by counting positive integer multiplicities into a fresh dict,
+which they hand to the trusted constructors ``_adopt`` (a fresh dict of
+nonzero exact coefficients) or ``_make`` (integer numerators over a
+denominator); these skip the public constructors' copy and checks.  Every
+composite of those kernels is an expression over the extensions.
 
 Word operations on forests (concatenation, shuffle, deshuffle,
 deconcatenation, Kronecker pairing) live here as module functions.
@@ -320,21 +327,6 @@ class LinComb(_Exact):
 _ZERO = LinComb._make({})
 
 
-def combine(coeffs: Iterable[int | Fraction], elems: Iterable[LinComb]) -> LinComb:
-    """Linear combination sum(c_i * x_i)."""
-    acc: dict = {}
-    big = 1
-    for c, x in zip(coeffs, elems):
-        c = as_coeff(c)
-        d = c.denominator * x._den
-        if big % d:
-            big = _widen(acc, big, d)
-        s = c.numerator * big // d
-        for k, n in x._num.items():
-            _add_into(acc, k, s * n)
-    return LinComb._make(acc, big)
-
-
 class Tensor(_Exact):
     """Sparse tensor of fixed arity; terms keyed by tuples of basis keys."""
 
@@ -427,8 +419,13 @@ class Tensor(_Exact):
         return Tensor._make(self.arity - 1, acc, self._den * big)
 
     def legwise(self, other: "Tensor",
-                product: Callable[[Hashable, Hashable], LinComb]) -> "Tensor":
-        """Product of two rank-2 tensors, leg by leg through ``product``."""
+                product: Callable[[Hashable, Hashable], LinComb],
+                right_product: Callable[[Hashable, Hashable], LinComb] | None = None,
+                ) -> "Tensor":
+        """Product of two rank-2 tensors, leg by leg: ``product`` on leg 0,
+        ``right_product`` (default ``product``) on leg 1."""
+        if right_product is None:
+            right_product = product
         acc: dict = {}
         big = 1
         right = other._num.items()
@@ -437,7 +434,7 @@ class Tensor(_Exact):
                 left = product(a1, a2)
                 if not left._num:
                     continue
-                second = product(b1, b2)
+                second = right_product(b1, b2)
                 d = left._den * second._den
                 if big % d:
                     big = _widen(acc, big, d)
@@ -447,6 +444,36 @@ class Tensor(_Exact):
                     for b, cb in second._num.items():
                         _add_into(acc, (a, b), sa * cb)
         return Tensor._make(2, acc, self._den * other._den * big)
+
+    def contract(self, left: Callable[[Hashable], LinComb],
+                 right: Callable[[Hashable], LinComb],
+                 product: Callable[[Hashable, Hashable], LinComb]) -> LinComb:
+        """``sum c product(left(x), right(y))`` over the terms ``c x (x) y``
+        of a rank-2 tensor, with ``product`` extended bilinearly.
+
+        One pass in term order; ``right`` is not called where ``left``
+        vanishes.
+        """
+        acc: dict = {}
+        big = 1
+        for (x, y), n in self._num.items():
+            lx = left(x)
+            if not lx._num:
+                continue
+            ry = right(y)
+            d0 = lx._den * ry._den
+            pairs = ry._num.items()
+            for k1, n1 in lx._num.items():
+                s1 = n * n1
+                for k2, n2 in pairs:
+                    img = product(k1, k2)
+                    d = d0 * img._den
+                    if big % d:
+                        big = _widen(acc, big, d)
+                    s = s1 * n2 * big // d
+                    for k3, c3 in img._num.items():
+                        _add_into(acc, k3, s * c3)
+        return LinComb._make(acc, self._den * big)
 
     def counit_legs(self, is_unit: Callable[[Hashable], bool],
                     ) -> tuple[LinComb, LinComb]:
@@ -528,6 +555,11 @@ def concat(x: LinComb, y: LinComb) -> LinComb:
         for f2, n2 in right:
             _add_into(acc, word(f1, f2), n1 * n2)
     return LinComb._make(acc, x._den * y._den)
+
+
+def _concat_product(f1: OrderedForest, f2: OrderedForest) -> LinComb:
+    # Concatenation of two basis forests, as a product for the extensions.
+    return LinComb.basis(word(f1, f2))
 
 
 def _shuffle_words(u: tuple, v: tuple) -> dict[tuple, int]:

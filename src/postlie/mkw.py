@@ -26,7 +26,7 @@ from typing import Callable, Iterable
 from .forest import (FOREST_ONE, OrderedForest, PlanarTree, b_minus,
                      enumerate_forests, forest, single, tree)
 from .grafting import gl_forests
-from .lincomb import (LinComb, Tensor, _add_into, duality_mismatches, shuffle,
+from .lincomb import (LinComb, Tensor, duality_mismatches, shuffle,
                       shuffle_words)
 from .memo import memo
 
@@ -60,10 +60,15 @@ def mkw_coproduct_tree(t: PlanarTree) -> Tensor:
         left = LinComb.basis(FOREST_ONE)
         for g in groups:
             left = shuffle(left, LinComb.basis(g))
-        for f, c in left.items():
-            _add_into(acc, (f, single(trunk)), c)
-    _add_into(acc, (single(t), FOREST_ONE), 1)
-    return Tensor._adopt(2, acc)
+        for f, m in left.items():
+            key = (f, single(trunk))
+            acc[key] = acc.get(key, 0) + m
+    acc[(single(t), FOREST_ONE)] = 1  # the only term with an empty trunk
+    return Tensor._make(2, acc)
+
+
+def _b_minus(f: OrderedForest) -> LinComb:
+    return LinComb.basis(b_minus(f.trees[0]))
 
 
 @memo
@@ -73,12 +78,8 @@ def mkw_coproduct_forest(f: OrderedForest) -> Tensor:
     if len(f) == 1:
         return mkw_coproduct_tree(f.trees[0])
     big = tree(_RESERVED, f.trees)
-    acc: dict = {}
-    for (left, right), c in mkw_coproduct_tree(big).items():
-        if right.is_empty:
-            continue  # the B+(w) (x) 1 term is subtracted
-        _add_into(acc, (left, b_minus(right.trees[0])), c)
-    return Tensor._adopt(2, acc)
+    return (mkw_coproduct_tree(big) - Tensor.basis((single(big), FOREST_ONE))
+            ).apply_linear(1, _b_minus)
 
 
 def mkw_coproduct(x: LinComb | OrderedForest) -> Tensor:
@@ -119,12 +120,8 @@ def iterated_reduced(x: LinComb, k: int) -> Tensor:
 def _antipode_forest(f: OrderedForest) -> LinComb:
     if f.is_empty:
         return LinComb.basis(FOREST_ONE)
-    acc: dict = {f: -1}
-    for (left, right), c in reduced_coproduct_forest(f).items():
-        for fl, cl in _antipode_forest(left).items():
-            for fs, cs in shuffle_words(fl, right).items():
-                _add_into(acc, fs, -c * cl * cs)
-    return LinComb._adopt(acc)
+    return -(LinComb.basis(f) + reduced_coproduct_forest(f).contract(
+        _antipode_forest, LinComb.basis, shuffle_words))
 
 
 def mkw_antipode(x: LinComb) -> LinComb:

@@ -40,8 +40,7 @@ from math import comb
 from typing import Iterator
 
 from .forest import MAX_NESTING, NESTING_ERROR, ForestSyntaxError
-from .lincomb import (LinComb, Tensor, _add_into, _deshuffle_words,
-                      graded_transpose)
+from .lincomb import LinComb, Tensor, _deshuffle_words, graded_transpose
 from .memo import memo
 
 MultiIndex = tuple[int, ...]
@@ -423,6 +422,18 @@ def reg_raise(x: LinComb | RegTree, l: MultiIndex) -> LinComb:
     return out
 
 
+def _lower_tree(t: RegTree, i: MultiIndex) -> LinComb:
+    # lower_root_adjacent on one tree, for a unit ``i`` of its dimension;
+    # lowering different edges gives different trees.
+    out: dict = {}
+    for k, (a, sub) in enumerate(t.edges):
+        na = mi_sub(a, i)
+        if na is not None:
+            eds = t.edges[:k] + ((na, sub),) + t.edges[k + 1:]
+            out[reg_tree(t.dec, eds)] = 1
+    return LinComb._make(out)
+
+
 def lower_root_adjacent(x: LinComb | RegTree, i: MultiIndex) -> LinComb:
     """Subtract the unit ``i`` from one root-adjacent edge decoration per term.
 
@@ -431,17 +442,13 @@ def lower_root_adjacent(x: LinComb | RegTree, i: MultiIndex) -> LinComb:
     i = tuple(int(a) for a in i)
     if mi_norm(i) != 1 or any(a < 0 for a in i):
         raise ValueError("lowering needs a unit multi-index")
-    acc: dict = {}
-    for t, c in _as_lin(x).items():
+
+    def lower(t: RegTree) -> LinComb:
         if len(i) != t.dim:
             raise ValueError("lowering index has the wrong dimension")
-        for k, (a, sub) in enumerate(t.edges):
-            na = mi_sub(a, i)
-            if na is None:
-                continue
-            eds = t.edges[:k] + ((na, sub),) + t.edges[k + 1:]
-            _add_into(acc, reg_tree(t.dec, eds), c)
-    return LinComb._adopt(acc)
+        return _lower_tree(t, i)
+
+    return _as_lin(x).map_basis(lower)
 
 
 # -- the associative word product -------------------------------------------
@@ -455,7 +462,7 @@ def reg_mul_trees(t1: RegTree, t2: RegTree) -> LinComb:
     e = mi_unit(t1.dim, j)
     rest = reg_tree(mi_sub(t2.dec, e), t2.edges)
     stepped = (LinComb.basis(reg_tree(mi_add(t1.dec, e), t1.edges))
-               + lower_root_adjacent(t1, e))
+               + _lower_tree(t1, e))
     return stepped.map_basis(lambda s: reg_mul_trees(s, rest))
 
 
@@ -479,8 +486,9 @@ def reg_deshuffle_tree(t: RegTree) -> Tensor:
     for n1, n2 in mi_splits(t.dec):
         w = mi_binom(t.dec, n1)
         for (left, right), m in splits:
-            _add_into(acc, (reg_tree(n1, left), reg_tree(n2, right)), w * m)
-    return Tensor._adopt(2, acc)
+            key = (reg_tree(n1, left), reg_tree(n2, right))
+            acc[key] = acc.get(key, 0) + w * m
+    return Tensor._make(2, acc)
 
 
 def reg_deshuffle(x: LinComb | RegTree) -> Tensor:
@@ -521,8 +529,9 @@ def _graft_letters(t1: RegTree, t2: RegTree) -> LinComb:
             attached, _ = _map_vertex(
                 sigma, v,
                 lambda dec, eds: (mi_sub(dec, l), ((na, tau),) + eds))
-            _add_into(acc, plant(b, attached), w)
-    return LinComb._adopt(acc)
+            planted = plant(b, attached)
+            acc[planted] = acc.get(planted, 0) + w
+    return LinComb._make(acc)
 
 
 @memo
@@ -534,13 +543,9 @@ def reg_graft_trees(t1: RegTree, t2: RegTree) -> LinComb:
         return LinComb.zero()
     if t2.letters >= 2:
         u2, r2 = _peel(t2)
-        acc: dict = {}
-        for (a1, a2), c in reg_deshuffle_tree(t1).items():
-            for f1, c1 in reg_graft_trees(a1, u2).items():
-                for f2, c2 in reg_graft_trees(a2, r2).items():
-                    for f3, c3 in reg_mul_trees(f1, f2).items():
-                        _add_into(acc, f3, c * c1 * c2 * c3)
-        return LinComb._adopt(acc)
+        return reg_deshuffle_tree(t1).contract(
+            lambda a1: reg_graft_trees(a1, u2),
+            lambda a2: reg_graft_trees(a2, r2), reg_mul_trees)
     if t1.letters <= 1:
         return _graft_letters(t1, t2)
     u, w = _peel(t1)
@@ -593,6 +598,17 @@ def deformed_graft(x: LinComb | RegTree, y: LinComb | RegTree) -> LinComb:
     return reg_graft(lx, ly)
 
 
+def _bracket_trees(t1: RegTree, t2: RegTree) -> LinComb:
+    _check_dim(t1, t2)
+    if t1.edges and t2.edges:
+        return reg_mul_trees(t1, t2) - reg_mul_trees(t2, t1)
+    if t1.edges:
+        return lower_root_adjacent(t1, t2.dec)
+    if t2.edges:
+        return -lower_root_adjacent(t2, t1.dec)
+    return LinComb.zero()
+
+
 def bracket0(x: LinComb | RegTree, y: LinComb | RegTree) -> LinComb:
     """Lie bracket on generator combinations.
 
@@ -604,33 +620,15 @@ def bracket0(x: LinComb | RegTree, y: LinComb | RegTree) -> LinComb:
     lx, ly = _as_lin(x), _as_lin(y)
     _check_v(lx, "bracket0")
     _check_v(ly, "bracket0")
-    acc: dict = {}
-    for t1, c1 in lx.items():
-        for t2, c2 in ly.items():
-            _check_dim(t1, t2)
-            if t1.edges and t2.edges:
-                part = reg_mul_trees(t1, t2) - reg_mul_trees(t2, t1)
-            elif t1.edges:
-                part = lower_root_adjacent(t1, t2.dec)
-            elif t2.edges:
-                part = -lower_root_adjacent(t2, t1.dec)
-            else:
-                continue
-            for t3, c3 in part.items():
-                _add_into(acc, t3, c1 * c2 * c3)
-    return LinComb._adopt(acc)
+    return lx.map_pairs(ly, _bracket_trees)
 
 
 # -- the Grossman-Larson style product --------------------------------------
 
 @memo
 def reg_gl_trees(a: RegTree, b: RegTree) -> LinComb:
-    acc: dict = {}
-    for (a1, a2), c in reg_deshuffle_tree(a).items():
-        for f, c2 in reg_graft_trees(a2, b).items():
-            for f3, c3 in reg_mul_trees(a1, f).items():
-                _add_into(acc, f3, c * c2 * c3)
-    return LinComb._adopt(acc)
+    return reg_deshuffle_tree(a).contract(
+        LinComb.basis, lambda a2: reg_graft_trees(a2, b), reg_mul_trees)
 
 
 def reg_gl_product(x: LinComb | RegTree, y: LinComb | RegTree) -> LinComb:

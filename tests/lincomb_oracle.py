@@ -200,16 +200,6 @@ class LinComb:
 _ZERO = LinComb({})
 
 
-def combine(coeffs: Iterable[int | Fraction], elems: Iterable[LinComb]) -> LinComb:
-    """Linear combination sum(c_i * x_i)."""
-    acc: dict = {}
-    for c, x in zip(coeffs, elems):
-        cc = as_coeff(c)
-        for k, v in x._terms.items():
-            _add_into(acc, k, cc * v)
-    return LinComb(acc)
-
-
 class Tensor:
     """Sparse tensor of fixed arity; terms keyed by tuples of basis keys."""
 
@@ -307,17 +297,33 @@ class Tensor:
         return Tensor(self.arity - 1, acc)
 
     def legwise(self, other: "Tensor",
-                product: Callable[[Hashable, Hashable], LinComb]) -> "Tensor":
-        """Product of two rank-2 tensors, leg by leg through ``product``."""
+                product: Callable[[Hashable, Hashable], LinComb],
+                right_product: Callable[[Hashable, Hashable], LinComb] | None = None,
+                ) -> "Tensor":
+        """Product of two rank-2 tensors, leg by leg: ``product`` on leg 0,
+        ``right_product`` (default ``product``) on leg 1."""
+        second = product if right_product is None else right_product
         acc: dict = {}
         for (a1, b1), c1 in self._terms.items():
             for (a2, b2), c2 in other._terms.items():
                 c = c1 * c2
                 for a, ca in product(a1, a2).items():
                     cca = c * ca
-                    for b, cb in product(b1, b2).items():
+                    for b, cb in second(b1, b2).items():
                         _add_into(acc, (a, b), cca * cb)
         return Tensor(2, acc)
+
+    def contract(self, left: Callable[[Hashable], LinComb],
+                 right: Callable[[Hashable], LinComb],
+                 product: Callable[[Hashable, Hashable], LinComb]) -> LinComb:
+        """``sum c product(left(x), right(y))`` over the terms ``c x (x) y``."""
+        acc: dict = {}
+        for (x, y), c in self._terms.items():
+            for k1, c1 in left(x).items():
+                for k2, c2 in right(y).items():
+                    for k3, c3 in product(k1, k2).items():
+                        _add_into(acc, k3, c * c1 * c2 * c3)
+        return LinComb(acc)
 
     def counit_legs(self, is_unit: Callable[[Hashable], bool],
                     ) -> tuple[LinComb, LinComb]:

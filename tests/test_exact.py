@@ -9,7 +9,7 @@ from postlie.bck import bck_coproduct
 from postlie.exprs import lincomb_from_json, lincomb_to_json
 from postlie.forest import forests_up_to, parse_forest
 from postlie.grafting import gl_forests, graft_forests
-from postlie.lincomb import LinComb, Tensor, as_coeff, combine
+from postlie.lincomb import LinComb, Tensor, as_coeff
 from postlie.mkw import mkw_antipode, mkw_coproduct
 from postlie.regstruct import (deformed_graft, deformed_mkw_coproduct,
                                enumerate_reg_trees, is_v_letter,
@@ -25,7 +25,6 @@ ONE_TERM = LinComb.basis(KEY)
     lambda: Tensor(1, {(KEY,): 0.5}),
     lambda: LinComb.from_terms([(KEY, 0.5)]),
     lambda: Tensor.from_terms(1, [((KEY,), 0.5)]),
-    lambda: combine([0.5], [ONE_TERM]),
     lambda: ONE_TERM.scale(0.5),
     lambda: 0.5 * ONE_TERM,
     lambda: Tensor.basis((KEY,)).scale(0.5),
@@ -33,7 +32,7 @@ ONE_TERM = LinComb.basis(KEY)
     lambda: lincomb_from_json(
         {"terms": [dict(lincomb_to_json(ONE_TERM)["terms"][0], coeff=0.5)]}),
 ], ids=["LinComb", "Tensor", "LinComb.from_terms", "Tensor.from_terms",
-        "combine", "LinComb.scale", "rmul", "Tensor.scale", "as_coeff",
+        "LinComb.scale", "rmul", "Tensor.scale", "as_coeff",
         "lincomb_from_json"])
 def test_float_coefficient_raises(make):
     with pytest.raises(TypeError):

@@ -11,9 +11,8 @@ from fractions import Fraction
 import pytest
 
 from postlie import clear_caches
-from postlie.coaction import (_letters, delta_concat_forest,
-                              delta_star_forest, graft_duality_failures,
-                              rho_forest)
+from postlie.coaction import (_letters, delta_star_forest,
+                              graft_duality_failures, rho_forest)
 from postlie.forest import enumerate_forests, parse_forest, word
 from postlie.grafting import gl_forests, graft_forests
 from postlie.lincomb import LinComb, Tensor, deconcat_forest, graded_transpose
@@ -80,14 +79,16 @@ def test_delta_concat_matches_oracle_values_and_order():
     def concat_product(a, b):
         return LinComb.basis(word(a, b))
 
-    # each call transposes its whole degree, so keep the sweep small
+    # the transpose of concatenation is deconcatenation
     for letters, top in ((AB, 3), (("o",), 5)):
+        basis = forest_basis(letters)
         for n in range(top + 1):
-            for f in enumerate_forests(n, letters):
-                want = oracle_transpose(f, forest_basis(_letters(f)),
-                                        concat_product)
-                assert same(delta_concat_forest(f), want), f.text
-                assert delta_concat_forest(f) == deconcat_forest(f)
+            got = graded_transpose(n, basis, concat_product)
+            assert list(got) == list(basis(n))
+            for f in basis(n):
+                want = oracle_transpose(f, basis, concat_product)
+                assert same(got[f], want), f.text
+                assert got[f] == deconcat_forest(f)
 
 
 def test_graft_transpose_matches_oracle_values_and_order():
