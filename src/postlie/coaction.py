@@ -22,7 +22,9 @@ feed both the ``cointeraction`` and ``cotranslation`` suites of
 
 Translations act on the dual side: ``translate`` shifts every vertex
 decoration ``i`` by a chosen primitive element and extends over trees by
-grafting and over forests by the Grossman-Larson recursion.  The
+grafting and over forests by the Grossman-Larson recursion.  The images
+of basis forests are memoised per vector and cutoff, so the calls of a
+suite, one per basis forest with one vector, share them.  The
 ``disjointness_witness`` report replays the argument showing that a
 translation can agree with grafting by a fixed group-like series only
 when that series is trivial; its checks are rows of laws as well.
@@ -33,6 +35,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
+from .characters import group_like_failures
 from .forest import (FOREST_ONE, OrderedForest, b_minus, b_plus,
                      enumerate_forests, forest, leaf, letters_in as _letters,
                      render_forest, single, tree)
@@ -233,32 +236,30 @@ def translate(v: TranslationVector, x: LinComb | OrderedForest,
     check_translation_vector(v)
     if isinstance(x, OrderedForest):
         x = LinComb.basis(x)
-    memo: dict[OrderedForest, LinComb] = {}
+    return _translate_lin(tuple(sorted(v.items())), maxdeg, x.truncate(maxdeg))
 
-    def t_forest(f: OrderedForest) -> LinComb:
-        got = memo.get(f)
-        if got is not None:
-            return got
-        if f.is_empty:
-            out = _ONE
-        elif len(f) == 1:
-            t = f.trees[0]
-            target = (LinComb.basis(single(leaf(t.decoration)))
-                      + v.get(t.decoration, LinComb.zero()))
-            out = left_graft(t_lin(LinComb.basis(b_minus(t))),
-                             target).truncate(maxdeg)
-        else:
-            head = single(f.trees[0])
-            rest = forest(f.trees[1:])
-            out = (gl_product(t_forest(head), t_forest(rest)).truncate(maxdeg)
-                   - t_lin(graft_forests(head, rest)))
-        memo[f] = out
-        return out
 
-    def t_lin(y: LinComb) -> LinComb:
-        return y.truncate(maxdeg).map_basis(t_forest).truncate(maxdeg)
+def _translate_lin(v: tuple, maxdeg: int, y: LinComb) -> LinComb:
+    return y.map_basis(lambda f: _translate_forest(v, maxdeg, f))
 
-    return t_lin(x)
+
+@memo
+def _translate_forest(v: tuple, maxdeg: int, f: OrderedForest) -> LinComb:
+    """Translation of a basis forest of degree <= ``maxdeg``, truncated;
+    ``v`` holds the vector's items sorted, so equal vectors share entries."""
+    if f.is_empty:
+        return _ONE
+    if len(f) == 1:
+        t = f.trees[0]
+        target = (LinComb.basis(single(leaf(t.decoration)))
+                  + dict(v).get(t.decoration, LinComb.zero()))
+        return left_graft(_translate_forest(v, maxdeg, b_minus(t)),
+                          target).truncate(maxdeg)
+    head = single(f.trees[0])
+    rest = forest(f.trees[1:])
+    return (gl_product(_translate_forest(v, maxdeg, head),
+                       _translate_forest(v, maxdeg, rest)).truncate(maxdeg)
+            - _translate_lin(v, maxdeg, graft_forests(head, rest)))
 
 
 def compose_vectors(v: TranslationVector, u: TranslationVector,
@@ -299,10 +300,7 @@ def disjointness_witness(v: TranslationVector | None, xi: LinComb,
     """
     if xi.coeff(FOREST_ONE) != 1:
         raise ValueError("series must have constant term 1")
-    dev = deshuffle(xi) - tensor_of(xi, xi)
-    dev = Tensor(2, {k: c for k, c in dev.items()
-                     if k[0].degree + k[1].degree <= maxdeg})
-    if not dev.is_zero:
+    if group_like_failures(xi, maxdeg):
         raise ValueError("series is not group-like up to the cutoff")
 
     i, j = letters

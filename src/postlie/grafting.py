@@ -102,14 +102,12 @@ def concat_antipode(x: LinComb) -> LinComb:
 
 @memo
 def _gl_antipode_forest(a: OrderedForest) -> LinComb:
-    out = concat_antipode(LinComb.basis(a))
-    if not a.is_empty:
-        for (a1, a2), c in deshuffle_forest(a).items():
-            if a1.is_empty or a2.is_empty:
-                continue
-            out = out + c * left_graft(
-                _gl_antipode_forest(a1), concat_antipode(LinComb.basis(a2)))
-    return out
+    # S*(a1) < S(a2) over the pairs with two nonempty legs, plus S(a) on the
+    # right of `+`, which copies its left operand
+    return deshuffle_forest(a).map_basis(
+        lambda k: left_graft(_gl_antipode_forest(k[0]),
+                             concat_antipode(LinComb.basis(k[1])))
+        if k[0] and k[1] else LinComb.zero()) + _reversal(a)
 
 
 def gl_antipode(x: LinComb) -> LinComb:

@@ -5,8 +5,8 @@ Each composite in the library is one expression over the extensions of
 ``legwise``, ``contract``).  The oracles here are the earlier loops, which
 sum term by term into a dict (the recursive ones through their own memo): the
 Guin-Oudom products on planar forests and on decorated trees (with the split
-branch of deformed grafting), the MKW antipode and ``phi`` in its per-tree
-replacement form ``phi(t w) = t . phi(w) - sum_j phi(w with s_j replaced by
+branch of deformed grafting), the MKW and Grossman-Larson antipodes and
+``phi`` in its per-tree replacement form ``phi(t w) = t . phi(w) - sum_j phi(w with s_j replaced by
 t < s_j)``.
 """
 
@@ -16,7 +16,8 @@ import pytest
 
 from postlie.characters import _phi_forest
 from postlie.forest import forest, forests_up_to, single, word
-from postlie.grafting import gl_forests, graft_forests
+from postlie.grafting import (_gl_antipode_forest, concat_antipode,
+                              gl_forests, graft_forests, left_graft)
 from postlie.lincomb import (LinComb, _add_into, concat, deshuffle_forest,
                              shuffle_words)
 from postlie.mkw import _antipode_forest, reduced_coproduct_forest
@@ -57,6 +58,18 @@ def antipode_oracle(f):
             for fs, cs in shuffle_words(fl, right).items():
                 _add_into(acc, fs, -c * cl * cs)
     return LinComb(acc)
+
+
+@cache
+def gl_antipode_oracle(a):
+    out = concat_antipode(LinComb.basis(a))
+    if not a.is_empty:
+        for (a1, a2), c in deshuffle_forest(a).items():
+            if a1.is_empty or a2.is_empty:
+                continue
+            out = out + c * left_graft(
+                gl_antipode_oracle(a1), concat_antipode(LinComb.basis(a2)))
+    return out
 
 
 @cache
@@ -101,6 +114,12 @@ def test_phi_matches_the_replacement_form(alphabet, maxdeg):
 def test_mkw_antipode_matches_the_loop(alphabet, maxdeg):
     for f in forests_up_to(maxdeg, alphabet):
         assert _antipode_forest(f) == antipode_oracle(f), f.text
+
+
+@pytest.mark.parametrize("alphabet,maxdeg", [(("o",), 7), (AB, 5)])
+def test_gl_antipode_matches_the_loop(alphabet, maxdeg):
+    for f in forests_up_to(maxdeg, alphabet):
+        assert _gl_antipode_forest(f) == gl_antipode_oracle(f), f.text
 
 
 def test_gl_products_match_the_loop_on_every_pair():

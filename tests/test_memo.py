@@ -8,7 +8,7 @@ from pathlib import Path
 import postlie
 from postlie import bck, cache_sizes, clear_caches, regstruct
 from postlie.bck import bck_coproduct, np_parse
-from postlie.coaction import delta_star_forest
+from postlie.coaction import delta_star_forest, translate
 from postlie.forest import enumerate_forests, parse_forest
 from postlie.grafting import gl_antipode, graft_forests
 from postlie.growth import fold_tensor, primitive_basis, primitive_projection
@@ -46,7 +46,7 @@ def test_cache_sizes_names_one_entry_per_memo():
                     for d in node.decorator_list):
                 decorated.append(f"{path.stem}.{node.name}")
     assert sorted(cache_sizes()) == sorted(decorated)
-    assert len(decorated) == 33
+    assert len(decorated) == 34
 
 
 def sample_values():
@@ -62,6 +62,7 @@ def sample_values():
         "fold": fold_tensor(Tensor.basis((a, b))),
         "primitives": primitive_basis(3, ("a", "b")),
         "delta-star": delta_star_forest(a),
+        "translate": translate({"a": LinComb.basis(parse_forest("[b]"))}, x, 4),
         "deformed": deformed_mkw_tree(t),
         "phi-reg": phi_reg(t, 4),
         "bases": (enumerate_forests(4, "ba"), enumerate_reg_trees(3, 1),
