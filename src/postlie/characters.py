@@ -154,13 +154,13 @@ def counit_char(N: int, flavor: str = MKW_FLAVOR) -> TruncChar:
     return TruncChar(N, {}, flavor)
 
 
-def character_failures(X: TruncChar, alphabet: Iterable[str] | None = None) -> list[tuple]:
+def character_failures(X: TruncChar) -> list[tuple]:
     """Witnesses against shuffle multiplicativity, over pairs within degree N.
 
     Returns (f, g, X(f shuffle g), X(f)X(g)) triples-with-values; empty means
     X is a character as far as the truncation can see.
     """
-    letters = tuple(alphabet) if alphabet is not None else X.letters()
+    letters = X.letters()
     bad: list = []
     for d1 in range(1, X.N):
         for d2 in range(1, X.N - d1 + 1):

@@ -1,13 +1,19 @@
 """Command-line frontend.
 
-Every operation reads bracket expressions from its arguments, computes
-exactly, and prints terms in compare-order, so identical invocations give
-byte-identical output.  ``--output json`` switches any subcommand to a JSON
-rendering of the same data.  Degree-bearing options, the operands of the
-forest and decorated operations, and the truncation degree of character
-files are capped by ``POSTLIE_DEGREE_CAP`` (default 7) and must be
-nonnegative; ``basis`` also refuses more forests than two letters give at
-the cap, and ``reg-basis`` more trees than dimension two gives there.
+Every subcommand is one row of :func:`build_parser`: its name, help text,
+output kind, the function it applies, the operand parser and the names of
+its positional operands, and the options of its own.  The operand parser
+reads the operands (bracket expressions as forests or decorated trees, or
+character files), the function computes exactly from them and the parsed
+options, and :func:`main` prints the value through one :func:`_emit` in
+the row's kind, a pair of text and JSON renderers.  Terms come in
+compare-order, so identical invocations give byte-identical output, and
+``--output json`` switches any subcommand to a JSON rendering of the same
+data.  Degree-bearing options, the operands of the forest and decorated
+operations, and the truncation degree of character files are capped by
+``POSTLIE_DEGREE_CAP`` (default 7) and must be nonnegative; ``basis`` also
+refuses more forests than two letters give at the cap, and ``reg-basis``
+more trees than dimension two gives there.
 
 Exit codes: 0 on success, 1 for failed verification suites and other
 errors, 2 for malformed input expressions (the message carries the
@@ -20,6 +26,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 from .characters import (canonical_lift, char_convolve, char_from_json,
@@ -36,7 +43,8 @@ from .mkw import mkw_antipode, mkw_coproduct
 from .regstruct import (deformed_mkw_coproduct, enumerate_reg_trees,
                         phi_reg, phi_reg_inverse, reg_assoc_product,
                         reg_gl_product, reg_graft)
-from .verify import DegreeCapError, degree_cap, run_suite, suite_names
+from .verify import (DegreeCapError, cap_degree, degree_cap, run_suite,
+                     suite_names)
 
 
 def _alphabet(args) -> tuple[str, ...] | None:
@@ -49,153 +57,110 @@ def _alphabet(args) -> tuple[str, ...] | None:
     return letters
 
 
-def _cap(n: int, what: str) -> int:
-    if n < 0:
-        raise ValueError(f"{what} must be nonnegative, got {n}")
-    cap = degree_cap()
-    if n > cap:
-        raise DegreeCapError(
-            f"{what} {n} exceeds the degree cap {cap}; "
-            "set POSTLIE_DEGREE_CAP to raise it")
-    return n
+def _max_degree(args, x) -> int:
+    # --max-degree, or else the operand's degree, capped
+    n = x.max_degree() if args.max_degree is None else args.max_degree
+    return cap_degree(n, "max degree")
 
 
-def _cap_operands(a, b) -> None:
-    _cap(a.max_degree(), "degree of A")
-    _cap(b.max_degree(), "degree of B")
-
-
-def _operand(args):
-    x = parse_lincomb(args.X, _alphabet(args))
-    _cap(x.max_degree(), "degree of X")
-    return x
-
-
-def _emit_lin(args, x, reg: bool = False) -> int:
-    if args.output == "json":
-        obj = reg_lincomb_to_json(x) if reg else lincomb_to_json(x)
-        print(json.dumps(obj, indent=2))
-    else:
-        print(render_lincomb(x))
-    return 0
-
-
-def _emit_tensor(args, t) -> int:
-    if args.output == "json":
-        print(json.dumps(tensor_to_json(t), indent=2))
-    else:
-        print(render_tensor(t))
-    return 0
-
-
-def _parse_vector(raw: str, maxdeg: int) -> dict:
-    # entries "letter=expr" joined by ";"
+def _pairs(raw: str, sep: str, what: str, form: str, value) -> dict:
+    # entries "key=value" joined by sep; blank entries are skipped
     out = {}
-    for chunk in raw.split(";"):
+    for chunk in raw.split(sep):
         chunk = chunk.strip()
         if not chunk:
             continue
-        key, sep, expr = chunk.partition("=")
-        if not sep:
-            raise ValueError(
-                f"vector entry {chunk!r} is not of the form letter=expr")
-        out[key.strip()] = parse_lincomb(expr).truncate(maxdeg)
+        key, eq, val = chunk.partition("=")
+        if not eq:
+            raise ValueError(f"{what} {chunk!r} is not of the form {form}")
+        try:
+            out[key.strip()] = value(val)
+        except ZeroDivisionError:
+            raise ValueError(f"{what} {chunk!r} has a zero denominator") \
+                from None
     return out
 
 
-def _parse_increments(raw: str) -> dict:
-    out = {}
-    for chunk in raw.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        key, sep, val = chunk.partition("=")
-        if not sep:
-            raise ValueError(
-                f"increment {chunk!r} is not of the form letter=value")
-        out[key.strip()] = Fraction(val.strip())
+# -- operand parsers: (args, names) -> the operands, in order ---------------
+
+def _forests(args, names):
+    return [parse_lincomb(getattr(args, n), _alphabet(args)) for n in names]
+
+
+def _decorated(args, names):
+    return [parse_reg_lincomb(getattr(args, n)) for n in names]
+
+
+def _capped(parse):
+    # every operand parsed first, then each capped by its degree
+    def capped(args, names):
+        xs = parse(args, names)
+        for n, x in zip(names, xs):
+            cap_degree(x.max_degree(), f"degree of {n}")
+        return xs
+    return capped
+
+
+def _characters(args, names):
+    out = []
+    for n in names:
+        with open(getattr(args, n), "r", encoding="utf-8") as fh:
+            X = char_from_json(fh.read())
+        cap_degree(X.N, "truncation degree")
+        out.append(X)
     return out
 
 
-def _read_char(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        X = char_from_json(fh.read())
-    _cap(X.N, "truncation degree")
-    return X
+# -- output kinds: (text, JSON) renderers of a value, newline included ------
+
+def _line(render):
+    return lambda value: render(value) + "\n"
 
 
-def _emit_char(args, X) -> int:
-    if args.output == "json":
-        print(char_to_json(X))
-    else:
-        sys.stdout.write(char_to_csv(X))
-    return 0
+def _json(to_json):
+    return _line(lambda value: json.dumps(to_json(value), indent=2))
 
 
-# -- subcommand bodies -------------------------------------------------------
-
-def _cmd_binary(fn):
-    def cmd(args) -> int:
-        alpha = _alphabet(args)
-        a = parse_lincomb(args.A, alpha)
-        b = parse_lincomb(args.B, alpha)
-        _cap_operands(a, b)
-        return _emit_lin(args, fn(a, b))
-    return cmd
-
-
-def _cmd_antipode(args) -> int:
-    x = _operand(args)
-    fn = {"mkw": mkw_antipode, "gl": gl_antipode,
-          "concat": concat_antipode}[args.which]
-    return _emit_lin(args, fn(x))
+def _report_text(report: dict) -> str:
+    checks = report["checks"]
+    lines = [f"{c['status'].upper():5} {c['name']} [{c['range']}]"
+             + (f" witness: {c['witness']}" if "witness" in c else "")
+             for c in checks]
+    npass = sum(1 for c in checks if c["status"] == "pass")
+    verdict = "PASS" if report["ok"] else "FAIL"
+    lines.append(f"suite {report['suite']}: {verdict} ({npass}/{len(checks)}"
+                 f" checks, max degree {report['max_degree']})")
+    return "".join(f"{line}\n" for line in lines)
 
 
-def _cmd_unary(fn):
-    def cmd(args) -> int:
-        return _emit_lin(args, fn(_operand(args)))
-    return cmd
+_COMBINATION = (_line(render_lincomb), _json(lincomb_to_json))
+_REG_COMBINATION = (_line(render_lincomb), _json(reg_lincomb_to_json))
+_TENSOR = (_line(render_tensor), _json(tensor_to_json))
+_LEVELS = (lambda levels: "".join(f"level {k}: {render_tensor(t)}\n"
+                                  for k, t in sorted(levels.items())),
+           _json(lambda levels: {"levels": {
+               str(k): tensor_to_json(t) for k, t in sorted(levels.items())}}))
+_LISTING = (lambda items: "".join(f"{x.text}\n" for x in items),
+            _json(lambda items: [x.text for x in items]))
+_REPORT = (_report_text, _json(lambda report: report))
+_CHARACTER = (char_to_csv, _line(char_to_json))
 
 
-def _cmd_cop(fn):
-    def cmd(args) -> int:
-        return _emit_tensor(args, fn(_operand(args)))
-    return cmd
+def _emit(args, value, kind) -> None:
+    text, as_json = kind
+    sys.stdout.write((as_json if args.output == "json" else text)(value))
 
 
-def _cmd_fdecompose(args) -> int:
-    levels = f_decompose(_operand(args))
-    if args.output == "json":
-        obj = {"levels": {str(k): tensor_to_json(t)
-                          for k, t in sorted(levels.items())}}
-        print(json.dumps(obj, indent=2))
-    else:
-        for k, t in sorted(levels.items()):
-            print(f"level {k}: {render_tensor(t)}")
-    return 0
+# -- row functions: (args, *operands) -> value ------------------------------
+
+def _on(fn):
+    # a function of the operands alone
+    return lambda args, *xs: fn(*xs)
 
 
-def _cmd_translate(args) -> int:
-    x = parse_lincomb(args.X, _alphabet(args))
-    maxdeg = args.max_degree if args.max_degree is not None else x.max_degree()
-    _cap(maxdeg, "max degree")
-    v = _parse_vector(args.v, maxdeg)
-    return _emit_lin(args, translate(v, x, maxdeg))
-
-
-def _cmd_lift(args) -> int:
-    _cap(args.N, "truncation degree")
-    return _emit_char(args, canonical_lift(_parse_increments(args.increments),
-                                           args.N))
-
-
-def _cmd_chen(args) -> int:
-    return _emit_char(args, char_convolve(_read_char(args.X),
-                                          _read_char(args.Y)))
-
-
-def _cmd_embed(args) -> int:
-    return _emit_char(args, embed_rough_path(_read_char(args.X)))
+def _up_to(fn):
+    # a function of one operand and its max degree
+    return lambda args, x: fn(x, _max_degree(args, x))
 
 
 def _refuse_wide(what: str, size: int, unit: str, limit: int,
@@ -209,54 +174,9 @@ def _refuse_wide(what: str, size: int, unit: str, limit: int,
             "set POSTLIE_DEGREE_CAP to raise it")
 
 
-def _emit_listing(args, items) -> int:
-    if args.output == "json":
-        print(json.dumps([x.text for x in items], indent=2))
-    else:
-        for x in items:
-            print(x.text)
-    return 0
-
-
 def _basis_size(letters: int, n: int) -> int:
     # planar forests of degree n: letters**n times the Catalan number C(n)
     return letters ** n * comb(2 * n, n) // (n + 1)
-
-
-def _cmd_basis(args) -> int:
-    n = _cap(args.degree, "degree")
-    alpha = _alphabet(args) or ("o",)
-    k = len(set(alpha))
-    _refuse_wide(f"basis of degree {n} over {k} letters", _basis_size(k, n),
-                 "forests", _basis_size(2, degree_cap()), "two letters")
-    return _emit_listing(args, enumerate_forests(n, alpha))
-
-
-def _cmd_reg_binary(fn):
-    def cmd(args) -> int:
-        a = parse_reg_lincomb(args.A)
-        b = parse_reg_lincomb(args.B)
-        _cap_operands(a, b)
-        return _emit_lin(args, fn(a, b), reg=True)
-    return cmd
-
-
-def _cmd_reg_cop(args) -> int:
-    x = parse_reg_lincomb(args.X)
-    maxdeg = (args.max_degree if args.max_degree is not None
-              else x.max_degree())
-    _cap(maxdeg, "max degree")
-    return _emit_tensor(args, deformed_mkw_coproduct(x, maxdeg))
-
-
-def _cmd_reg_phi(fn):
-    def cmd(args) -> int:
-        x = parse_reg_lincomb(args.X)
-        maxdeg = (args.max_degree if args.max_degree is not None
-                  else x.max_degree())
-        _cap(maxdeg, "max degree")
-        return _emit_lin(args, fn(x, maxdeg), reg=True)
-    return cmd
 
 
 def _reg_basis_size(n: int, d: int, max_norm: int | None = None) -> int:
@@ -277,46 +197,51 @@ def _reg_basis_size(n: int, d: int, max_norm: int | None = None) -> int:
     return trees[n]
 
 
-def _cmd_reg_basis(args) -> int:
-    n = _cap(args.degree, "degree")
+def _translate(args, x):
+    maxdeg = _max_degree(args, x)
+    v = _pairs(args.v, ";", "vector entry", "letter=expr",
+               lambda expr: parse_lincomb(expr).truncate(maxdeg))
+    return translate(v, x, maxdeg)
+
+
+def _lift(args):
+    n = cap_degree(args.N, "truncation degree")
+    return canonical_lift(_pairs(args.increments, ",", "increment",
+                                 "letter=value",
+                                 lambda val: Fraction(val.strip())), n)
+
+
+def _basis(args):
+    n = cap_degree(args.degree, "degree")
+    alpha = _alphabet(args) or ("o",)
+    k = len(set(alpha))
+    _refuse_wide(f"basis of degree {n} over {k} letters", _basis_size(k, n),
+                 "forests", _basis_size(2, degree_cap()), "two letters")
+    return enumerate_forests(n, alpha)
+
+
+def _reg_basis(args):
+    n = cap_degree(args.degree, "degree")
     if args.max_norm is not None:
-        _cap(args.max_norm, "max norm")
+        cap_degree(args.max_norm, "max norm")
     _refuse_wide(f"reg-basis of degree {n} over dimension {args.dim}",
                  _reg_basis_size(n, args.dim, args.max_norm), "trees",
                  _reg_basis_size(degree_cap(), 2), "dimension 2")
-    return _emit_listing(args,
-                         enumerate_reg_trees(n, args.dim, args.max_norm))
+    return enumerate_reg_trees(n, args.dim, args.max_norm)
 
 
-def _cmd_verify(args) -> int:
-    alpha = _alphabet(args) or ("o",)
-    report = run_suite(args.suite, args.max_degree, alpha)
-    if args.output == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        for c in report["checks"]:
-            line = f"{c['status'].upper():5} {c['name']} [{c['range']}]"
-            if "witness" in c:
-                line += f" witness: {c['witness']}"
-            print(line)
-        npass = sum(1 for c in report["checks"] if c["status"] == "pass")
-        verdict = "PASS" if report["ok"] else "FAIL"
-        print(f"suite {report['suite']}: {verdict} "
-              f"({npass}/{len(report['checks'])} checks, "
-              f"max degree {report['max_degree']})")
-    return 0 if report["ok"] else 1
+def _run(fn, parse, names, args):
+    return fn(args, *(parse(args, names) if parse else ()))
 
 
-# -- wiring ------------------------------------------------------------------
+# -- the table ---------------------------------------------------------------
 
-def _common(sp) -> None:
-    sp.add_argument("--output", choices=("text", "json"), default="text")
-
-
-def _with_alphabet(sp) -> None:
-    _common(sp)
-    sp.add_argument("--alphabet",
-                    help="comma-separated decorations; default: infer")
+_ALPHABET = ("--alphabet", {"help": "comma-separated decorations; "
+                                    "default: infer"})
+_MAX_DEGREE = ("--max-degree", {"type": int, "default": None})
+_DEGREE = ("--degree", {"type": int, "required": True})
+_ANTIPODES = {"mkw": mkw_antipode, "gl": gl_antipode,
+              "concat": concat_antipode}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,99 +249,95 @@ def build_parser() -> argparse.ArgumentParser:
         prog="postlie",
         description="Exact computations on decorated planar rooted forests.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, nargs_: tuple[str, ...], alphabet=True, help=""):
-        sp = sub.add_parser(name, help=help)
-        for arg in nargs_:
+    forest, tree = _capped(_forests), _capped(_decorated)
+    rows = [
+        # name, help, kind, function, operand parser, positionals, options
+        ("graft", "left grafting of A into B", _COMBINATION,
+         _on(left_graft), forest, "A B", [_ALPHABET]),
+        ("gl-product", "Grossman-Larson product A * B", _COMBINATION,
+         _on(gl_product), forest, "A B", [_ALPHABET]),
+        ("mkw-coproduct", "coproduct by left-admissible cuts", _TENSOR,
+         _on(mkw_coproduct), forest, "X", [_ALPHABET]),
+        ("antipode", "antipode of X", _COMBINATION,
+         lambda args, x: _ANTIPODES[args.which](x), forest, "X",
+         [_ALPHABET, ("--which", {"choices": tuple(_ANTIPODES),
+                                  "default": "mkw"})]),
+        ("natural-growth", "vertex-averaged growth of A onto B", _COMBINATION,
+         _on(natural_growth), forest, "A B", [_ALPHABET]),
+        ("pi", "projection onto primitives", _COMBINATION,
+         _on(primitive_projection), forest, "X", [_ALPHABET]),
+        ("f-decompose", "split X into growth-fold levels of primitives",
+         _LEVELS, _on(f_decompose), forest, "X", [_ALPHABET]),
+        ("phi", "word-side isomorphism", _COMBINATION, _on(phi), forest,
+         "X", [_ALPHABET]),
+        ("phi-inv", "inverse of the word-side isomorphism", _COMBINATION,
+         _on(phi_inverse), forest, "X", [_ALPHABET]),
+        ("rho-graft", "grafting coaction", _TENSOR, _on(rho_graft), forest,
+         "X", [_ALPHABET]),
+        ("translate", "shift decorations by a primitive vector",
+         _COMBINATION, _translate, _forests, "X",
+         [_ALPHABET, ("--v", {"required": True,
+                              "help": 'entries "letter=expr" joined by ";"'}),
+          _MAX_DEGREE]),
+        ("lift", "exponential character of letter increments", _CHARACTER,
+         _lift, None, "",
+         [("--increments", {"required": True,
+                            "help": 'pairs "letter=value" joined by ","'}),
+          ("--N", {"type": int, "required": True,
+                   "help": "truncation degree"})]),
+        ("chen", "convolve two character files", _CHARACTER,
+         _on(char_convolve), _characters, "X Y", []),
+        ("embed", "move a character file to the word side", _CHARACTER,
+         _on(embed_rough_path), _characters, "X", []),
+        ("basis", "list basis forests of a degree", _LISTING, _basis, None,
+         "", [_ALPHABET, _DEGREE]),
+        ("reg-product", "decorated word product", _REG_COMBINATION,
+         _on(reg_assoc_product), tree, "A B", []),
+        ("reg-graft", "deformed grafting", _REG_COMBINATION, _on(reg_graft),
+         tree, "A B", []),
+        ("reg-gl-product", "decorated Grossman-Larson product",
+         _REG_COMBINATION, _on(reg_gl_product), tree, "A B", []),
+        ("reg-mkw-coproduct", "dual coproduct of the decorated product",
+         _TENSOR, _up_to(deformed_mkw_coproduct), _decorated, "X",
+         [_MAX_DEGREE]),
+        ("reg-phi", "decorated word-side isomorphism", _REG_COMBINATION,
+         _up_to(phi_reg), _decorated, "X", [_MAX_DEGREE]),
+        ("reg-phi-inv", "inverse decorated isomorphism", _REG_COMBINATION,
+         _up_to(phi_reg_inverse), _decorated, "X", [_MAX_DEGREE]),
+        ("reg-basis", "list decorated trees of a degree", _LISTING,
+         _reg_basis, None, "",
+         [_DEGREE, ("--dim", {"type": int, "default": 1}),
+          ("--max-norm", {"type": int, "default": None})]),
+        ("verify", "run a property suite and report", _REPORT,
+         lambda args: run_suite(args.suite, args.max_degree,
+                                _alphabet(args) or ("o",)), None, "",
+         [_ALPHABET, ("--suite", {"required": True,
+                                  "choices": suite_names()}), _MAX_DEGREE]),
+    ]
+    for name, help_, kind, fn, parse, positionals, options in rows:
+        sp = sub.add_parser(name, help=help_)
+        for arg in positionals.split():
             sp.add_argument(arg)
-        (_with_alphabet if alphabet else _common)(sp)
-        sp.set_defaults(fn=fn)
-        return sp
-
-    add("graft", _cmd_binary(left_graft), ("A", "B"),
-        help="left grafting of A into B")
-    add("gl-product", _cmd_binary(gl_product), ("A", "B"),
-        help="Grossman-Larson product A * B")
-    add("mkw-coproduct", _cmd_cop(mkw_coproduct), ("X",),
-        help="coproduct by left-admissible cuts")
-    sp = add("antipode", _cmd_antipode, ("X",), help="antipode of X")
-    sp.add_argument("--which", choices=("mkw", "gl", "concat"),
-                    default="mkw")
-    add("natural-growth", _cmd_binary(natural_growth), ("A", "B"),
-        help="vertex-averaged growth of A onto B")
-    add("pi", _cmd_unary(primitive_projection), ("X",),
-        help="projection onto primitives")
-    add("f-decompose", _cmd_fdecompose, ("X",),
-        help="split X into growth-fold levels of primitives")
-    add("phi", _cmd_unary(phi), ("X",),
-        help="word-side isomorphism")
-    add("phi-inv", _cmd_unary(phi_inverse), ("X",),
-        help="inverse of the word-side isomorphism")
-    add("rho-graft", _cmd_cop(rho_graft), ("X",),
-        help="grafting coaction")
-    sp = add("translate", _cmd_translate, ("X",),
-             help="shift decorations by a primitive vector")
-    sp.add_argument("--v", required=True,
-                    help='entries "letter=expr" joined by ";"')
-    sp.add_argument("--max-degree", type=int, default=None)
-
-    sp = add("lift", _cmd_lift, (), alphabet=False,
-             help="exponential character of letter increments")
-    sp.add_argument("--increments", required=True,
-                    help='pairs "letter=value" joined by ","')
-    sp.add_argument("--N", type=int, required=True,
-                    help="truncation degree")
-    add("chen", _cmd_chen, ("X", "Y"), alphabet=False,
-        help="convolve two character files")
-    add("embed", _cmd_embed, ("X",), alphabet=False,
-        help="move a character file to the word side")
-
-    sp = add("basis", _cmd_basis, (), help="list basis forests of a degree")
-    sp.add_argument("--degree", type=int, required=True)
-
-    add("reg-product", _cmd_reg_binary(reg_assoc_product), ("A", "B"),
-        alphabet=False, help="decorated word product")
-    add("reg-graft", _cmd_reg_binary(reg_graft), ("A", "B"),
-        alphabet=False, help="deformed grafting")
-    add("reg-gl-product", _cmd_reg_binary(reg_gl_product), ("A", "B"),
-        alphabet=False, help="decorated Grossman-Larson product")
-    sp = add("reg-mkw-coproduct", _cmd_reg_cop, ("X",), alphabet=False,
-             help="dual coproduct of the decorated product")
-    sp.add_argument("--max-degree", type=int, default=None)
-    sp = add("reg-phi", _cmd_reg_phi(phi_reg), ("X",), alphabet=False,
-             help="decorated word-side isomorphism")
-    sp.add_argument("--max-degree", type=int, default=None)
-    sp = add("reg-phi-inv", _cmd_reg_phi(phi_reg_inverse), ("X",),
-             alphabet=False, help="inverse decorated isomorphism")
-    sp.add_argument("--max-degree", type=int, default=None)
-    sp = add("reg-basis", _cmd_reg_basis, (), alphabet=False,
-             help="list decorated trees of a degree")
-    sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--dim", type=int, default=1)
-    sp.add_argument("--max-norm", type=int, default=None)
-
-    sp = add("verify", _cmd_verify, (),
-             help="run a property suite and report")
-    sp.add_argument("--suite", required=True, choices=suite_names())
-    sp.add_argument("--max-degree", type=int, default=None)
-
+        sp.add_argument("--output", choices=("text", "json"), default="text")
+        for flag, settings in options:
+            sp.add_argument(flag, **settings)
+        sp.set_defaults(kind=kind,
+                        run=partial(_run, fn, parse, positionals.split()))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        value = args.run(args)
+        _emit(args, value, args.kind)
     except ForestSyntaxError as err:
         print(f"parse error: {err.args[0]}", file=sys.stderr)
         return 2
-    except DegreeCapError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    return 1 if args.kind is _REPORT and not value["ok"] else 0
 
 
 if __name__ == "__main__":

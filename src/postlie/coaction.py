@@ -233,10 +233,19 @@ def translate(v: TranslationVector, x: LinComb | OrderedForest,
     Missing decorations shift by zero; every present shift must be
     primitive for the deshuffle coproduct.
     """
-    check_translation_vector(v)
+    _checked_vector(tuple(v.items()))
     if isinstance(x, OrderedForest):
         x = LinComb.basis(x)
     return _translate_lin(tuple(sorted(v.items())), maxdeg, x.truncate(maxdeg))
+
+
+@memo
+def _checked_vector(items: tuple) -> bool:
+    """`check_translation_vector` once per vector, given by its items in
+    order so that a failure names the same decoration; failures raise and
+    are not cached."""
+    check_translation_vector(dict(items))
+    return True
 
 
 def _translate_lin(v: tuple, maxdeg: int, y: LinComb) -> LinComb:
@@ -286,8 +295,7 @@ def _fmt(x: LinComb) -> str:
 
 
 def disjointness_witness(v: TranslationVector | None, xi: LinComb,
-                         maxdeg: int,
-                         letters: tuple[str, str] = ("i", "j")) -> dict:
+                         maxdeg: int) -> dict:
     """Compare translating with grafting a fixed group-like series.
 
     Agreement on single vertices forces each shift to be the series,
@@ -303,12 +311,11 @@ def disjointness_witness(v: TranslationVector | None, xi: LinComb,
     if group_like_failures(xi, maxdeg):
         raise ValueError("series is not group-like up to the cutoff")
 
-    i, j = letters
-    forced: dict[str, LinComb] = {}
-    for d in dict.fromkeys((i, j)):
-        forced[d] = LinComb.from_terms(
-            (single(b_plus(f, d)), c)
-            for f, c in xi.items() if not f.is_empty).truncate(maxdeg)
+    letters = i, j = ("i", "j")
+    forced = {d: LinComb.from_terms((single(b_plus(f, d)), c)
+                                    for f, c in xi.items() if not f.is_empty
+                                    ).truncate(maxdeg)
+              for d in letters}
 
     used = forced if v is None else dict(v)
 

@@ -221,7 +221,10 @@ class _Parser:
                 out = self.atomic()
                 return out if coeff == 1 else out.scale(coeff)
             self.lex.next()
-            coeff *= Fraction(tok[1])
+            try:
+                coeff *= Fraction(tok[1])
+            except ZeroDivisionError:
+                raise ForestSyntaxError("zero denominator", tok[2]) from None
             nxt = self.lex.peek()
             if nxt is None or nxt[0] != "times":
                 return self.unit.scale(coeff)

@@ -79,6 +79,18 @@ def degree_cap() -> int:
     return cap
 
 
+def cap_degree(n: int, what: str) -> int:
+    """``n``, refused when negative or above :func:`degree_cap`; ``what``
+    names it in the message."""
+    if n < 0:
+        raise ValueError(f"{what} must be nonnegative, got {n}")
+    cap = degree_cap()
+    if n > cap:
+        raise DegreeCapError(f"{what} {n} exceeds the degree cap {cap}; "
+                             "set POSTLIE_DEGREE_CAP to raise it")
+    return n
+
+
 _basis = LinComb.basis
 _is_empty = attrgetter("is_empty")
 _is_unit = attrgetter("is_unit")
@@ -852,14 +864,7 @@ def run_suite(name: str, maxdeg: int | None = None,
     letters = tuple(alphabet)
     if not letters:
         raise ValueError("alphabet must list at least one letter")
-    if maxdeg is None:
-        maxdeg = suite.default
-    if maxdeg < 0:
-        raise ValueError("max degree must be nonnegative")
-    cap = degree_cap()
-    if maxdeg > cap:
-        raise DegreeCapError(
-            f"max degree {maxdeg} exceeds the degree cap {cap}; "
-            "set POSTLIE_DEGREE_CAP to raise it")
+    maxdeg = cap_degree(suite.default if maxdeg is None else maxdeg,
+                        "max degree")
     return run_laws(name, maxdeg, suite.alphabet or letters,
                     suite.laws(maxdeg, letters), suite.guarded)

@@ -298,3 +298,34 @@ def test_reg_basis_size_counts_the_enumeration(max_norm):
         for n in range(5):
             assert _reg_basis_size(n, d, max_norm) \
                 == len(enumerate_reg_trees(n, d, max_norm))
+
+
+@pytest.mark.parametrize("argv,position", [
+    (("pi", "1/0*[o]"), 0),
+    (("translate", "[o]", "--v", "o=1/0*[o]"), 0),
+    (("reg-gl-product", "1/0*[o{1}]", "[o{1}]"), 0),
+    (("graft", "[o]", "[o] + 2/0*[o]"), 6),
+])
+def test_zero_denominator_exit_2(capsys, argv, position):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: zero denominator (at position {position})\n"
+
+
+def test_zero_denominator_increment_exit_1(capsys):
+    code, out, err = run(capsys, "lift", "--increments", "o=1/2, a=1/0",
+                         "--N", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: increment 'a=1/0' has a zero denominator\n"
+
+
+def test_failed_suite_exit_1(capsys, monkeypatch):
+    import postlie.cli
+    monkeypatch.setattr(postlie.cli, "run_suite", lambda *a: {
+        "suite": "s", "max_degree": 1, "ok": False, "checks": [
+            {"name": "law", "range": "degree <= 1", "status": "fail",
+             "witness": "[o]"}]})
+    code, out, _ = run(capsys, "verify", "--suite", "translation")
+    assert code == 1
+    assert out == ("FAIL  law [degree <= 1] witness: [o]\n"
+                   "suite s: FAIL (0/1 checks, max degree 1)\n")

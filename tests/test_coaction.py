@@ -100,3 +100,26 @@ def test_disjointness_rejects_bad_series():
         disjointness_witness(None, b("[i]"), 3)
     with pytest.raises(ValueError):
         disjointness_witness(None, LinComb.basis(FOREST_ONE) + b("[i]"), 3)
+
+
+def test_translate_checks_each_vector_once(monkeypatch):
+    import postlie.coaction as coaction
+    calls = []
+    monkeypatch.setattr(coaction, "check_translation_vector",
+                        lambda v: calls.append(dict(v)))
+    v = {"o": b("[o]") * Fraction(1, 7)}
+    for text in ("[o]", "[o[o]]", "[o][o]"):
+        translate(v, b(text), 3)
+    assert calls == [v]
+
+
+def test_failing_translation_vector_is_not_cached():
+    from postlie.memo import cache_sizes
+    bad = {"o": b("[o][o]")}
+    before = cache_sizes()["coaction._checked_vector"]
+    for _ in range(2):
+        with pytest.raises(ValueError) as e:
+            translate(bad, b("[o]"), 3)
+        assert str(e.value) == ("translation term for decoration 'o' is not "
+                                "primitive: [o] (x) [o]: 2")
+    assert cache_sizes()["coaction._checked_vector"] == before

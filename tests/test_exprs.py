@@ -105,3 +105,12 @@ reg_trees_st = st.sampled_from(
 def test_reg_render_parse_round_trip_random(terms):
     x = LinComb.from_terms(terms)
     assert parse_reg_lincomb(render_lincomb(x)) == x
+
+
+@pytest.mark.parametrize("text,position", [
+    ("1/0*[a]", 0), ("[a] + 2*0/0*[b]", 8), ("3/0", 0)])
+def test_zero_denominator_is_a_syntax_error(text, position):
+    with pytest.raises(ForestSyntaxError) as e:
+        parse_lincomb(text)
+    assert e.value.position == position
+    assert e.value.message == "zero denominator"

@@ -67,3 +67,15 @@ def test_alphabet_threads_through():
     rep = run_suite("hopf-axioms", maxdeg=2, alphabet=("a", "b"))
     assert tuple(rep["alphabet"]) == ("a", "b")
     assert rep["ok"]
+
+def test_cap_degree_messages(monkeypatch):
+    from postlie.verify import cap_degree
+    monkeypatch.delenv("POSTLIE_DEGREE_CAP", raising=False)
+    assert cap_degree(3, "degree") == 3
+    with pytest.raises(ValueError) as e:
+        run_suite("translation", -1)
+    assert str(e.value) == "max degree must be nonnegative, got -1"
+    with pytest.raises(DegreeCapError) as e:
+        cap_degree(8, "degree of X")
+    assert str(e.value) == ("degree of X 8 exceeds the degree cap 7; "
+                            "set POSTLIE_DEGREE_CAP to raise it")
