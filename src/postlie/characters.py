@@ -26,8 +26,9 @@ import json
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .forest import (FOREST_ONE, OrderedForest, enumerate_forests, forest,
-                     letters_in, parse_forest, single)
+from .forest import (FOREST_ONE, ForestSyntaxError, OrderedForest,
+                     enumerate_forests, forest, letters_in, parse_forest,
+                     single)
 from .grafting import concat_antipode, gl_exp, gl_product, graft_forests
 from .lincomb import (Coeff, LinComb, as_coeff, concat, deconcat_forest,
                       deshuffle, shuffle, tensor_of)
@@ -266,11 +267,14 @@ def char_from_json(text: str) -> TruncChar:
             f"character 'flavor' must be a string, got {flavor!r}")
     vals = {}
     for k, v in values.items():
-        f = parse_forest(k)
         try:
+            f = parse_forest(k)
             if type(v) is not int and not isinstance(v, str):
                 raise TypeError
             vals[f] = Fraction(v)
+        except ForestSyntaxError as err:
+            raise ForestSyntaxError(f"key {k!r}: {err.message}",
+                                    err.position) from None
         except (TypeError, ValueError, ZeroDivisionError):
             raise ValueError(f"value {v!r} on {k} is not an integer or an "
                              "exact fraction string") from None

@@ -17,7 +17,7 @@ more trees than dimension two gives there.
 
 Exit codes: 0 on success, 1 for failed verification suites and other
 errors, 2 for malformed input expressions (the message carries the
-position).
+position, and names the vector entry or character file and key).
 """
 
 from __future__ import annotations
@@ -70,14 +70,21 @@ def _pairs(raw: str, sep: str, what: str, form: str, value) -> dict:
         chunk = chunk.strip()
         if not chunk:
             continue
-        key, eq, val = chunk.partition("=")
+        key, eq, val = map(str.strip, chunk.partition("="))
         if not eq:
             raise ValueError(f"{what} {chunk!r} is not of the form {form}")
+        if key in out:
+            raise ValueError(f"{what} {chunk!r} repeats the letter {key!r}")
         try:
-            out[key.strip()] = value(val)
+            out[key] = value(val)
+        except ForestSyntaxError as err:
+            raise ForestSyntaxError(f"value of {what} {chunk!r}: "
+                                    f"{err.message}", err.position) from None
         except ZeroDivisionError:
             raise ValueError(f"{what} {chunk!r} has a zero denominator") \
                 from None
+        except ValueError:
+            raise ValueError(f"{what} {chunk!r} has no exact value") from None
     return out
 
 
@@ -103,9 +110,13 @@ def _capped(parse):
 
 def _characters(args, names):
     out = []
-    for n in names:
-        with open(getattr(args, n), "r", encoding="utf-8") as fh:
-            X = char_from_json(fh.read())
+    for path in (getattr(args, n) for n in names):
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
+                X = char_from_json(fh.read())
+            except ForestSyntaxError as err:
+                raise ForestSyntaxError(f"{path}: {err.message}",
+                                        err.position) from None
         cap_degree(X.N, "truncation degree")
         out.append(X)
     return out
@@ -207,8 +218,7 @@ def _translate(args, x):
 def _lift(args):
     n = cap_degree(args.N, "truncation degree")
     return canonical_lift(_pairs(args.increments, ",", "increment",
-                                 "letter=value",
-                                 lambda val: Fraction(val.strip())), n)
+                                 "letter=value", Fraction), n)
 
 
 def _basis(args):

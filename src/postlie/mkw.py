@@ -1,17 +1,14 @@
 """The planar (MKW) Hopf algebra: shuffle product with the cut coproduct.
 
-The coproduct of a tree sums over left-admissible cuts: a set of edges such
-that every root-to-leaf path meets at most one cut edge and, at each vertex,
-the cut edges form a leftmost prefix of the outgoing edges.  Enumeration is
-by recursive descent: at each trunk vertex choose a prefix length ``p``; the
-first ``p`` subtrees are pruned whole and the recursion continues into the
-remaining children only.  The pruned subtrees cut at one vertex stay
-concatenated in their planar order; groups cut at different vertices are
-shuffled together.  The tensor ``pruned (x) trunk`` is summed over all cuts,
-plus the extreme term ``tree (x) 1``.
+The coproduct is the Munthe-Kaas--Wright recursion on the last tree of a
+forest.  For a forest ``w`` followed by the tree ``B+_d(v)``,
 
-Forest coproducts reduce to the tree case by grafting onto a reserved root:
-``D(w) = (id (x) B-)(D(B+(w)) - B+(w) (x) 1)``.
+    D(w B+_d(v)) = w B+_d(v) (x) 1 + D(w) . (id (x) B+_d) D(v),
+
+where the product of two tensors shuffles the left legs and concatenates
+the right legs, and ``D(1) = 1 (x) 1``.  Unfolded, this sums over the
+left-admissible cuts of each tree: every root-to-leaf path meets at most one
+cut edge and, at each vertex, the cut edges form a leftmost prefix.
 
 This Hopf algebra is the graded dual of the Grossman-Larson one; the
 ``duality_failures`` sweep checks ``<A * B, x> = <A (x) B, D(x)>`` on graded
@@ -23,63 +20,24 @@ from __future__ import annotations
 import warnings
 from typing import Callable, Iterable
 
-from .forest import (FOREST_ONE, OrderedForest, PlanarTree, b_minus,
-                     enumerate_forests, forest, single, tree)
+from .forest import (FOREST_ONE, OrderedForest, b_minus, b_plus,
+                     enumerate_forests, forest, single)
 from .grafting import gl_forests
-from .lincomb import (LinComb, Tensor, duality_mismatches, shuffle,
+from .lincomb import (LinComb, Tensor, _concat_product, duality_mismatches,
                       shuffle_words)
 from .memo import memo
-
-_RESERVED = "\x00"
-
-# (pruned groups, trunk) pairs per tree; groups are forests cut at distinct
-# vertices, to be shuffled together.
-@memo
-def _cut_configs(t: PlanarTree) -> tuple[tuple[tuple[OrderedForest, ...], PlanarTree], ...]:
-    kids = t.children
-    out: list[tuple[tuple[OrderedForest, ...], PlanarTree]] = []
-    for p in range(len(kids) + 1):
-        pruned_here = forest(kids[:p])
-        combos: list[tuple[list[OrderedForest], list[PlanarTree]]] = [([], [])]
-        for child in kids[p:]:
-            nxt = []
-            for groups, trunk_kids in combos:
-                for g2, trunk_child in _cut_configs(child):
-                    nxt.append((groups + list(g2), trunk_kids + [trunk_child]))
-            combos = nxt
-        for groups, trunk_kids in combos:
-            all_groups = ([pruned_here] if p else []) + groups
-            out.append((tuple(all_groups), tree(t.decoration, trunk_kids)))
-    return tuple(out)
-
-
-@memo
-def mkw_coproduct_tree(t: PlanarTree) -> Tensor:
-    acc: dict = {}
-    for groups, trunk in _cut_configs(t):
-        left = LinComb.basis(FOREST_ONE)
-        for g in groups:
-            left = shuffle(left, LinComb.basis(g))
-        for f, m in left.items():
-            key = (f, single(trunk))
-            acc[key] = acc.get(key, 0) + m
-    acc[(single(t), FOREST_ONE)] = 1  # the only term with an empty trunk
-    return Tensor._make(2, acc)
-
-
-def _b_minus(f: OrderedForest) -> LinComb:
-    return LinComb.basis(b_minus(f.trees[0]))
 
 
 @memo
 def mkw_coproduct_forest(f: OrderedForest) -> Tensor:
     if f.is_empty:
         return Tensor.basis((FOREST_ONE, FOREST_ONE))
-    if len(f) == 1:
-        return mkw_coproduct_tree(f.trees[0])
-    big = tree(_RESERVED, f.trees)
-    return (mkw_coproduct_tree(big) - Tensor.basis((single(big), FOREST_ONE))
-            ).apply_linear(1, _b_minus)
+    last = f.trees[-1]
+    grown = mkw_coproduct_forest(b_minus(last)).apply_linear(
+        1, lambda v: LinComb.basis(single(b_plus(v, last.decoration))))
+    return (mkw_coproduct_forest(forest(f.trees[:-1])).legwise(
+        grown, shuffle_words, _concat_product)
+        + Tensor.basis((f, FOREST_ONE)))
 
 
 def mkw_coproduct(x: LinComb | OrderedForest) -> Tensor:

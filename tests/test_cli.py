@@ -309,7 +309,11 @@ def test_reg_basis_size_counts_the_enumeration(max_norm):
 def test_zero_denominator_exit_2(capsys, argv, position):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"parse error: zero denominator (at position {position})\n"
+    # an error in a --v value names its entry; the position is in the value
+    where = f"value of vector entry {argv[3]!r}: " if argv[0] == "translate" \
+        else ""
+    assert err == (f"parse error: {where}zero denominator "
+                   f"(at position {position})\n")
 
 
 def test_zero_denominator_increment_exit_1(capsys):
@@ -317,6 +321,19 @@ def test_zero_denominator_increment_exit_1(capsys):
                          "--N", "2")
     assert (code, out) == (1, "")
     assert err == "error: increment 'a=1/0' has a zero denominator\n"
+
+
+@pytest.mark.parametrize("argv,entry,letter", [
+    (("lift", "--increments", "o=1,o=2", "--N", "2"), "increment 'o=2'", "o"),
+    (("lift", "--increments", "a=1, b=2, a =1", "--N", "2"),
+     "increment 'a =1'", "a"),
+    (("translate", "[o]", "--v", "o=[o];o=2*[o]"), "vector entry 'o=2*[o]'",
+     "o"),
+])
+def test_repeated_letter_exit_1(capsys, argv, entry, letter):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {entry} repeats the letter {letter!r}\n"
 
 
 def test_failed_suite_exit_1(capsys, monkeypatch):
