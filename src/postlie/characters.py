@@ -27,8 +27,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .forest import (FOREST_ONE, ForestSyntaxError, OrderedForest,
-                     enumerate_forests, forest, letters_in, parse_forest,
-                     single)
+                     enumerate_forests, forest, leaf, letters_in,
+                     parse_forest, single)
 from .grafting import concat_antipode, gl_exp, gl_product, graft_forests
 from .lincomb import (Coeff, LinComb, as_coeff, concat, deconcat_forest,
                       deshuffle, shuffle, tensor_of)
@@ -223,7 +223,7 @@ def canonical_lift(increments: Mapping[str, int | Fraction], N: int) -> TruncCha
     if N < 1:
         raise ValueError("truncation degree must be at least 1")
     gen = LinComb.from_terms(
-        (parse_forest(f"[{d}]"), as_coeff(c)) for d, c in increments.items() if as_coeff(c))
+        (single(leaf(d)), as_coeff(c)) for d, c in increments.items() if as_coeff(c))
     series = gl_exp(gen, N)
     return TruncChar(N, dict(series.items()), MKW_FLAVOR)
 

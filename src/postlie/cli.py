@@ -36,7 +36,7 @@ from .coaction import rho_graft, translate
 from .exprs import (lincomb_to_json, parse_lincomb, parse_reg_lincomb,
                     reg_lincomb_to_json, render_lincomb, render_tensor,
                     tensor_to_json)
-from .forest import ForestSyntaxError, enumerate_forests
+from .forest import TOKEN, ForestSyntaxError, enumerate_forests
 from .grafting import concat_antipode, gl_antipode, gl_product, left_graft
 from .growth import f_decompose, natural_growth, primitive_projection
 from .mkw import mkw_antipode, mkw_coproduct
@@ -54,6 +54,9 @@ def _alphabet(args) -> tuple[str, ...] | None:
     letters = tuple(s.strip() for s in raw.split(",") if s.strip())
     if not letters:
         raise ValueError("alphabet must list at least one letter")
+    for letter in letters:
+        if not TOKEN.fullmatch(letter):
+            raise ValueError(f"alphabet letter {letter!r} is not one token")
     return letters
 
 
@@ -73,6 +76,8 @@ def _pairs(raw: str, sep: str, what: str, form: str, value) -> dict:
         key, eq, val = map(str.strip, chunk.partition("="))
         if not eq:
             raise ValueError(f"{what} {chunk!r} is not of the form {form}")
+        if not TOKEN.fullmatch(key):
+            raise ValueError(f"{what} {chunk!r}: letter {key!r} is not one token")
         if key in out:
             raise ValueError(f"{what} {chunk!r} repeats the letter {key!r}")
         try:

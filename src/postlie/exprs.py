@@ -13,11 +13,12 @@ import re
 from fractions import Fraction
 from typing import Callable
 
-from .forest import (MAX_NESTING, NESTING_ERROR, ForestSyntaxError,
-                     OrderedForest, forest_from_json, forest_to_json,
-                     parse_forest)
+from .forest import (FOREST_ONE, MAX_NESTING, NESTING_ERROR,
+                     ForestSyntaxError, OrderedForest, _Letters,
+                     forest_from_json, forest_to_json)
 from .lincomb import Coeff, LinComb, Tensor, shuffle, tensor_of
-from .regstruct import RegTree, parse_reg_tree, reg_tree_from_json, reg_tree_to_json
+from .regstruct import (RegTree, _Decorations, mi_zero, reg_tree,
+                        reg_tree_from_json, reg_tree_to_json)
 
 __all__ = [
     "render_lincomb", "render_tensor", "parse_lincomb", "parse_tensor",
@@ -75,19 +76,20 @@ _NUMBER = re.compile(r"\d+(?:/\d+)?")
 class _Lexer:
     """Splits an expression into operators, rationals and word tokens.
 
-    A word token is a maximal run of balanced bracket groups, so the
-    whole forest [a[b]][c] comes out as one token and any decoration
-    syntax inside the brackets is passed through untouched.
+    At ``[`` the lexer hands the text to ``word``, the bracket reader of
+    the expression's keys, which reads a whole word (the forest
+    ``[a[b]] [c]`` is one) and returns its value and end; the word token
+    keeps that value.  A word that runs off the end of the text is an
+    unbalanced ``[`` at the word's start.
     """
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, word: Callable[[str, int], tuple]):
         self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        self._scan()
+        self.tokens: list[tuple] = []
+        self._scan(word)
         self.index = 0
 
-    def _scan(self) -> None:
+    def _scan(self, word) -> None:
         text, n = self.text, len(self.text)
         i = 0
         while i < n:
@@ -110,28 +112,14 @@ class _Lexer:
                 i += 1
                 continue
             if ch == "[":
-                start = i
-                depth = 0
-                while i < n:
-                    if text[i] == "[":
-                        depth += 1
-                    elif text[i] == "]":
-                        depth -= 1
-                        if depth < 0:
-                            raise ForestSyntaxError("unbalanced ]", i)
-                        if depth == 0:
-                            j = i + 1
-                            while j < n and text[j].isspace():
-                                j += 1
-                            if j < n and text[j] == "[":
-                                i = j
-                                continue
-                            i += 1
-                            break
-                    i += 1
-                else:
-                    raise ForestSyntaxError("unbalanced [", start)
-                self.tokens.append(("word", text[start:i], start))
+                try:
+                    value, end = word(text, i)
+                except ForestSyntaxError as err:
+                    if err.position < n:
+                        raise
+                    raise ForestSyntaxError("unbalanced [", i) from None
+                self.tokens.append(("word", text[i:end], i, value))
+                i = end
                 continue
             m = _NUMBER.match(text, i)
             if m:
@@ -154,11 +142,10 @@ class _Lexer:
 class _Parser:
     """Sum / tensor-term / shuffle-term / factor grammar over word atoms."""
 
-    def __init__(self, lexer: _Lexer, atom: Callable[[str, int], LinComb],
+    def __init__(self, lexer: _Lexer,
                  shuffle_fn: Callable[[LinComb, LinComb], LinComb] | None,
                  unit: LinComb):
         self.lex = lexer
-        self.atom = atom
         self.shuffle_fn = shuffle_fn
         self.unit = unit
         self.depth = 0
@@ -233,7 +220,7 @@ class _Parser:
     def atomic(self) -> LinComb:
         tok = self.lex.next()
         if tok[0] == "word":
-            return self.atom(tok[1], tok[2])
+            return LinComb.basis(tok[3])
         if tok[0] == "lparen":
             self.depth += 1
             if self.depth > MAX_NESTING:
@@ -249,34 +236,21 @@ class _Parser:
         raise ForestSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
 
 
-def _atom(parse: Callable[[str], object]) -> Callable[[str, int], LinComb]:
-    """The basis element of ``parse(token)``, a syntax error in the token
-    moved to its position in the whole expression."""
-    def atom(text: str, pos: int) -> LinComb:
-        try:
-            return LinComb.basis(parse(text))
-        except ForestSyntaxError as err:
-            raise ForestSyntaxError(err.message, pos + err.position) from None
-    return atom
-
-
-def _forest_atom(alphabet) -> Callable[[str, int], LinComb]:
-    return _atom(lambda text: parse_forest(text, alphabet))
-
-
 def _one_leg(t: Tensor) -> LinComb:
     """A tensor of arity one as the combination it is."""
     return LinComb({key[0]: c for key, c in t.items()})
 
 
-def _parse(text: str, atom, shuffle_fn, unit) -> Tensor:
-    return _Parser(_Lexer(text), atom, shuffle_fn, unit).parse()
+def _parse(text: str, word, shuffle_fn, unit) -> Tensor:
+    return _Parser(_Lexer(text, word), shuffle_fn, unit).parse()
+
+
+_FOREST_UNIT = LinComb.basis(FOREST_ONE)
 
 
 def parse_lincomb(text: str, alphabet=None) -> LinComb:
     """Parse a sum of forest words with rational coefficients."""
-    out = _parse(text, _forest_atom(alphabet), shuffle,
-                 LinComb.basis(parse_forest("1")))
+    out = _parse(text, _Letters(alphabet).word, shuffle, _FOREST_UNIT)
     if out.arity != 1:
         raise ForestSyntaxError("expected a plain sum, found tensor legs", 0)
     return _one_leg(out)
@@ -284,22 +258,13 @@ def parse_lincomb(text: str, alphabet=None) -> LinComb:
 
 def parse_tensor(text: str, alphabet=None) -> Tensor:
     """Parse a sum of (x)-separated tensor terms over forest words."""
-    return _parse(text, _forest_atom(alphabet), shuffle,
-                  LinComb.basis(parse_forest("1")))
+    return _parse(text, _Letters(alphabet).word, shuffle, _FOREST_UNIT)
 
 
 def parse_reg_lincomb(text: str, d: int | None = None) -> LinComb:
     """Parse a sum of decorated words; dimension inferred when not given."""
-    dim = [d]
-
-    def parse(tok: str) -> RegTree:
-        t = parse_reg_tree(tok, dim[0])
-        dim[0] = t.dim
-        return t
-
-    unit_text = "[o{" + ",".join("0" for _ in range(d or 1)) + "}]"
-    out = _parse(text, _atom(parse), None,
-                 LinComb.basis(parse_reg_tree(unit_text)))
+    out = _parse(text, _Decorations(d).word, None,
+                 LinComb.basis(reg_tree(mi_zero(d or 1), ())))
     if out.arity != 1:
         raise ForestSyntaxError("expected a plain sum, found tensor legs", 0)
     return _one_leg(out)

@@ -162,7 +162,8 @@ def compare(f1: OrderedForest, f2: OrderedForest) -> int:
     return 0
 
 
-_TOKEN = re.compile(r"[A-Za-z0-9_]+")
+# The one decoration token of plain forests: a letter of an alphabet.
+TOKEN = re.compile(r"[A-Za-z0-9_]+")
 
 # Deepest bracket or parenthesis nesting the recursive parsers accept; far
 # beyond any computable degree, and well inside Python's recursion limit.
@@ -170,30 +171,61 @@ MAX_NESTING = 100
 NESTING_ERROR = f"nesting deeper than {MAX_NESTING}"
 
 
-def _parse_tree(text: str, pos: int, alphabet: frozenset[str] | None,
-                default: str | None, depth: int = 1) -> tuple[PlanarTree, int]:
-    if pos >= len(text) or text[pos] != "[":
-        raise ForestSyntaxError("expected '['", pos)
+def _skip_ws(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
+
+
+def _descend(reader, text: str, pos: int, depth: int = 1):
+    """The bracket tree opening at ``text[pos]``, and the position after it:
+    ``[``, what ``reader.vertex`` reads, each child followed by what
+    ``reader.edge`` reads, ``]``.  ``reader.node`` builds the tree."""
     if depth > MAX_NESTING:
         raise ForestSyntaxError(NESTING_ERROR, pos)
-    pos += 1
-    m = _TOKEN.match(text, pos)
-    if m is not None:
-        decoration = m.group(0)
-        pos = m.end()
-        if alphabet is not None and decoration not in alphabet:
-            raise ForestSyntaxError(f"decoration {decoration!r} not in alphabet", m.start())
-    elif default is not None:
-        decoration = default
-    else:
-        raise ForestSyntaxError("missing decoration token", pos)
-    children = []
-    while pos < len(text) and text[pos] == "[":
-        child, pos = _parse_tree(text, pos, alphabet, default, depth + 1)
-        children.append(child)
-    if pos >= len(text) or text[pos] != "]":
+    dec, pos = reader.vertex(text, pos + 1)
+    kids = []
+    while text.startswith("[", pos):
+        kid, pos = _descend(reader, text, pos, depth + 1)
+        kid, pos = reader.edge(text, pos, kid)
+        kids.append(kid)
+    if not text.startswith("]", pos):
         raise ForestSyntaxError("expected ']'", pos)
-    return tree(decoration, children), pos + 1
+    return reader.node(dec, kids), pos + 1
+
+
+class _Letters:
+    """Plain decorations: one letter token right after ``[``, or none over a
+    one-letter alphabet; whitespace only between trees."""
+
+    def __init__(self, alphabet: Iterable[str] | None):
+        self.alphabet = None if alphabet is None else frozenset(alphabet)
+        self.default = (next(iter(self.alphabet)) if self.alphabet
+                        and len(self.alphabet) == 1 else None)
+
+    def vertex(self, text: str, pos: int) -> tuple[str, int]:
+        m = TOKEN.match(text, pos)
+        if m is None:
+            if self.default is None:
+                raise ForestSyntaxError("missing decoration token", pos)
+            return self.default, pos
+        letter = m.group()
+        if self.alphabet is not None and letter not in self.alphabet:
+            raise ForestSyntaxError(f"decoration {letter!r} not in alphabet", pos)
+        return letter, m.end()
+
+    edge = staticmethod(lambda text, pos, kid: (kid, pos))
+    node = staticmethod(tree)
+
+    def word(self, text: str, pos: int) -> tuple[OrderedForest, int]:
+        """The trees from ``text[pos] == '['`` on, whitespace between them."""
+        trees_ = []
+        while True:
+            t, end = _descend(self, text, pos)
+            trees_.append(t)
+            pos = _skip_ws(text, end)
+            if not text.startswith("[", pos):
+                return forest(trees_), end
 
 
 def parse_forest(text: str, alphabet: Iterable[str] | None = None) -> OrderedForest:
@@ -204,27 +236,19 @@ def parse_forest(text: str, alphabet: Iterable[str] | None = None) -> OrderedFor
     string of trees) is the empty forest.  Raises :class:`ForestSyntaxError`
     with a position on malformed input.
     """
-    alpha = frozenset(alphabet) if alphabet is not None else None
-    default = next(iter(alpha)) if alpha is not None and len(alpha) == 1 else None
-    trees_: list[PlanarTree] = []
-    pos = 0
-    n = len(text)
-    seen_unit = False
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-        elif ch == "[":
-            t, pos = _parse_tree(text, pos, alpha, default)
-            trees_.append(t)
-        elif ch == "1" and not trees_ and not seen_unit:
-            seen_unit = True
-            pos += 1
-        else:
-            raise ForestSyntaxError(f"unexpected character {ch!r}", pos)
-    if seen_unit and trees_:
+    pos = _skip_ws(text, 0)
+    unit = text.startswith("1", pos)
+    if unit:
+        pos = _skip_ws(text, pos + 1)
+    f = FOREST_ONE
+    if text.startswith("[", pos):
+        f, pos = _Letters(alphabet).word(text, pos)
+        pos = _skip_ws(text, pos)
+    if pos < len(text):
+        raise ForestSyntaxError(f"unexpected character {text[pos]!r}", pos)
+    if unit and f.trees:
         raise ForestSyntaxError("unit '1' mixed with trees", 0)
-    return forest(trees_)
+    return f
 
 
 def render_forest(f: OrderedForest) -> str:

@@ -39,7 +39,7 @@ from itertools import product as iproduct
 from math import comb
 from typing import Iterator
 
-from .forest import MAX_NESTING, NESTING_ERROR, ForestSyntaxError
+from .forest import ForestSyntaxError, _descend, _skip_ws
 from .lincomb import LinComb, Tensor, _deshuffle_words, graded_transpose
 from .memo import memo
 
@@ -228,14 +228,6 @@ def render_reg_tree(t: RegTree) -> str:
 
 _INT = re.compile(r"\d+")
 
-# Raw parse nodes: (dec | None, dec_position, [(child_node, ann | None, ann_position)])
-
-
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
 
 def _parse_group(text: str, pos: int) -> tuple[MultiIndex, int]:
     # text[pos] is '{'; accepts an optional 'a=' prefix and optional parens.
@@ -267,61 +259,63 @@ def _parse_group(text: str, pos: int) -> tuple[MultiIndex, int]:
     return tuple(entries), pos + 1
 
 
-def _parse_reg(text: str, pos: int, depth: int = 1):
-    if pos >= len(text) or text[pos] != "[":
-        raise ForestSyntaxError("expected '['", pos)
-    if depth > MAX_NESTING:
-        raise ForestSyntaxError(NESTING_ERROR, pos)
-    pos = _skip_ws(text, pos + 1)
-    if pos < len(text) and text[pos] == "o":
-        pos = _skip_ws(text, pos + 1)
-    dec, dec_pos = None, pos
-    if pos < len(text) and text[pos] == "{":
-        dec, pos = _parse_group(text, pos)
-        pos = _skip_ws(text, pos)
-    kids = []
-    while pos < len(text) and text[pos] == "[":
-        child, pos = _parse_reg(text, pos, depth + 1)
-        pos = _skip_ws(text, pos)
-        ann, ann_pos = None, pos
-        if pos < len(text) and text[pos] == "{":
-            ann, pos = _parse_group(text, pos)
-            pos = _skip_ws(text, pos)
-        kids.append((child, ann, ann_pos))
-    if pos >= len(text) or text[pos] != "]":
-        raise ForestSyntaxError("expected ']'", pos)
-    return (dec, dec_pos, kids), pos + 1
+_NO_DIM = "cannot infer the decoration dimension; give d or decorate something"
 
 
-def _first_width(node) -> int | None:
-    dec, _, kids = node
-    if dec is not None:
-        return len(dec)
-    for child, ann, _ in kids:
-        if ann is not None:
-            return len(ann)
-        got = _first_width(child)
-        if got is not None:
-            return got
-    return None
+class _Decorations:
+    """Vertex and edge decorations: after ``[`` an optional ``o`` and group
+    ``{m}``, after each child an optional group ``{a}``; whitespace anywhere.
+    ``dim`` is given or fixed by the first group in text order; subtrees
+    read before that are bare, built at dimension 1 and widened later."""
 
+    def __init__(self, d: int | None):
+        self.dim = d
 
-def _build_reg(node, d: int) -> RegTree:
-    dec, dec_pos, kids = node
-    if dec is None:
-        dec = mi_zero(d)
-    elif len(dec) != d:
-        raise ForestSyntaxError(
-            f"decoration has {len(dec)} entries, expected {d}", dec_pos)
-    edges = []
-    for child, ann, ann_pos in kids:
-        if ann is None:
-            ann = mi_zero(d)
-        elif len(ann) != d:
+    def _group(self, text: str, pos: int) -> tuple[MultiIndex | None, int]:
+        if not text.startswith("{", pos):
+            return None, pos
+        m, end = _parse_group(text, pos)
+        if self.dim is None:
+            self.dim = len(m)
+        elif len(m) != self.dim:
             raise ForestSyntaxError(
-                f"decoration has {len(ann)} entries, expected {d}", ann_pos)
-        edges.append((ann, _build_reg(child, d)))
-    return reg_tree(dec, edges)
+                f"decoration has {len(m)} entries, expected {self.dim}", pos)
+        return m, _skip_ws(text, end)
+
+    def vertex(self, text: str, pos: int) -> tuple[MultiIndex | None, int]:
+        pos = _skip_ws(text, pos)
+        if text.startswith("o", pos):
+            pos = _skip_ws(text, pos + 1)
+        return self._group(text, pos)
+
+    def edge(self, text: str, pos: int, kid: RegTree) -> tuple[tuple, int]:
+        a, pos = self._group(text, _skip_ws(text, pos))
+        return (a, kid), pos
+
+    def node(self, dec: MultiIndex | None, kids: list) -> RegTree:
+        d = 1 if self.dim is None else self.dim
+        zero = mi_zero(d)
+        return reg_tree(zero if dec is None else dec,
+                        [(zero if a is None else a, _widen(kid, d))
+                         for a, kid in kids])
+
+    def word(self, text: str, pos: int) -> tuple[RegTree, int]:
+        """One tree from ``text[pos] == '['``; a second one is trailing."""
+        t, end = _descend(self, text, pos)
+        nxt = _skip_ws(text, end)
+        if text.startswith("[", nxt):
+            raise ForestSyntaxError("trailing input after tree", nxt)
+        if self.dim is None:
+            raise ForestSyntaxError(_NO_DIM, pos)
+        return t, end
+
+
+def _widen(t: RegTree, d: int) -> RegTree:
+    """An undecorated tree read before the dimension was known, at ``d``."""
+    if t.dim == d:
+        return t
+    zero = mi_zero(d)
+    return reg_tree(zero, [(zero, _widen(kid, d)) for _, kid in t.edges])
 
 
 def parse_reg_tree(text: str, d: int | None = None) -> RegTree:
@@ -334,15 +328,17 @@ def parse_reg_tree(text: str, d: int | None = None) -> RegTree:
     first explicit multi-index.  Raises :class:`ForestSyntaxError` with a
     position on malformed input.
     """
-    node, pos = _parse_reg(text, _skip_ws(text, 0))
+    reader = _Decorations(d)
+    pos = _skip_ws(text, 0)
+    if not text.startswith("[", pos):
+        raise ForestSyntaxError("expected '['", pos)
+    t, pos = _descend(reader, text, pos)
     pos = _skip_ws(text, pos)
     if pos != len(text):
         raise ForestSyntaxError("trailing input after tree", pos)
-    width = d if d is not None else _first_width(node)
-    if width is None:
-        raise ForestSyntaxError(
-            "cannot infer the decoration dimension; give d or decorate something", 0)
-    return _build_reg(node, width)
+    if reader.dim is None:
+        raise ForestSyntaxError(_NO_DIM, 0)
+    return t
 
 
 def reg_tree_to_json(t: RegTree) -> dict:

@@ -26,15 +26,15 @@ from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from . import linalg
-from .bck import NP_ONE, bck_primitive_projection, np_parse
+from .bck import bck_primitive_projection, forget_planarity
 from .characters import (_phi_forest, canonical_lift, char_convolve,
                          character_failures, embed_rough_path, phi,
                          phi_inverse, unembed_rough_path)
 from .coaction import (compose_vectors, cointeraction_laws,
                        cotranslation_laws, disjointness_witness,
                        graft_duality_failures, rho_graft, translate)
-from .exprs import (_atom, _one_leg, _parse, parse_lincomb, parse_reg_lincomb,
-                    parse_tensor, render_lincomb)
+from .exprs import (_one_leg, parse_lincomb, parse_reg_lincomb, parse_tensor,
+                    render_lincomb)
 from .forest import (FOREST_ONE, enumerate_forests, enumerate_trees, leaf,
                      single, tree, word)
 from .grafting import (gl_antipode, gl_forests, gl_product, jacobi_bracket,
@@ -712,7 +712,7 @@ def _split_args(raw: str) -> list[str]:
 
 
 def _np_lincomb(text: str) -> LinComb:
-    return _one_leg(_parse(text, _atom(np_parse), None, LinComb.basis(NP_ONE)))
+    return forget_planarity(parse_lincomb(text))
 
 
 def _example_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:

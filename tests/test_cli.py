@@ -336,6 +336,21 @@ def test_repeated_letter_exit_1(capsys, argv, entry, letter):
     assert err == f"error: {entry} repeats the letter {letter!r}\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("lift", "--increments", "=1", "--N", "2"),
+     "increment '=1': letter '' is not one token"),
+    (("translate", "[o]", "--v", "=[o]"),
+     "vector entry '=[o]': letter '' is not one token"),
+    (("translate", "[o]", "--v", "x-y=[o]"),
+     "vector entry 'x-y=[o]': letter 'x-y' is not one token"),
+    (("basis", "--degree", "2", "--alphabet", "a]b,c"),
+     "alphabet letter 'a]b' is not one token"),
+])
+def test_letter_that_is_not_one_token_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_failed_suite_exit_1(capsys, monkeypatch):
     import postlie.cli
     monkeypatch.setattr(postlie.cli, "run_suite", lambda *a: {
