@@ -12,7 +12,10 @@ cocycle
 
 and multiplicativity.  Natural growth grafts all roots of the left argument
 onto one vertex of the right, averaged over vertices; no shuffling happens
-because added children have no position.  The induced projection onto
+because added children have no position.  It is the planar growth
+recursion (``growth._grow_words``) with the commutative join ``v + A`` in
+place of the shuffle and ``np_tree`` as the node builder, run on canonical
+operands; equal result forests are summed.  The induced projection onto
 primitives differs visibly from the planar one: the product of a vertex and
 a two-vertex ladder projects to zero here but not planarly.
 """
@@ -23,7 +26,7 @@ from typing import Iterable
 
 from .forest import (FOREST_ONE, OrderedForest, PlanarTree, enumerate_forests,
                      enumerate_trees, forest, parse_forest, tree)
-from .growth import _replace_at, _vertex_children
+from .growth import _grow_words
 from .lincomb import LinComb, Tensor
 from .memo import memo
 
@@ -145,12 +148,10 @@ def _np_growth_forests(w1: OrderedForest, w2: OrderedForest) -> LinComb:
     if w1.is_empty:
         return LinComb.basis(w2)
     acc: dict = {}
-    for vi, existing in enumerate(_vertex_children(w2)):
-        kids = existing + w1.trees
-        counter = [0]
-        rebuilt = np_forest(np_of_tree(_replace_at(t, vi, kids, counter))
-                            for t in w2.trees)
-        acc[rebuilt] = acc.get(rebuilt, 0) + 1
+    for f, m in _grow_words(np_of_forest(w1).trees, np_of_forest(w2).trees,
+                            lambda a, v: {v + a: 1}, np_tree).items():
+        key = np_forest(f)
+        acc[key] = acc.get(key, 0) + m
     return LinComb._make(acc, w2.degree)
 
 

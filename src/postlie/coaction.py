@@ -33,7 +33,7 @@ when that series is trivial; its checks are rows of laws as well.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .characters import group_like_failures
 from .forest import (FOREST_ONE, OrderedForest, b_minus, b_plus,
@@ -47,7 +47,6 @@ from .lincomb import (LinComb, Tensor, _concat_product, deconcat_forest,
 from .memo import memo
 from .mkw import mkw_coproduct_forest
 
-ForestCoaction = Callable[[OrderedForest], Tensor]
 TranslationVector = Mapping[str, LinComb]
 
 _ONE = LinComb.basis(FOREST_ONE)
@@ -74,22 +73,20 @@ def rho_graft(x: LinComb | OrderedForest) -> Tensor:
     return x.apply_coproduct(rho_forest)
 
 
-def graft_duality_failures(maxdeg: int, alphabet: Iterable[str],
-                           rho: ForestCoaction | None = None) -> list[str]:
+def graft_duality_failures(maxdeg: int, alphabet: Iterable[str]) -> list[str]:
     """Mismatches between the coaction and the transpose of left grafting.
 
     An empty list certifies both that the pairing duality holds and that
     the cut-based rule agrees with the rule obtained by transposing the
     grafting product, for all basis forests of degree at most ``maxdeg``.
     """
-    rho_fn = rho_forest if rho is None else rho
     letters = tuple(alphabet)
     return [f"<{a.text} (x) {b.text}, rho({x.text})> = {lhs}, but "
             f"<{a.text} graft {b.text}, {x.text}> = {rhs}"
             for n in range(1, maxdeg + 1)
             for x, a, b, lhs, rhs in duality_mismatches(
                 n, lambda i: enumerate_forests(i, letters), graft_forests,
-                rho_fn)]
+                rho_forest)]
 
 
 # -- the coproduct dual to the Grossman-Larson product ---------------------

@@ -140,11 +140,13 @@ class _Lexer:
 
 
 class _Parser:
-    """Sum / tensor-term / shuffle-term / factor grammar over word atoms."""
+    """Sum / tensor-term / shuffle-term / factor grammar over word atoms.
+    ``unit()`` builds what a bare number scales, after the lexer has read
+    every word, so a decorated unit takes the dimension they fixed."""
 
     def __init__(self, lexer: _Lexer,
                  shuffle_fn: Callable[[LinComb, LinComb], LinComb] | None,
-                 unit: LinComb):
+                 unit: Callable[[], LinComb]):
         self.lex = lexer
         self.shuffle_fn = shuffle_fn
         self.unit = unit
@@ -214,7 +216,7 @@ class _Parser:
                 raise ForestSyntaxError("zero denominator", tok[2]) from None
             nxt = self.lex.peek()
             if nxt is None or nxt[0] != "times":
-                return self.unit.scale(coeff)
+                return self.unit().scale(coeff)
             self.lex.next()
 
     def atomic(self) -> LinComb:
@@ -241,16 +243,17 @@ def _one_leg(t: Tensor) -> LinComb:
     return LinComb({key[0]: c for key, c in t.items()})
 
 
-def _parse(text: str, word, shuffle_fn, unit) -> Tensor:
+def _parse(text: str, word, shuffle_fn, unit: Callable[[], LinComb]) -> Tensor:
     return _Parser(_Lexer(text, word), shuffle_fn, unit).parse()
 
 
-_FOREST_UNIT = LinComb.basis(FOREST_ONE)
+def _forest_unit() -> LinComb:
+    return LinComb.basis(FOREST_ONE)
 
 
 def parse_lincomb(text: str, alphabet=None) -> LinComb:
     """Parse a sum of forest words with rational coefficients."""
-    out = _parse(text, _Letters(alphabet).word, shuffle, _FOREST_UNIT)
+    out = _parse(text, _Letters(alphabet).word, shuffle, _forest_unit)
     if out.arity != 1:
         raise ForestSyntaxError("expected a plain sum, found tensor legs", 0)
     return _one_leg(out)
@@ -258,13 +261,14 @@ def parse_lincomb(text: str, alphabet=None) -> LinComb:
 
 def parse_tensor(text: str, alphabet=None) -> Tensor:
     """Parse a sum of (x)-separated tensor terms over forest words."""
-    return _parse(text, _Letters(alphabet).word, shuffle, _FOREST_UNIT)
+    return _parse(text, _Letters(alphabet).word, shuffle, _forest_unit)
 
 
 def parse_reg_lincomb(text: str, d: int | None = None) -> LinComb:
     """Parse a sum of decorated words; dimension inferred when not given."""
-    out = _parse(text, _Decorations(d).word, None,
-                 LinComb.basis(reg_tree(mi_zero(d or 1), ())))
+    reader = _Decorations(d)
+    out = _parse(text, reader.word, None,
+                 lambda: LinComb.basis(reg_tree(mi_zero(reader.dim or 1))))
     if out.arity != 1:
         raise ForestSyntaxError("expected a plain sum, found tensor legs", 0)
     return _one_leg(out)

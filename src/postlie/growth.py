@@ -2,8 +2,19 @@
 
 The growth operation ``x T y`` grafts all roots of ``x`` onto a single vertex
 of ``y``, shuffling the arriving block with that vertex's existing children,
-then averages over the choice of vertex.  Against the cut coproduct it
-satisfies
+then averages over the choice of vertex.  Summed over the vertices before
+that division, growth ``G(A, W)`` is one recursion on the word ``W``:
+
+    G(A, 1) = 0,
+    G(A, B+_d(v) W') = B+_d(A sh v + G(A, v)) W' + B+_d(v) G(A, W'),
+
+whose three terms graft onto the root of the first tree (the block ``A``
+shuffled with its children ``v``), onto a vertex below that root, and onto
+a vertex of a later tree; then ``x T y = G(x, y) / |y|``.  No vertex is
+numbered, and a term builds new nodes only on the path from a root to its
+vertex.  The nonplanar growth of ``bck`` is the same recursion with a
+commutative join in place of the shuffle.  Against the cut coproduct
+growth satisfies
 
     reduced(x T y) = x (x) y + x^(1) (x) (x^(2) T y)
 
@@ -28,34 +39,27 @@ from functools import reduce
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .forest import FOREST_ONE, OrderedForest, PlanarTree, enumerate_forests, forest, tree
+from .forest import FOREST_ONE, OrderedForest, enumerate_forests, forest, tree
 from .lincomb import LinComb, Tensor, _shuffle_words, tensor_of
 from .linalg import kernel_basis, rank
 from .memo import memo
 from .mkw import reduced_coproduct, reduced_coproduct_forest
 
 
-def _vertex_children(f: OrderedForest) -> list[tuple[PlanarTree, ...]]:
-    # Children tuples in depth-first preorder, matching _replace_at numbering.
-    out: list = []
-
-    def walk(t: PlanarTree) -> None:
-        out.append(t.children)
-        for c in t.children:
-            walk(c)
-
-    for t in f.trees:
-        walk(t)
+def _grow_words(a: tuple, w: tuple, join, node) -> dict:
+    # G(A, W) on plain tuples of trees, with integer multiplicities, for A
+    # not empty.  The recursion on W' runs as a loop over positions: the
+    # tree B+_d(v) at position i grows at its root (A join v) or below it.
+    out: dict = {}
+    for i, t in enumerate(w):
+        kids = t.children
+        grown = join(a, kids)
+        if kids:
+            grown = {**grown, **_grow_words(a, kids, join, node)}
+        for k, m in grown.items():
+            key = w[:i] + (node(t.decoration, k),) + w[i + 1:]
+            out[key] = out.get(key, 0) + m
     return out
-
-
-def _replace_at(t: PlanarTree, target: int, newkids: tuple, counter: list) -> PlanarTree:
-    my = counter[0]
-    counter[0] += 1
-    if my == target:
-        return tree(t.decoration, newkids)
-    return tree(t.decoration, tuple(_replace_at(c, target, newkids, counter)
-                                    for c in t.children))
 
 
 @memo
@@ -64,15 +68,9 @@ def _growth_forests(w1: OrderedForest, w2: OrderedForest) -> LinComb:
         return LinComb.zero()
     if w1.is_empty:
         return LinComb.basis(w2)
-    acc: dict = {}
-    for vi, existing in enumerate(_vertex_children(w2)):
-        for newkids, mult in _shuffle_words(w1.trees, existing).items():
-            counter = [0]
-            rebuilt = forest(_replace_at(t, vi, newkids, counter)
-                             for t in w2.trees)
-            acc[rebuilt] = acc.get(rebuilt, 0) + mult
+    terms = _grow_words(w1.trees, w2.trees, _shuffle_words, tree)
     # Integer counts over one shared denominator |w2|.
-    return LinComb._make(acc, w2.degree)
+    return LinComb._make({forest(f): m for f, m in terms.items()}, w2.degree)
 
 
 def natural_growth(x: LinComb, y: LinComb) -> LinComb:

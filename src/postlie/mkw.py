@@ -18,7 +18,7 @@ pieces and is the main cross-validation between the two modules.
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .forest import (FOREST_ONE, OrderedForest, b_minus, b_plus,
                      enumerate_forests, forest, single)
@@ -87,14 +87,13 @@ def mkw_antipode(x: LinComb) -> LinComb:
     return x.map_basis(_antipode_forest)
 
 
-def duality_failures(maxdeg: int, alphabet: Iterable[str],
-                     coproduct: Callable[[OrderedForest], Tensor] | None = None,
+def duality_failures(maxdeg: int, alphabet: Iterable[str]
                      ) -> list[tuple[OrderedForest, OrderedForest, OrderedForest]]:
     """Witnesses (A, B, x) with <A * B, x> != <A (x) B, D(x)>: per degree,
     the support of ``D(x)`` minus the `graded_transpose` of the product."""
-    cop = coproduct or mkw_coproduct_forest
     alpha = tuple(sorted(set(alphabet)))
     return [(a, b, x)
             for n in range(maxdeg + 1)
             for x, a, b, _, _ in duality_mismatches(
-                n, lambda i: enumerate_forests(i, alpha), gl_forests, cop)]
+                n, lambda i: enumerate_forests(i, alpha), gl_forests,
+                mkw_coproduct_forest)]

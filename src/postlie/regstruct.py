@@ -359,15 +359,19 @@ def reg_tree_from_json(obj: dict) -> RegTree:
 
 # -- vertex surgery ---------------------------------------------------------
 
-def vertex_count(t: RegTree) -> int:
-    return 1 + sum(vertex_count(sub) for _, sub in t.edges)
+def _at_each_vertex(t: RegTree, local) -> dict:
+    # local(t) plus, per edge, the recursion on its subtree put back in place.
+    out = dict(local(t))
+    for k, (a, sub) in enumerate(t.edges):
+        for s, m in _at_each_vertex(sub, local).items():
+            key = reg_tree(t.dec, t.edges[:k] + ((a, s),) + t.edges[k + 1:])
+            out[key] = out.get(key, 0) + m
+    return out
 
 
-def _preorder_decs(t: RegTree) -> Iterator[MultiIndex]:
-    """Vertex decorations in depth-first preorder (root first)."""
-    yield t.dec
-    for _, sub in t.edges:
-        yield from _preorder_decs(sub)
+def _raised(e: MultiIndex):
+    # The local step of a unit raise: add ``e`` to the vertex's decoration.
+    return lambda s: {reg_tree(mi_add(s.dec, e), s.edges): 1}
 
 
 def _map_vertex(node: RegTree, target: int, fn, idx: int = 0):
@@ -398,9 +402,7 @@ def raise_at(t: RegTree, v: int, l: MultiIndex) -> RegTree:
 
 
 def _raise_unit(t: RegTree, j: int) -> LinComb:
-    e = mi_unit(t.dim, j)
-    return LinComb.from_terms(
-        (raise_at(t, v, e), 1) for v in range(vertex_count(t)))
+    return LinComb._make(_at_each_vertex(t, _raised(mi_unit(t.dim, j))))
 
 
 def reg_raise(x: LinComb | RegTree, l: MultiIndex) -> LinComb:
@@ -511,23 +513,19 @@ def _graft_letters(t1: RegTree, t2: RegTree) -> LinComb:
         return LinComb.zero()
     b, sigma = t2.edges[0]
     if not t1.edges:
-        j = next(k for k, a in enumerate(t1.dec) if a)
-        e = mi_unit(t1.dim, j)
-        return LinComb.from_terms(
-            (plant(b, raise_at(sigma, v, e)), 1)
-            for v in range(vertex_count(sigma)))
-    a, tau = t1.edges[0]
-    acc: dict = {}
-    for v, nv in enumerate(_preorder_decs(sigma)):
-        for l in iproduct(*[range(min(p, q) + 1) for p, q in zip(nv, a)]):
-            w = mi_binom(nv, l)
-            na = mi_sub(a, l)
-            attached, _ = _map_vertex(
-                sigma, v,
-                lambda dec, eds: (mi_sub(dec, l), ((na, tau),) + eds))
-            planted = plant(b, attached)
-            acc[planted] = acc.get(planted, 0) + w
-    return LinComb._make(acc)
+        local = _raised(t1.dec)
+    else:
+        a, tau = t1.edges[0]
+
+        def local(s: RegTree) -> dict:
+            # tau hangs first below s; a transfer l <= min(n_s, a) lowers
+            # both n_s and the new edge by l, with weight binom(n_s, l)
+            return {reg_tree(mi_sub(s.dec, l), ((mi_sub(a, l), tau),) + s.edges):
+                    mi_binom(s.dec, l)
+                    for l in iproduct(*[range(min(p, q) + 1)
+                                        for p, q in zip(s.dec, a)])}
+    return LinComb._make({plant(b, s): m for s, m in
+                          _at_each_vertex(sigma, local).items()})
 
 
 @memo

@@ -129,6 +129,17 @@ def test_reg_commands(capsys):
     assert code == 0 and len(out.split()) == 2
 
 
+@pytest.mark.parametrize("argv,want", [
+    (("reg-gl-product", "1 + [o{1,0}]", "[o{0,1}]"), "[o{0,1}] + [o{1,1}]"),
+    (("reg-phi", "1 + [o{0,1}]"), "[o{0,0}] + [o{0,1}]"),
+    (("reg-mkw-coproduct", "2 + [o{1,0}]"),
+     "2*[o{0,0}] (x) [o{0,0}] + [o{0,0}] (x) [o{1,0}] + [o{1,0}] (x) [o{0,0}]"),
+])
+def test_reg_constant_takes_the_dimension_of_the_words(capsys, argv, want):
+    code, out, err = run(capsys, *argv)
+    assert (code, out.strip(), err) == (0, want, "")
+
+
 def test_reg_mkw_degree_guard(capsys):
     code, out, err = run(capsys, "reg-mkw-coproduct", "[o{2}]",
                          "--max-degree", "1")

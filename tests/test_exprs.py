@@ -78,6 +78,16 @@ def test_reg_parsing():
         parse_reg_lincomb("[o{1}] sh [o{0}]")
 
 
+@pytest.mark.parametrize("text,want", [
+    ("1 + [o{1,0}]", "[o{0,0}] + [o{1,0}]"),
+    ("1 + [o{0,1}]", "[o{0,0}] + [o{0,1}]"),
+    ("2 + [o{1,0}]", "2*[o{0,0}] + [o{1,0}]"),
+])
+def test_reg_unit_takes_the_dimension_of_the_words(text, want):
+    assert render_lincomb(parse_reg_lincomb(text)) == want
+    assert render_lincomb(parse_reg_lincomb("2")) == "2*[o{0}]"
+
+
 def test_json_round_trips():
     x = parse_lincomb("1/2*[a[b]] - [b][a]")
     assert lincomb_from_json(lincomb_to_json(x)) == x

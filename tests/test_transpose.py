@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from postlie import clear_caches
+from postlie import clear_caches, coaction, mkw
 from postlie.coaction import (_letters, delta_star_forest,
                               graft_duality_failures, rho_forest)
 from postlie.forest import enumerate_forests, parse_forest, word
@@ -160,22 +160,27 @@ def _corrupt(cop, target, bump, drop):
     return wrong
 
 
-def test_duality_failures_detects_a_wrong_coproduct():
+# Each target below has the top degree of its sweep, so no recursion of the
+# library map on a smaller forest passes through the patched name.
+
+def test_duality_failures_detects_a_wrong_coproduct(monkeypatch):
     x = parse_forest("[a[b]][a]")
     keys = [k for k, _ in mkw_coproduct_forest(x).items()]
     wrong = _corrupt(mkw_coproduct_forest, x, keys[1], keys[2])
-    got = duality_failures(3, AB, coproduct=wrong)
+    monkeypatch.setattr(mkw, "mkw_coproduct_forest", wrong)
+    got = duality_failures(3, AB)
     want = [(a, b, y) for a, b, y, _, _ in
             oracle_duality(3, AB, gl_forests, wrong)]
     assert got and set(got) == set(want)
     assert set(got) == {keys[1] + (x,), keys[2] + (x,)}
 
 
-def test_graft_duality_failures_detects_a_wrong_rho():
+def test_graft_duality_failures_detects_a_wrong_rho(monkeypatch):
     x = parse_forest("[a[b][a]]")
     keys = [k for k, _ in rho_forest(x).items()]
     wrong = _corrupt(rho_forest, x, keys[0], keys[-1])
-    got = graft_duality_failures(3, AB, rho=wrong)
+    monkeypatch.setattr(coaction, "rho_forest", wrong)
+    got = graft_duality_failures(3, AB)
     want = [f"<{a.text} (x) {b.text}, rho({y.text})> = {lhs}, but "
             f"<{a.text} graft {b.text}, {y.text}> = {rhs}"
             for a, b, y, lhs, rhs in
