@@ -360,8 +360,9 @@ def reg_tree_from_json(obj: dict) -> RegTree:
 # -- vertex surgery ---------------------------------------------------------
 
 def _at_each_vertex(t: RegTree, local) -> dict:
-    # local(t) plus, per edge, the recursion on its subtree put back in place.
-    out = dict(local(t))
+    # local(t), a fresh dict, plus, per edge, the recursion on its subtree
+    # put back in place.
+    out = local(t)
     for k, (a, sub) in enumerate(t.edges):
         for s, m in _at_each_vertex(sub, local).items():
             key = reg_tree(t.dec, t.edges[:k] + ((a, s),) + t.edges[k + 1:])
