@@ -5,12 +5,12 @@ canonical planar forest: every child tuple and the word of trees are sorted
 by ``(degree, text)``.  Canonical forests are ordinary interned
 ``OrderedForest`` values, so equal shapes are the same object, render as the
 same text and key the same memo entries; the product is commutative.  The
-coproduct is the classical admissible-cut one, built from the root-attach
-cocycle
+coproduct is the classical admissible-cut one, built by the MKW recursion
+on the last tree of a forest, with the commutative product on both legs:
 
-    coproduct(attach(w)) = attach(w) (x) 1 + (id (x) attach)(coproduct(w))
+    coproduct(w t) = coproduct(w) . (t (x) 1 + (id (x) B+)(coproduct(B- t)))
 
-and multiplicativity.  Natural growth grafts all roots of the left argument
+where ``B-`` removes the root of ``t`` and ``B+`` puts it back.  Natural growth grafts all roots of the left argument
 onto one vertex of the right, averaged over vertices; no shuffling happens
 because added children have no position.  It is the planar growth
 recursion (``growth._grow_words``) with the commutative join ``v + A`` in
@@ -90,18 +90,14 @@ def np_mul(x: LinComb, y: LinComb) -> LinComb:
 
 
 @memo
-def bck_coproduct_tree(t: PlanarTree) -> Tensor:
-    attached = bck_coproduct_forest(np_bminus(t)).apply_linear(
-        1, lambda r: LinComb.basis(np_single(np_bplus(r, t.decoration))))
-    return Tensor.basis((np_single(t), NP_ONE)) + attached
-
-
-@memo
 def bck_coproduct_forest(f: OrderedForest) -> Tensor:
-    out = Tensor.basis((NP_ONE, NP_ONE))
-    for t in f.trees:
-        out = out.legwise(bck_coproduct_tree(t), _np_product)
-    return out
+    if f.is_empty:
+        return Tensor.basis((NP_ONE, NP_ONE))
+    last = f.trees[-1]
+    grown = bck_coproduct_forest(np_bminus(last)).apply_linear(
+        1, lambda r: LinComb.basis(np_single(np_bplus(r, last.decoration))))
+    return bck_coproduct_forest(forest(f.trees[:-1])).legwise(
+        grown + Tensor.basis((np_single(last), NP_ONE)), _np_product)
 
 
 def bck_coproduct(x: LinComb) -> Tensor:
@@ -127,12 +123,6 @@ def bck_reduced(x: LinComb) -> Tensor:
 def _bck_antipode_forest(f: OrderedForest) -> LinComb:
     if f.is_empty:
         return LinComb.basis(NP_ONE)
-    if len(f.trees) > 1:
-        # S is an algebra morphism here since the product is commutative.
-        out = LinComb.basis(NP_ONE)
-        for t in f.trees:
-            out = np_mul(out, _bck_antipode_forest(np_single(t)))
-        return out
     return -(LinComb.basis(f) + bck_reduced_forest(f).contract(
         _bck_antipode_forest, LinComb.basis, _np_product))
 
@@ -146,7 +136,7 @@ def _np_growth_forests(w1: OrderedForest, w2: OrderedForest) -> LinComb:
     if w2.is_empty:
         return LinComb.zero()
     if w1.is_empty:
-        return LinComb.basis(w2)
+        return LinComb.basis(np_of_forest(w2))
     acc: dict = {}
     for f, m in _grow_words(np_of_forest(w1).trees, np_of_forest(w2).trees,
                             lambda a, v: {v + a: 1}, np_tree).items():

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 from .forest import (FOREST_ONE, MAX_NESTING, NESTING_ERROR,
                      ForestSyntaxError, OrderedForest, _Letters,
@@ -38,34 +38,30 @@ def _term_text(mag: Coeff, body: str) -> str:
     return body if mag == 1 else f"{_coeff_text(mag)}*{body}"
 
 
-def render_lincomb(x: LinComb) -> str:
-    """Canonical text of a linear combination, terms in compare-order."""
-    if x.is_zero:
-        return "0"
-    items = sorted(x.items(), key=lambda kv: kv[0].sort_key())
+def _signed_sum(terms: Iterable[tuple[str, Coeff]]) -> str:
+    """``terms``, pairs of body text and nonzero coefficient, as one signed
+    sum; ``0`` when there are none."""
     parts: list[str] = []
-    for key, c in items:
-        body = _term_text(abs(c), key.text)
+    for body, c in terms:
+        body = _term_text(abs(c), body)
         if not parts:
             parts.append(body if c > 0 else "-" + body)
         else:
             parts.append((" + " if c > 0 else " - ") + body)
-    return "".join(parts)
+    return "".join(parts) or "0"
+
+
+def render_lincomb(x: LinComb) -> str:
+    """Canonical text of a linear combination, terms in compare-order."""
+    items = sorted(x.items(), key=lambda kv: kv[0].sort_key())
+    return _signed_sum((key.text, c) for key, c in items)
 
 
 def render_tensor(t: Tensor) -> str:
     """Canonical text of a tensor, legs separated by (x)."""
-    if t.is_zero:
-        return "0"
     items = sorted(t.items(), key=lambda kv: tuple(k.sort_key() for k in kv[0]))
-    parts: list[str] = []
-    for key, c in items:
-        body = _term_text(abs(c), " (x) ".join(k.text for k in key))
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append((" + " if c > 0 else " - ") + body)
-    return "".join(parts)
+    return _signed_sum((" (x) ".join(k.text for k in key), c)
+                       for key, c in items)
 
 
 # -- parsing -----------------------------------------------------------------

@@ -7,6 +7,8 @@ sequence when the law holds, otherwise one witness string or an iterable
 of them.  ``run_laws`` walks the rows in order and is the only place that
 builds check entries and reports.  A check entry records its name, range
 and status, plus, when it fails, its first witness and its failure count.
+A law that holds on several carriers is one row builder that takes the
+carrier's operations (``verify._postlie_axioms``, ``verify._unitriangular``).
 
 Sweeps stream their cases.  ``graded`` walks degree compositions (and
 ``forests`` the planar forests that way), ``tuples`` walks pools in

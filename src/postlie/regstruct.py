@@ -598,9 +598,9 @@ def _bracket_trees(t1: RegTree, t2: RegTree) -> LinComb:
     if t1.edges and t2.edges:
         return reg_mul_trees(t1, t2) - reg_mul_trees(t2, t1)
     if t1.edges:
-        return lower_root_adjacent(t1, t2.dec)
+        return _lower_tree(t1, t2.dec)
     if t2.edges:
-        return -lower_root_adjacent(t2, t1.dec)
+        return -_lower_tree(t2, t1.dec)
     return LinComb.zero()
 
 

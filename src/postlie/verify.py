@@ -5,15 +5,18 @@ property, holding its name, the label of the range it sweeps, a graded
 sweep of basis elements and a predicate that returns the failure witnesses
 of one case.  A suite's builder sets up what its rows share (primitive
 bases, translation vectors, pools of decorated trees) once and returns the
-rows; ``run_laws`` checks them and builds the report, with one entry per
-row: name, range, pass or fail, and a witness for the first failure.
+rows, which ``run_laws`` checks.  A law that two suites share is stated
+once: ``_postlie_axioms`` builds the two post-Lie rows of both the planar
+and the deformed suite, ``_unitriangular`` the triangularity row of both
+phi suites, and pairings are swept by ``lincomb.duality_mismatches``.
 
 ``run_suite`` is the single entry point; the degree bound defaults per
 suite and is capped by the ``POSTLIE_DEGREE_CAP`` environment variable
 (default 7) because basis sizes grow like Catalan numbers.  The
 ``paper-examples`` suite replays the worked displays stored in
-``data/golden_examples.txt`` and ignores the degree bound; a fixture line
-that raises fails its row instead of the suite.
+``data/golden_examples.txt`` and ignores the degree bound; most of its
+rows are one ``display`` check, and a fixture line that raises fails its
+row instead of the suite.
 """
 
 from __future__ import annotations
@@ -160,7 +163,33 @@ def _hopf_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
     ]
 
 
-# -- post-Lie axioms for left grafting ---------------------------------------
+# -- post-Lie axioms ---------------------------------------------------------
+
+def _postlie_axioms(rng: str, sweep: Callable[[], Iterable[tuple]],
+                    graft: Callable, inner: Callable, bracket: Callable,
+                    commutator: Callable) -> list[Law]:
+    """The two post-Lie axioms, stated once for every carrier, on the basis
+    triples of ``sweep()``: ``graft`` is the product applied last, ``inner``
+    the same product where its value is taken further, and ``bracket`` on
+    the left-hand sides must agree with ``commutator`` on the right."""
+    def derives_bracket(a, b, c):
+        x, y, z = _basis(a), _basis(b), _basis(c)
+        if graft(x, bracket(y, z)) != (commutator(inner(x, y), z)
+                                       + commutator(y, inner(x, z))):
+            return f"x={a.text} y={b.text} z={c.text}"
+
+    def measures_associator(a, b, c):
+        x, y, z = _basis(a), _basis(b), _basis(c)
+        if graft(bracket(x, y), z) != (graft(x, inner(y, z))
+                                       - graft(inner(x, y), z)
+                                       - graft(y, inner(x, z))
+                                       + graft(inner(y, x), z)):
+            return f"x={a.text} y={b.text} z={c.text}"
+
+    return [Law("graft-derives-bracket", rng, sweep(), derives_bracket),
+            Law("bracket-measures-associator", rng, sweep(),
+                measures_associator)]
+
 
 def _postlie_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
     trees = pool(lambda n: map(single, enumerate_trees(n, letters)),
@@ -169,23 +198,6 @@ def _postlie_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
 
     def br(x: LinComb, y: LinComb) -> LinComb:
         return concat(x, y) - concat(y, x)
-
-    def derives_bracket(fx, fy, fz):
-        x, y, z = _basis(fx), _basis(fy), _basis(fz)
-        lhs = left_graft(x, br(y, z))
-        rhs = br(left_graft(x, y), z) + br(y, left_graft(x, z))
-        if lhs != rhs:
-            return f"x={fx.text} y={fy.text} z={fz.text}"
-
-    def measures_associator(fx, fy, fz):
-        x, y, z = _basis(fx), _basis(fy), _basis(fz)
-        lhs = left_graft(br(x, y), z)
-        rhs = (left_graft(x, left_graft(y, z))
-               - left_graft(left_graft(x, y), z)
-               - left_graft(y, left_graft(x, z))
-               + left_graft(left_graft(y, x), z))
-        if lhs != rhs:
-            return f"x={fx.text} y={fy.text} z={fz.text}"
 
     def jacobi(fx, fy, fz):
         x, y, z = _basis(fx), _basis(fy), _basis(fz)
@@ -202,10 +214,8 @@ def _postlie_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
             return f"A={a.text} B={b.text} C={c.text}"
 
     return [
-        Law("graft-derives-bracket", triples,
-            tuples(maxdeg, trees, trees, trees), derives_bracket),
-        Law("bracket-measures-associator", triples,
-            tuples(maxdeg, trees, trees, trees), measures_associator),
+        *_postlie_axioms(triples, lambda: tuples(maxdeg, trees, trees, trees),
+                         left_graft, left_graft, br, br),
         Law("derived-bracket-jacobi", triples,
             tuples(maxdeg, trees, trees, trees), jacobi),
         Law("product-shifts-action",
@@ -483,7 +493,6 @@ def _reg_postlie_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
     L = LinComb.basis
     trees = pool(_reg_trees, 0, maxdeg - 1)
     vlets = pool(lambda n: enumerate_v_letters(n, 1), 1, maxdeg - 1)
-    gen_triples = f"generator triples, degree sum <= {maxdeg + 1}"
 
     # the inner products of each associator come from the tree-level memo
     def product_laws(label, prod, inner) -> list[Law]:
@@ -514,29 +523,11 @@ def _reg_postlie_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
         if gl_product(fa, fb) == gl_product(fb, fa):
             return "planar letters commute, freeness is broken"
 
-    def derives_bracket(x, y, z):
-        lx, ly, lz = L(x), L(y), L(z)
-        lhs = reg_graft(lx, bracket0(ly, lz))
-        rhs = (reg_assoc_product(deformed_graft(lx, ly), lz)
-               - reg_assoc_product(lz, deformed_graft(lx, ly))
-               + reg_assoc_product(ly, deformed_graft(lx, lz))
-               - reg_assoc_product(deformed_graft(lx, lz), ly))
-        if lhs != rhs:
-            return f"x={x.text} y={y.text} z={z.text}"
-
-    def measures_associator(x, y, z):
-        lx, ly, lz = L(x), L(y), L(z)
-        lhs = reg_graft(bracket0(lx, ly), lz)
-        rhs = (reg_graft(lx, deformed_graft(ly, lz))
-               - reg_graft(deformed_graft(lx, ly), lz)
-               - reg_graft(ly, deformed_graft(lx, lz))
-               + reg_graft(deformed_graft(ly, lx), lz))
-        if lhs != rhs:
-            return f"x={x.text} y={y.text} z={z.text}"
+    def commutator(x, y):
+        return reg_assoc_product(x, y) - reg_assoc_product(y, x)
 
     def word_commutator(a, b):
-        if (bracket0(a, b)
-                != reg_assoc_product(a, b) - reg_assoc_product(b, a)):
+        if bracket0(a, b) != commutator(a, b):
             return f"a={a.text} b={b.text}"
 
     def deshuffle_bialgebra(t):
@@ -555,7 +546,7 @@ def _reg_postlie_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
                 yield f"a={a.text} b={b.text}"
 
     def dual_coproduct_exact(n):
-        live: dict = {}
+        live = set()
         for t in _reg_trees(n):
             dt = deformed_mkw_tree(t)
             if dt.counit_legs(_is_unit) != (L(t),) * 2:
@@ -564,25 +555,12 @@ def _reg_postlie_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
                     != dt.apply_coproduct(1, deformed_mkw_tree)):
                 yield f"t={t.text} (coassociativity)"
             else:
-                live[t] = dt
-        # each complementary pair is multiplied once; every product term
-        # on a passing tree must be a dual term, and a count of the matches
-        # shows whether a dual term is left over
-        matched = 0
-        for i in range(n + 1):
-            for a in _reg_trees(i):
-                for b in _reg_trees(n - i):
-                    for t, c in reg_gl_product(a, b).items():
-                        if t in live:
-                            if live[t].coeff((a, b)) == c:
-                                matched += 1
-                            else:
-                                yield f"a={a.text} b={b.text} t={t.text}"
-        if matched != sum(len(dt) for dt in live.values()):
-            yield from (f"a={a.text} b={b.text} t={t.text}"
-                        for t, dt in live.items() for (a, b), _ in dt.items()
-                        if a.degree + b.degree != n
-                        or not reg_gl_product(a, b).coeff(t))
+                live.add(t)
+        # the pairing on the passing trees, every pair multiplied afresh
+        yield from (f"a={a.text} b={b.text} t={t.text}"
+                    for t, a, b, _, _ in duality_mismatches(
+                        n, _reg_trees, reg_gl_product, deformed_mkw_tree)
+                    if t in live)
 
     def overflow_guard():
         try:
@@ -601,10 +579,9 @@ def _reg_postlie_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
             commute),
         Law("planar-letters-do-not-commute", "single pair of distinct letters",
             ONCE, planar_letters),
-        Law("graft-derives-bracket", gen_triples,
-            tuples(maxdeg + 1, vlets, vlets, vlets), derives_bracket),
-        Law("bracket-measures-associator", gen_triples,
-            tuples(maxdeg + 1, vlets, vlets, vlets), measures_associator),
+        *_postlie_axioms(f"generator triples, degree sum <= {maxdeg + 1}",
+                         lambda: tuples(maxdeg + 1, vlets, vlets, vlets),
+                         reg_graft, deformed_graft, bracket0, commutator),
         Law("bracket-is-word-commutator",
             f"generator pairs, degree sum <= {maxdeg + 1}",
             tuples(maxdeg + 1, vlets, vlets), word_commutator),
@@ -718,8 +695,8 @@ def _np_lincomb(text: str) -> LinComb:
 def _example_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
     fx = _load_fixture()
 
-    def row(name: str, check: Callable, *key: str) -> Law:
-        return Law(name, "fixture", (key,), check)
+    def row(name: str, check: Callable, *case) -> Law:
+        return Law(name, "fixture", (case,), check)
 
     def args(key: str, parse=parse_lincomb) -> list[LinComb]:
         return [parse(s) for s in _split_args(fx[key])]
@@ -729,9 +706,8 @@ def _example_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
             return []
         return ["computed value differs from the transcribed display"]
 
-    def graft_case(key):
-        a, b = args(f"{key}.args")
-        return eq(left_graft(a, b), parse_lincomb(fx[f"{key}.out"]))
+    def display(op, key, arg, parse=parse_lincomb, parse_out=parse_lincomb):
+        return eq(op(*args(f"{key}.{arg}", parse)), parse_out(fx[f"{key}.out"]))
 
     def gl_triple():
         a, b, c = args("gl.triple.args")
@@ -739,35 +715,15 @@ def _example_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
         return (eq(gl_product(gl_product(a, b), c), out)
                 + eq(gl_product(a, gl_product(b, c)), out))
 
-    def anti_single():
-        arg = parse_lincomb(fx["glantipode.single.arg"])
-        return eq(gl_antipode(arg), parse_lincomb(fx["glantipode.single.out"]))
-
     def anti_pair():
         f1, f2 = args("glantipode.pair.args")
         lhs = gl_antipode(concat(f1, f2))
         return eq(lhs, gl_product(f2, f1) + left_graft(f1, f2))
 
-    def cop_case(key):
-        arg = parse_lincomb(fx[f"{key}.arg"])
-        return eq(mkw_coproduct(arg), parse_tensor(fx[f"{key}.out"]))
-
     def growth_case():
         a, b = args("growth.args")
         scale = Fraction(fx["growth.scale"])
         return eq(natural_growth(a, b) * scale, parse_lincomb(fx["growth.out"]))
-
-    def pi_case():
-        arg = parse_lincomb(fx["pi.mkw.arg"])
-        return eq(primitive_projection(arg), parse_lincomb(fx["pi.mkw.out"]))
-
-    def rho_case():
-        arg = parse_lincomb(fx["rho.arg"])
-        return eq(rho_graft(arg), parse_tensor(fx["rho.out"]))
-
-    def bck_case(key):
-        arg = _np_lincomb(fx[f"{key}.arg"])
-        return eq(bck_primitive_projection(arg), _np_lincomb(fx[f"{key}.out"]))
 
     def bck_zeros():
         for raw in _split_args(fx["bck.zero.args"]):
@@ -790,27 +746,31 @@ def _example_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
         out = parse_reg_lincomb(fx["reg.bracket.out"])
         return eq(lhs, lowered) + eq(lowered, out)
 
-    def reg_xstar():
-        x, y = args("reg.xstar.args", parse_reg_lincomb)
-        return eq(reg_gl_product(x, y), parse_reg_lincomb(fx["reg.xstar.out"]))
-
     return [
-        row("graft-tree", graft_case, "graft.tree"),
-        row("graft-forest", graft_case, "graft.forest"),
+        row("graft-tree", display, left_graft, "graft.tree", "args"),
+        row("graft-forest", display, left_graft, "graft.forest", "args"),
         row("gl-triple-product", gl_triple),
-        row("gl-antipode-single", anti_single),
+        row("gl-antipode-single", display, gl_antipode, "glantipode.single",
+            "arg"),
         row("gl-antipode-two-word", anti_pair),
-        row("cut-coproduct-tree", cop_case, "mkw.tree"),
-        row("cut-coproduct-forest", cop_case, "mkw.forest"),
+        row("cut-coproduct-tree", display, mkw_coproduct, "mkw.tree", "arg",
+            parse_lincomb, parse_tensor),
+        row("cut-coproduct-forest", display, mkw_coproduct, "mkw.forest",
+            "arg", parse_lincomb, parse_tensor),
         row("natural-growth-average", growth_case),
-        row("primitive-projection", pi_case),
-        row("graft-coaction", rho_case),
-        row("nonplanar-projection-two", bck_case, "bck.pi2"),
-        row("nonplanar-projection-three", bck_case, "bck.pi3"),
+        row("primitive-projection", display, primitive_projection, "pi.mkw",
+            "arg"),
+        row("graft-coaction", display, rho_graft, "rho", "arg", parse_lincomb,
+            parse_tensor),
+        row("nonplanar-projection-two", display, bck_primitive_projection,
+            "bck.pi2", "arg", _np_lincomb, _np_lincomb),
+        row("nonplanar-projection-three", display, bck_primitive_projection,
+            "bck.pi3", "arg", _np_lincomb, _np_lincomb),
         row("nonplanar-projection-zeros", bck_zeros),
         row("polynomial-product", reg_xx),
         row("bracket-lowering", reg_bracket),
-        row("polynomial-times-planted", reg_xstar),
+        row("polynomial-times-planted", display, reg_gl_product, "reg.xstar",
+            "args", parse_reg_lincomb, parse_reg_lincomb),
     ]
 
 

@@ -16,7 +16,7 @@ from functools import cache as memo
 from itertools import product as iproduct
 from typing import Iterator
 
-from postlie.bck import np_forest, np_of_tree
+from postlie.bck import np_forest, np_of_forest, np_of_tree
 from postlie.forest import OrderedForest, PlanarTree, forest, tree
 from postlie.lincomb import LinComb, _shuffle_words
 from postlie.regstruct import (MultiIndex, RegTree, _map_vertex, mi_binom,
@@ -72,7 +72,7 @@ def _np_growth_forests(w1: OrderedForest, w2: OrderedForest) -> LinComb:
     if w2.is_empty:
         return LinComb.zero()
     if w1.is_empty:
-        return LinComb.basis(w2)
+        return LinComb.basis(np_of_forest(w2))
     acc: dict = {}
     for vi, existing in enumerate(_vertex_children(w2)):
         kids = existing + w1.trees

@@ -4,7 +4,7 @@ from postlie.bck import (bck_antipode, bck_coproduct, bck_is_primitive,
                          bck_natural_growth, bck_primitive_projection,
                          enumerate_np_forests, enumerate_np_trees,
                          forget_planarity, np_mul, np_parse)
-from postlie.forest import parse_forest
+from postlie.forest import FOREST_ONE, parse_forest
 from postlie.lincomb import LinComb
 
 
@@ -31,6 +31,12 @@ def test_np_mul_is_commutative():
 
 def test_symmetrized_growth():
     assert bck_natural_growth(nb("[o]"), nb("[o]")) == nb("[o[o]]")
+
+
+def test_growth_by_the_unit_gives_the_canonical_forest():
+    planar = LinComb.basis(parse_forest("[o[o]][o]"))
+    got = bck_natural_growth(LinComb.basis(FOREST_ONE), planar)
+    assert got == nb("[o][o[o]]") == forget_planarity(planar)
 
 
 def test_projection_two_and_three_nodes():

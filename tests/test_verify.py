@@ -1,9 +1,17 @@
-"""Suite runner: names, report schema, and the degree cap."""
+"""Suite runner: names, report schema, the degree cap, and the post-Lie rows
+shared by the planar and deformed suites."""
 
 import pytest
 
-from postlie.verify import (DEFAULT_DEGREE_CAP, DegreeCapError, degree_cap,
-                            run_suite, suite_names)
+from postlie.forest import enumerate_trees, single
+from postlie.grafting import left_graft
+from postlie.growth import natural_growth
+from postlie.laws import pool, run_laws, tuples
+from postlie.lincomb import concat
+from postlie.regstruct import (bracket0, deformed_graft, enumerate_v_letters,
+                               reg_assoc_product, reg_graft)
+from postlie.verify import (DEFAULT_DEGREE_CAP, DegreeCapError, _postlie_axioms,
+                            degree_cap, run_suite, suite_names)
 
 EXPECTED = (
     "hopf-axioms", "post-lie-axioms", "gl-duality", "natural-growth",
@@ -79,3 +87,43 @@ def test_cap_degree_messages(monkeypatch):
         cap_degree(8, "degree of X")
     assert str(e.value) == ("degree of X 8 exceeds the degree cap 7; "
                             "set POSTLIE_DEGREE_CAP to raise it")
+
+
+def _concat_commutator(x, y):
+    return concat(x, y) - concat(y, x)
+
+
+def _word_commutator(x, y):
+    return reg_assoc_product(x, y) - reg_assoc_product(y, x)
+
+
+# both rows at degree sum 5: tree triples on one letter, and generator
+# triples in dimension one
+def _planar_axioms(product):
+    trees = pool(lambda n: map(single, enumerate_trees(n, ("o",))), 1, 3)
+    return _postlie_axioms("r", lambda: tuples(5, trees, trees, trees),
+                           product, product, _concat_commutator,
+                           _concat_commutator)
+
+
+def _deformed_axioms(graft, inner):
+    vlets = pool(lambda n: enumerate_v_letters(n, 1), 1, 3)
+    return _postlie_axioms("r", lambda: tuples(5, vlets, vlets, vlets),
+                           graft, inner, bracket0, _word_commutator)
+
+
+@pytest.mark.parametrize("laws, failures", [
+    (lambda: _planar_axioms(left_graft), [0, 0]),
+    (lambda: _planar_axioms(natural_growth), [8, 8]),
+    (lambda: _deformed_axioms(reg_graft, deformed_graft), [0, 0]),
+    (lambda: _deformed_axioms(reg_assoc_product, reg_assoc_product),
+     [148, 100]),
+], ids=["grafting", "growth", "deformed-grafting", "word-product"])
+def test_shared_postlie_rows_fail_on_a_product_that_is_not_post_lie(
+        laws, failures):
+    checks = run_laws("axioms", 5, ("o",), laws())["checks"]
+    assert [c["name"] for c in checks] == ["graft-derives-bracket",
+                                           "bracket-measures-associator"]
+    assert [c.get("failures", 0) for c in checks] == failures
+    assert [c["status"] for c in checks] == [
+        "fail" if n else "pass" for n in failures]
