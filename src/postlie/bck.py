@@ -5,13 +5,15 @@ canonical planar forest: every child tuple and the word of trees are sorted
 by ``(degree, text)``.  Canonical forests are ordinary interned
 ``OrderedForest`` values, so equal shapes are the same object, render as the
 same text and key the same memo entries; the product is commutative.  The
+coproduct, antipode and projection read their operands through
+``forget_planarity``, so a planar forest gives the result of its shape.  The
 coproduct is the classical admissible-cut one, built by the MKW recursion
 on the last tree of a forest, with the commutative product on both legs:
 
     coproduct(w t) = coproduct(w) . (t (x) 1 + (id (x) B+)(coproduct(B- t)))
 
-where ``B-`` removes the root of ``t`` and ``B+`` puts it back.  Natural growth grafts all roots of the left argument
-onto one vertex of the right, averaged over vertices; no shuffling happens
+where ``B-`` removes the root of ``t`` and ``B+`` puts it back.  Natural
+growth grafts all roots of the left argument onto one vertex of the right, averaged over vertices; no shuffling happens
 because added children have no position.  It is the planar growth
 recursion (``growth._grow_words``) with the commutative join ``v + A`` in
 place of the shuffle and ``np_tree`` as the node builder, run on canonical
@@ -101,7 +103,7 @@ def bck_coproduct_forest(f: OrderedForest) -> Tensor:
 
 
 def bck_coproduct(x: LinComb) -> Tensor:
-    return x.apply_coproduct(bck_coproduct_forest)
+    return forget_planarity(x).apply_coproduct(bck_coproduct_forest)
 
 
 @memo
@@ -116,7 +118,7 @@ def bck_reduced_forest(f: OrderedForest) -> Tensor:
 def bck_reduced(x: LinComb) -> Tensor:
     if x.coeff(NP_ONE):
         raise ValueError("reduced coproduct needs an augmentation-ideal element")
-    return x.apply_coproduct(bck_reduced_forest)
+    return forget_planarity(x).apply_coproduct(bck_reduced_forest)
 
 
 @memo
@@ -128,7 +130,7 @@ def _bck_antipode_forest(f: OrderedForest) -> LinComb:
 
 
 def bck_antipode(x: LinComb) -> LinComb:
-    return x.map_basis(_bck_antipode_forest)
+    return forget_planarity(x).map_basis(_bck_antipode_forest)
 
 
 @memo
@@ -168,7 +170,7 @@ def _np_pi_forest(f: OrderedForest) -> LinComb:
 
 def bck_primitive_projection(x: LinComb) -> LinComb:
     """Same recursion as the planar projection, run in the commutative theory."""
-    return x.map_basis(_np_pi_forest)
+    return forget_planarity(x).map_basis(_np_pi_forest)
 
 
 def enumerate_np_trees(n: int, alphabet: Iterable[str]) -> tuple[PlanarTree, ...]:

@@ -1,9 +1,12 @@
 """Nonplanar mirror: sorted forests, symmetrized growth, BCK coproduct."""
 
+import pytest
+
 from postlie.bck import (bck_antipode, bck_coproduct, bck_is_primitive,
                          bck_natural_growth, bck_primitive_projection,
-                         enumerate_np_forests, enumerate_np_trees,
-                         forget_planarity, np_mul, np_parse)
+                         bck_reduced, enumerate_np_forests,
+                         enumerate_np_trees, forget_planarity, np_mul,
+                         np_parse)
 from postlie.forest import FOREST_ONE, parse_forest
 from postlie.lincomb import LinComb
 
@@ -37,6 +40,17 @@ def test_growth_by_the_unit_gives_the_canonical_forest():
     planar = LinComb.basis(parse_forest("[o[o]][o]"))
     got = bck_natural_growth(LinComb.basis(FOREST_ONE), planar)
     assert got == nb("[o][o[o]]") == forget_planarity(planar)
+
+
+@pytest.mark.parametrize("text", ["[b][a]", "[o[o]][o]", "[o[o[o]][o]]"])
+def test_planar_input_gives_the_result_of_its_shape(text):
+    planar = LinComb.basis(parse_forest(text))
+    shape = forget_planarity(planar)
+    assert planar != shape
+    assert bck_coproduct(planar) == bck_coproduct(shape)
+    assert bck_reduced(planar) == bck_reduced(shape)
+    assert bck_antipode(planar) == bck_antipode(shape)
+    assert bck_primitive_projection(planar) == bck_primitive_projection(shape)
 
 
 def test_projection_two_and_three_nodes():
