@@ -6,20 +6,21 @@ by ``(degree, text)``.  Canonical forests are ordinary interned
 ``OrderedForest`` values, so equal shapes are the same object, render as the
 same text and key the same memo entries; the product is commutative.  The
 coproduct, antipode and projection read their operands through
-``forget_planarity``, so a planar forest gives the result of its shape.  The
-coproduct is the classical admissible-cut one, built by the MKW recursion
-on the last tree of a forest, with the commutative product on both legs:
+``forget_planarity``, so a planar forest gives the result of its shape.
+The coproduct is the admissible-cut one, the MKW recursion on the last tree
+(``B-`` cuts its root off, ``B+`` puts it back) with the commutative
+product on both legs:
 
     coproduct(w t) = coproduct(w) . (t (x) 1 + (id (x) B+)(coproduct(B- t)))
 
-where ``B-`` removes the root of ``t`` and ``B+`` puts it back.  Natural
-growth grafts all roots of the left argument onto one vertex of the right, averaged over vertices; no shuffling happens
-because added children have no position.  It is the planar growth
-recursion (``growth._grow_words``) with the commutative join ``v + A`` in
-place of the shuffle and ``np_tree`` as the node builder, run on canonical
-operands; equal result forests are summed.  The induced projection onto
-primitives differs visibly from the planar one: the product of a vertex and
-a two-vertex ladder projects to zero here but not planarly.
+Natural growth grafts all roots of the left argument onto one vertex of the
+right, averaged over vertices; no shuffling happens because added children
+have no position.  It is the planar growth recursion (``growth._grow_words``)
+with the commutative join ``v + A`` in place of the shuffle and ``np_tree``
+as the node builder, run on canonical operands; equal result forests are
+summed.  The induced projection onto primitives differs visibly from the
+planar one: the product of a vertex and a two-vertex ladder projects to
+zero here but not planarly.
 """
 
 from __future__ import annotations

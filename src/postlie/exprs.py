@@ -30,20 +30,13 @@ __all__ = [
 
 # -- rendering ---------------------------------------------------------------
 
-def _coeff_text(c: Coeff) -> str:
-    return str(c)
-
-
-def _term_text(mag: Coeff, body: str) -> str:
-    return body if mag == 1 else f"{_coeff_text(mag)}*{body}"
-
-
 def _signed_sum(terms: Iterable[tuple[str, Coeff]]) -> str:
     """``terms``, pairs of body text and nonzero coefficient, as one signed
     sum; ``0`` when there are none."""
     parts: list[str] = []
     for body, c in terms:
-        body = _term_text(abs(c), body)
+        if abs(c) != 1:
+            body = f"{abs(c)}*{body}"
         if not parts:
             parts.append(body if c > 0 else "-" + body)
         else:
