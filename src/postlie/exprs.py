@@ -35,8 +35,9 @@ def _signed_sum(terms: Iterable[tuple[str, Coeff]]) -> str:
     sum; ``0`` when there are none."""
     parts: list[str] = []
     for body, c in terms:
-        if abs(c) != 1:
-            body = f"{abs(c)}*{body}"
+        mag = abs(c)
+        if mag != 1:
+            body = f"{str(mag)}*{body}"
         if not parts:
             parts.append(body if c > 0 else "-" + body)
         else:
