@@ -5,7 +5,7 @@ canonical planar forest: every child tuple and the word of trees are sorted
 by ``(degree, text)``.  Canonical forests are ordinary interned
 ``OrderedForest`` values, so equal shapes are the same object, render as the
 same text and key the same memo entries; the product is commutative.  The
-coproduct, antipode and projection read their operands through
+product, coproduct, antipode and projection read their operands through
 ``forget_planarity``, so a planar forest gives the result of its shape.
 The coproduct is the admissible-cut one, the MKW recursion on the last tree
 (``B-`` cuts its root off, ``B+`` puts it back) with the commutative
@@ -88,8 +88,8 @@ def np_parse(text: str, alphabet: Iterable[str] | None = None) -> OrderedForest:
 
 
 def np_mul(x: LinComb, y: LinComb) -> LinComb:
-    """Bilinear commutative forest product."""
-    return x.map_pairs(y, _np_product)
+    """Bilinear commutative forest product of the operands' shapes."""
+    return forget_planarity(x).map_pairs(forget_planarity(y), _np_product)
 
 
 @memo

@@ -15,25 +15,27 @@ to tree count, as the graded matrix from ``phi_matrix`` shows.
 ``TruncChar`` is a linear functional on forests of bounded degree, stored
 extensionally.  Both flavors are multiplicative for the shuffle of forests;
 they differ in which coproduct drives convolution: the cut coproduct for the
-"mkw" flavor, deconcatenation for the "tensor" flavor.  ``canonical_lift``
-exponentiates a degree-one increment element, ``embed_rough_path`` moves a
-lift to the tensor flavor by pushing its representing series through ``phi``.
+"mkw" flavor, deconcatenation for the "tensor" flavor.  Convolution, its
+inverse and the exponential ``canonical_lift`` are one pass over that
+coproduct.  ``embed_rough_path`` moves a lift to the tensor flavor by
+pushing its representing series through ``phi``.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .forest import (FOREST_ONE, ForestSyntaxError, OrderedForest,
                      enumerate_forests, forest, leaf, letters_in,
                      parse_forest, single)
-from .grafting import concat_antipode, gl_exp, gl_product, graft_forests
+from .grafting import gl_product, graft_forests
+from .laws import forests
 from .lincomb import (Coeff, LinComb, as_coeff, concat, deconcat_forest,
-                      deshuffle, shuffle, tensor_of)
+                      deshuffle, shuffle_words, tensor_of)
 from .memo import memo
-from .mkw import mkw_coproduct_forest, mkw_antipode
+from .mkw import mkw_coproduct_forest
 
 
 @memo
@@ -161,18 +163,12 @@ def character_failures(X: TruncChar) -> list[tuple]:
     Returns (f, g, X(f shuffle g), X(f)X(g)) triples-with-values; empty means
     X is a character as far as the truncation can see.
     """
-    letters = X.letters()
     bad: list = []
-    for d1 in range(1, X.N):
-        for d2 in range(1, X.N - d1 + 1):
-            if d2 < d1:
-                continue
-            for f in enumerate_forests(d1, letters):
-                for g in enumerate_forests(d2, letters):
-                    lhs = X.pair(shuffle(LinComb.basis(f), LinComb.basis(g)))
-                    rhs = X.value(f) * X.value(g)
-                    if lhs != rhs:
-                        bad.append((f, g, lhs, rhs))
+    for f, g in forests(X.letters(), X.N, 1, 2, ascending=True):
+        lhs = X.pair(shuffle_words(f, g))
+        rhs = X.value(f) * X.value(g)
+        if lhs != rhs:
+            bad.append((f, g, lhs, rhs))
     return bad
 
 
@@ -186,46 +182,49 @@ def group_like_failures(series: LinComb, N: int) -> list[tuple]:
             for l, r in keys if l.degree + r.degree <= N]
 
 
+def _convolved(N: int, flavor: str, letters: tuple[str, ...], left: Callable | None,
+               right: Callable, scale: Callable = lambda n: 1) -> TruncChar:
+    """``f -> scale(|f|) sum c left(l) right(r)`` over the flavor's coproduct
+    ``sum c l (x) r``, degree by degree; ``left=None`` reads the values found
+    so far and 1 on the unit, so ``right`` must then vanish on the unit."""
+    split = mkw_coproduct_forest if flavor == MKW_FLAVOR else deconcat_forest
+    vals: dict = {}
+    if left is None:
+        left = lambda l: vals.get(l, 0) if l else 1
+    for n in range(1, N + 1):
+        for f in enumerate_forests(n, letters):
+            total = sum(c * left(l) * right(r) for (l, r), c in split(f).items())
+            if total:
+                vals[f] = scale(n) * total
+    return TruncChar(N, vals, flavor)
+
+
 def char_convolve(X: TruncChar, Y: TruncChar) -> TruncChar:
     """Convolution against the flavor's coproduct: cut for mkw, split for tensor."""
     if X.N != Y.N:
         raise ValueError("truncation degrees differ")
     if X.flavor != Y.flavor:
         raise ValueError("flavors differ")
-    split = mkw_coproduct_forest if X.flavor == MKW_FLAVOR else deconcat_forest
-    letters = tuple(sorted(set(X.letters()) | set(Y.letters())))
-    vals: dict = {}
-    for n in range(1, X.N + 1):
-        for f in enumerate_forests(n, letters):
-            total = 0
-            for (l, r), c in split(f).items():
-                total += c * X.value(l) * Y.value(r)
-            if total:
-                vals[f] = total
-    return TruncChar(X.N, vals, X.flavor)
+    return _convolved(X.N, X.flavor, letters_in(*X.support(), *Y.support()),
+                      X.value, Y.value)
 
 
 def char_inverse(X: TruncChar) -> TruncChar:
-    """Convolution inverse: precompose with the flavor's antipode."""
-    anti = mkw_antipode if X.flavor == MKW_FLAVOR else concat_antipode
-    letters = X.letters()
-    vals: dict = {}
-    for n in range(1, X.N + 1):
-        for f in enumerate_forests(n, letters):
-            v = X.pair(anti(LinComb.basis(f)))
-            if v:
-                vals[f] = v
-    return TruncChar(X.N, vals, X.flavor)
+    """Convolution inverse of any functional, degree by degree: ``X^-1(f) =
+    -sum X^-1(l) X(r)`` over the coproduct terms with ``r != 1``."""
+    return _convolved(X.N, X.flavor, X.letters(), None,
+                      lambda r: -X.value(r) if r else 0)
 
 
 def canonical_lift(increments: Mapping[str, int | Fraction], N: int) -> TruncChar:
-    """Exponential lift of letter increments, as an mkw-flavor character."""
+    """``X = exp(x)`` for letter increments ``x`` on single vertices, as an
+    mkw-flavor character: ``|f| X(f) = (X * x)(f)``, its derivative in degree."""
     if N < 1:
         raise ValueError("truncation degree must be at least 1")
-    gen = LinComb.from_terms(
-        (single(leaf(d)), as_coeff(c)) for d, c in increments.items() if as_coeff(c))
-    series = gl_exp(gen, N)
-    return TruncChar(N, dict(series.items()), MKW_FLAVOR)
+    inc = {single(leaf(d)): as_coeff(c) for d, c in increments.items()
+           if as_coeff(c)}
+    return _convolved(N, MKW_FLAVOR, letters_in(*inc), None,
+                      lambda r: inc.get(r, 0), lambda n: Fraction(1, n))
 
 
 def embed_rough_path(X: TruncChar) -> TruncChar:

@@ -53,6 +53,13 @@ def test_planar_input_gives_the_result_of_its_shape(text):
     assert bck_primitive_projection(planar) == bck_primitive_projection(shape)
 
 
+def test_product_reads_planar_operands_as_their_shapes():
+    planar = LinComb.basis(parse_forest("[o[o[o]][o]]"))
+    one = LinComb.basis(FOREST_ONE)
+    assert np_mul(planar, one) == np_mul(one, planar) == nb("[o[o][o[o]]]")
+    assert np_mul(planar, nb("[o]")) == nb("[o][o[o][o[o]]]")
+
+
 def test_projection_two_and_three_nodes():
     got2 = bck_primitive_projection(nb("[o][o]"))
     assert got2 == nb("[o][o]") - nb("[o[o]]") * 2
