@@ -193,7 +193,8 @@ def _convolved(N: int, flavor: str, letters: tuple[str, ...], left: Callable | N
         left = lambda l: vals.get(l, 0) if l else 1
     for n in range(1, N + 1):
         for f in enumerate_forests(n, letters):
-            total = sum(c * left(l) * right(r) for (l, r), c in split(f).items())
+            total = sum(c * left(l) * v for (l, r), c in split(f).items()
+                        if (v := right(r)))
             if total:
                 vals[f] = scale(n) * total
     return TruncChar(N, vals, flavor)

@@ -304,9 +304,13 @@ def tensor_to_json(t: Tensor) -> dict:
                       for key, c in items]}
 
 
-def tensor_from_json(obj: dict, reg: bool = False) -> Tensor:
-    load = reg_tree_from_json if reg else forest_from_json
-    terms = [(tuple(load(leg) for leg in t["legs"]), t["coeff"])
+def _leg_from_json(obj) -> OrderedForest | RegTree:
+    # A list is a forest, an object a decorated tree: ``_leg_json`` reversed.
+    return reg_tree_from_json(obj) if isinstance(obj, dict) else forest_from_json(obj)
+
+
+def tensor_from_json(obj: dict) -> Tensor:
+    terms = [(tuple(map(_leg_from_json, t["legs"])), t["coeff"])
              for t in obj["terms"]]
     arity = len(terms[0][0]) if terms else 2
     return Tensor.from_terms(arity, terms)

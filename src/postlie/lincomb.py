@@ -25,26 +25,32 @@ Instances are immutable and hashable, so a LinComb can itself be used as a
 letter of a formal word.
 
 :class:`Tensor` is the flat sparse analogue for tensor products, stored the
-same way: terms are keyed by tuples of basis keys, one per leg.  Coproduct
-iteration is done by reapplying maps legwise (``apply_coproduct``), products
-by merging two legs (``merge_legs``) or, for two rank-2 tensors, leg by leg
-(``legwise``).
+same way: terms are keyed by tuples of basis keys, one per leg.
 
 Maps defined on basis keys extend through one method each: linearly with
 ``map_basis`` (on a LinComb, or on a Tensor whose basis keys are its tuples
-of legs; ``apply_coproduct`` for a two-leg value), one leg at a time with
-``Tensor.apply_linear``, and bilinearly with ``LinComb.map_pairs``, which sums
-``c1 c2 fn(k1, k2)`` over the term pairs in iteration order.
-``Tensor.contract`` sums ``c product(left(x), right(y))`` over the terms
-``c x (x) y`` of a two-leg tensor in one pass; the Guin-Oudom products and
-the antipode recursions are each one such expression.  The accumulator
-behind every extension (``_add_into`` over the lcm of the images'
-denominators) lives in this module only.  Combinatorial kernels elsewhere
-create terms by counting positive integer multiplicities into a fresh dict,
-which they hand to the trusted constructors ``_adopt`` (a fresh dict of
-nonzero exact coefficients) or ``_make`` (integer numerators over a
-denominator); these skip the public constructors' copy and checks.  Every
-composite of those kernels is an expression over the extensions.
+of legs; ``apply_coproduct`` for a two-leg value), bilinearly with
+``LinComb.map_pairs`` (over the term pairs in iteration order), and on the
+legs of a Tensor with ``apply_linear`` and ``apply_coproduct`` (one leg),
+``merge_legs`` (two legs multiplied into one) and ``legwise`` (two rank-2
+tensors, leg by leg).  ``Tensor.contract`` sums ``c product(left(x),
+right(y))`` over the terms ``c x (x) y`` of a two-leg tensor in one pass;
+the Guin-Oudom products and the antipode recursions are each one such
+expression.
+
+Every extension sums through one step, ``_add_image``: widen ``big``, the
+lcm of the images' denominators so far, to the next image's, scale, and
+``_add_into`` its terms.  The leg maps share one loop, ``Tensor._legs``,
+which takes the same step but splices each image key into the term's key:
+one leg for a LinComb image, a tuple of legs for a Tensor image.  Only
+``concat`` keeps its own loop: its image is one key with coefficient 1, and
+building a LinComb per pair for it would only cost.  The accumulator lives
+in this module alone.  Combinatorial kernels elsewhere create terms by
+counting positive integer multiplicities into a fresh dict, which they hand
+to the trusted constructors ``_adopt`` (a fresh dict of nonzero exact
+coefficients) or ``_make`` (integer numerators over a denominator); these
+skip the public constructors' copy and checks.  Every composite of those
+kernels is an expression over the extensions.
 
 Word operations on forests (concatenation, shuffle, deshuffle,
 deconcatenation, Kronecker pairing) live here as module functions.
@@ -124,6 +130,17 @@ def _widen(acc: dict, den: int, d: int) -> int:
     return new
 
 
+def _add_image(acc: dict, big: int, n: int, img: "_Exact", d0: int = 1) -> int:
+    """Add ``n / d0`` times ``img`` into ``acc`` over ``big``; return ``big``, widened."""
+    d = d0 * img._den
+    if big % d:
+        big = _widen(acc, big, d)
+    s = n * big // d
+    for k, c in img._num.items():
+        _add_into(acc, k, s * c)
+    return big
+
+
 class _Exact:
     """Storage and arithmetic shared by :class:`LinComb` and :class:`Tensor`."""
 
@@ -201,20 +218,11 @@ class _Exact:
     __rmul__ = scale
 
     def _linear(self, fn: Callable[[Hashable], "_Exact"]) -> tuple[dict, int]:
-        # Numerators and denominator of sum(c * fn(key)).  Like every
-        # extension here it sums integer numerators over ``big``, the lcm of
-        # the images' denominators so far, rescaling the sum when an image
-        # needs a wider one; the constructor divides out one gcd at the end.
+        # Numerators and denominator of sum(c * fn(key)).
         acc: dict = {}
         big = 1
         for k, n in self._num.items():
-            img = fn(k)
-            d = img._den
-            if big % d:
-                big = _widen(acc, big, d)
-            s = n * big // d
-            for k2, c2 in img._num.items():
-                _add_into(acc, k2, s * c2)
+            big = _add_image(acc, big, n, fn(k))
         return acc, self._den * big
 
     def map_basis(self, fn: Callable[[Hashable], "LinComb"]) -> "LinComb":
@@ -264,7 +272,7 @@ class LinComb(_Exact):
             _add_into(acc, k, as_coeff(c))
         return LinComb._adopt(acc)
 
-    # bilinear and coproduct extensions (summed as ``_Exact._linear``) ----
+    # bilinear and coproduct extensions ----------------------------------
 
     def map_pairs(self, other: "LinComb",
                   fn: Callable[[Hashable, Hashable], "LinComb"]) -> "LinComb":
@@ -274,13 +282,7 @@ class LinComb(_Exact):
         right = other._num.items()
         for k1, n1 in self._num.items():
             for k2, n2 in right:
-                img = fn(k1, k2)
-                d = img._den
-                if big % d:
-                    big = _widen(acc, big, d)
-                s = n1 * n2 * big // d
-                for k3, c3 in img._num.items():
-                    _add_into(acc, k3, s * c3)
+                big = _add_image(acc, big, n1 * n2, fn(k1, k2))
         return LinComb._make(acc, self._den * other._den * big)
 
     def apply_coproduct(self, fn: Callable[[Hashable], "Tensor"]) -> "Tensor":
@@ -369,54 +371,41 @@ class Tensor(_Exact):
             _add_into(acc, k, as_coeff(c))
         return Tensor._adopt(arity, acc)
 
-    def apply_linear(self, leg: int, fn: Callable[[Hashable], LinComb]) -> "Tensor":
-        """Apply a linear map to one leg, keeping the arity."""
+    def _legs(self, i: int, j: int, fn: Callable, arity: int) -> "Tensor":
+        # Legs i..j-1 become fn(*legs); a Tensor image's keys are leg tuples.
         acc: dict = {}
         big = 1
         for key, n in self._num.items():
-            img = fn(key[leg])
+            img = fn(*key[i:j])
             d = img._den
             if big % d:
                 big = _widen(acc, big, d)
             s = n * big // d
-            head, tail = key[:leg], key[leg + 1:]
-            for k2, c2 in img._num.items():
-                _add_into(acc, head + (k2,) + tail, s * c2)
-        return Tensor._make(self.arity, acc, self._den * big)
+            head, tail = key[:i], key[j:]
+            if type(img) is Tensor:
+                for legs, c in img._num.items():
+                    _add_into(acc, head + legs + tail, s * c)
+            else:
+                for k, c in img._num.items():
+                    _add_into(acc, head + (k,) + tail, s * c)
+        return Tensor._make(arity, acc, self._den * big)
+
+    def apply_linear(self, leg: int, fn: Callable[[Hashable], LinComb]) -> "Tensor":
+        """Apply a linear map to one leg, keeping the arity."""
+        return self._legs(leg, leg + 1, fn, self.arity)
 
     def apply_coproduct(self, leg: int, fn: Callable[[Hashable], "Tensor"]) -> "Tensor":
         """Apply a two-leg coproduct to one leg, raising the arity by one."""
-        acc: dict = {}
-        big = 1
-        for key, n in self._num.items():
-            img = fn(key[leg])
-            d = img._den
-            if big % d:
-                big = _widen(acc, big, d)
-            s = n * big // d
-            head, tail = key[:leg], key[leg + 1:]
-            for pair, c2 in img._num.items():
-                _add_into(acc, head + pair + tail, s * c2)
-        return Tensor._make(self.arity + 1, acc, self._den * big)
+        return self._legs(leg, leg + 1, fn, self.arity + 1)
 
     def merge_legs(self, i: int, j: int,
                    product: Callable[[Hashable, Hashable], LinComb]) -> "Tensor":
         """Multiply legs ``i`` and ``j`` (i < j); the product lands in leg ``i``."""
         if not 0 <= i < j < self.arity:
             raise ValueError("need 0 <= i < j < arity")
-        acc: dict = {}
-        big = 1
-        for key, n in self._num.items():
-            img = product(key[i], key[j])
-            d = img._den
-            if big % d:
-                big = _widen(acc, big, d)
-            s = n * big // d
-            rest = key[:j] + key[j + 1:]
-            head, tail = rest[:i], rest[i + 1:]
-            for k2, c2 in img._num.items():
-                _add_into(acc, head + (k2,) + tail, s * c2)
-        return Tensor._make(self.arity - 1, acc, self._den * big)
+        t = self if j == i + 1 else self._legs(  # rotate leg j next to leg i
+            i + 1, j + 1, lambda *g: Tensor.basis(g[-1:] + g[:-1]), self.arity)
+        return t._legs(i, i + 2, product, self.arity - 1)
 
     def legwise(self, other: "Tensor",
                 product: Callable[[Hashable, Hashable], LinComb],
@@ -424,36 +413,28 @@ class Tensor(_Exact):
                 ) -> "Tensor":
         """Product of two rank-2 tensors, leg by leg: ``product`` on leg 0,
         ``right_product`` (default ``product``) on leg 1."""
-        if right_product is None:
-            right_product = product
+        second = right_product or product
         acc: dict = {}
         big = 1
         right = other._num.items()
         for (a1, b1), n1 in self._num.items():
             for (a2, b2), n2 in right:
                 left = product(a1, a2)
-                if not left._num:
-                    continue
-                second = right_product(b1, b2)
-                d = left._den * second._den
-                if big % d:
-                    big = _widen(acc, big, d)
-                s = n1 * n2 * big // d
-                for a, ca in left._num.items():
-                    sa = s * ca
-                    for b, cb in second._num.items():
-                        _add_into(acc, (a, b), sa * cb)
+                if left._num:
+                    # The image is left (x) sec, built here in one pass:
+                    # tensor_of made mkw_coproduct_forest about 40% slower.
+                    sec = second(b1, b2)
+                    big = _add_image(acc, big, n1 * n2, Tensor._make(2, {
+                        (a, b): ca * cb for a, ca in left._num.items()
+                        for b, cb in sec._num.items()}), left._den * sec._den)
         return Tensor._make(2, acc, self._den * other._den * big)
 
     def contract(self, left: Callable[[Hashable], LinComb],
                  right: Callable[[Hashable], LinComb],
                  product: Callable[[Hashable, Hashable], LinComb]) -> LinComb:
         """``sum c product(left(x), right(y))`` over the terms ``c x (x) y``
-        of a rank-2 tensor, with ``product`` extended bilinearly.
-
-        One pass in term order; ``right`` is not called where ``left``
-        vanishes.
-        """
+        of a rank-2 tensor, ``product`` extended bilinearly, in one pass;
+        ``right`` is not called where ``left`` vanishes."""
         acc: dict = {}
         big = 1
         for (x, y), n in self._num.items():
@@ -466,13 +447,7 @@ class Tensor(_Exact):
             for k1, n1 in lx._num.items():
                 s1 = n * n1
                 for k2, n2 in pairs:
-                    img = product(k1, k2)
-                    d = d0 * img._den
-                    if big % d:
-                        big = _widen(acc, big, d)
-                    s = s1 * n2 * big // d
-                    for k3, c3 in img._num.items():
-                        _add_into(acc, k3, s * c3)
+                    big = _add_image(acc, big, s1 * n2, product(k1, k2), d0)
         return LinComb._make(acc, self._den * big)
 
     def counit_legs(self, is_unit: Callable[[Hashable], bool],

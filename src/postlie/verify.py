@@ -26,7 +26,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import chain, product
 from operator import attrgetter
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import linalg
 from .bck import bck_primitive_projection, forget_planarity
@@ -36,7 +36,7 @@ from .characters import (_phi_forest, canonical_lift, char_convolve,
 from .coaction import (compose_vectors, cointeraction_laws,
                        cotranslation_laws, disjointness_witness,
                        graft_duality_failures, rho_graft, translate)
-from .exprs import (_one_leg, parse_lincomb, parse_reg_lincomb, parse_tensor,
+from .exprs import (parse_lincomb, parse_reg_lincomb, parse_tensor,
                     render_lincomb)
 from .forest import (FOREST_ONE, enumerate_forests, enumerate_trees, leaf,
                      single, tree, word)
@@ -142,10 +142,8 @@ def _hopf_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
 
     def antipode(f):
         t = mkw_coproduct_forest(f)
-        lhs = _one_leg(t.apply_linear(0, anti)
-                       .merge_legs(0, 1, shuffle_words))
-        rhs = _one_leg(t.apply_linear(1, anti)
-                       .merge_legs(0, 1, shuffle_words))
+        lhs = t.contract(anti, _basis, shuffle_words)
+        rhs = t.contract(_basis, anti, shuffle_words)
         want = _basis(FOREST_ONE) if f.is_empty else LinComb.zero()
         if lhs != want or rhs != want:
             return f"x={f.text}"

@@ -13,7 +13,8 @@ from postlie.exprs import (lincomb_from_json, lincomb_to_json, parse_lincomb,
                            tensor_to_json)
 from postlie.forest import ForestSyntaxError, forests_up_to, parse_forest
 from postlie.lincomb import LinComb, tensor_of
-from postlie.regstruct import enumerate_reg_trees
+from postlie.regstruct import (deformed_mkw_coproduct, enumerate_reg_trees,
+                               parse_reg_tree)
 
 
 def test_parse_basic_sum():
@@ -93,6 +94,9 @@ def test_json_round_trips():
     assert lincomb_from_json(lincomb_to_json(x)) == x
     t = parse_tensor("[a] (x) [b][b]")
     assert tensor_from_json(tensor_to_json(t)) == t
+    # legs of decorated trees are read by their JSON shape
+    r = deformed_mkw_coproduct(parse_reg_tree("[o{1}[o{0}]{1}]"), 5)
+    assert len(r) > 1 and tensor_from_json(tensor_to_json(r)) == r
 
 
 coeffs_st = st.fractions(min_value=-4, max_value=4, max_denominator=6)

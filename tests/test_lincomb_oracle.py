@@ -12,6 +12,7 @@ when a coefficient is integral.
 import ast
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from pathlib import Path
 
@@ -172,6 +173,12 @@ def test_tensor_operations_match_the_reference(seed):
     (w, rw) = random_tensor(rng, arity=3)
     assert_same(w.merge_legs(0, 2, f), rw.merge_legs(0, 2, rf))
     assert_same(w.apply_coproduct(1, g), rw.apply_coproduct(1, rg))
+    (v, rv) = random_tensor(rng, arity=4)
+    for leg in range(4):
+        assert_same(v.apply_linear(leg, f), rv.apply_linear(leg, rf))
+        assert_same(v.apply_coproduct(leg, g), rv.apply_coproduct(leg, rg))
+    for i, j in combinations(range(4), 2):  # j > i + 1 re-keys leg j first
+        assert_same(v.merge_legs(i, j, f), rv.merge_legs(i, j, rf))
 
 
 def leg_maps(t, left, right, product):
@@ -264,3 +271,24 @@ def test_only_lincomb_names_the_accumulator_or_the_stored_form():
             elif isinstance(node, ast.alias):
                 names.add(node.name)
         assert not names & private, f"{path.name} names {sorted(names & private)}"
+
+
+def test_only_the_accumulator_step_and_the_leg_loop_widen():
+    """The widening step of the accumulator is written out twice: in
+    ``_add_image``, which every extension sums through, and in
+    ``Tensor._legs``, which splices image keys into tensor keys."""
+    callers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+            else:
+                if (isinstance(child, ast.Call)
+                        and isinstance(child.func, ast.Name)
+                        and child.func.id == "_widen"):
+                    callers.add(owner)
+                visit(child, owner)
+
+    visit(ast.parse((SRC / "lincomb.py").read_text()), None)
+    assert callers == {"_add_image", "_legs"}
