@@ -36,8 +36,7 @@ from .characters import (TruncChar, canonical_lift, char_convolve,
                          group_like_failures, phi, phi_inverse, phi_matrix,
                          unembed_rough_path)
 from .coaction import (compose_vectors, disjointness_witness, rho_graft,
-                       translate, verify_cointeraction,
-                       verify_cotranslation_cosubstitution)
+                       translate)
 from .regstruct import (RegTree, bracket0, deformed_graft,
                         deformed_mkw_coproduct, enumerate_reg_trees,
                         enumerate_v_letters, lower_root_adjacent,

@@ -27,8 +27,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .forest import (FOREST_ONE, OrderedForest, PlanarTree, enumerate_forests,
-                     enumerate_trees, forest, parse_forest, tree)
+from .forest import (FOREST_ONE, ORDER_KEY, OrderedForest, PlanarTree,
+                     enumerate_forests, enumerate_trees, forest, parse_forest,
+                     tree)
 from .growth import _grow_words
 from .lincomb import LinComb, Tensor
 from .memo import memo
@@ -36,12 +37,12 @@ from .memo import memo
 
 def np_tree(decoration: str, children: Iterable[PlanarTree] = ()) -> PlanarTree:
     """Canonical tree with the given root and canonical children."""
-    return tree(decoration, sorted(children, key=PlanarTree.sort_key))
+    return tree(decoration, sorted(children, key=ORDER_KEY))
 
 
 def np_forest(trees: Iterable[PlanarTree]) -> OrderedForest:
     """Canonical forest of the given canonical trees."""
-    return forest(sorted(trees, key=PlanarTree.sort_key))
+    return forest(sorted(trees, key=ORDER_KEY))
 
 
 NP_ONE = FOREST_ONE
@@ -177,10 +178,10 @@ def bck_primitive_projection(x: LinComb) -> LinComb:
 def enumerate_np_trees(n: int, alphabet: Iterable[str]) -> tuple[PlanarTree, ...]:
     """All nonplanar trees with n vertices, in (degree, text) order."""
     return tuple(sorted(set(map(np_of_tree, enumerate_trees(n, alphabet))),
-                        key=PlanarTree.sort_key))
+                        key=ORDER_KEY))
 
 
 def enumerate_np_forests(n: int, alphabet: Iterable[str]) -> tuple[OrderedForest, ...]:
     """All nonplanar forests of total degree n, in (degree, text) order."""
     return tuple(sorted(set(map(np_of_forest, enumerate_forests(n, alphabet))),
-                        key=OrderedForest.sort_key))
+                        key=ORDER_KEY))

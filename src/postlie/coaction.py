@@ -16,9 +16,8 @@ source of truth.
 
 The interaction identities are stated as rows of laws (see
 :mod:`postlie.laws`): ``cointeraction_laws`` and ``cotranslation_laws``
-feed both the ``cointeraction`` and ``cotranslation`` suites of
-:mod:`postlie.verify` and the two ``verify_*`` reports here, all run by
-``run_laws``.
+feed the ``cointeraction`` and ``cotranslation`` suites of
+:mod:`postlie.verify`, whose ``run_suite`` caps their degree.
 
 Translations act on the dual side: ``translate`` shifts every vertex
 decoration ``i`` by a chosen primitive element and extends over trees by
@@ -179,22 +178,6 @@ def cotranslation_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
         Law("substitution-identity", deg_range(maxdeg),
             forests(letters, maxdeg), substitution),
     ]
-
-
-def verify_cointeraction(maxdeg: int, alphabet: Iterable[str] = ("o",)) -> dict:
-    """Report on `cointeraction_laws` over basis forests of degree <= ``maxdeg``."""
-    letters = tuple(alphabet)
-    return run_laws("cointeraction", maxdeg, letters,
-                    cointeraction_laws(maxdeg, letters))
-
-
-def verify_cotranslation_cosubstitution(maxdeg: int,
-                                        alphabet: Iterable[str] = ("o",),
-                                        ) -> dict:
-    """Report on `cotranslation_laws` over basis forests of degree <= ``maxdeg``."""
-    letters = tuple(alphabet)
-    return run_laws("cotranslation-cosubstitution", maxdeg, letters,
-                    cotranslation_laws(maxdeg, letters))
 
 
 # -- translations ----------------------------------------------------------

@@ -13,10 +13,10 @@ import re
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .forest import (FOREST_ONE, MAX_NESTING, NESTING_ERROR,
+from .forest import (FOREST_ONE, MAX_NESTING, NESTING_ERROR, ORDER_KEY,
                      ForestSyntaxError, OrderedForest, _Letters,
                      forest_from_json, forest_to_json)
-from .lincomb import Coeff, LinComb, Tensor, shuffle, tensor_of
+from .lincomb import LinComb, Tensor, shuffle
 from .regstruct import (RegTree, _Decorations, mi_zero, reg_tree,
                         reg_tree_from_json, reg_tree_to_json)
 
@@ -30,37 +30,38 @@ __all__ = [
 
 # -- rendering ---------------------------------------------------------------
 
-def _signed_sum(terms: Iterable[tuple[str, Coeff]]) -> str:
-    """``terms``, pairs of body text and nonzero coefficient, as one signed
-    sum; ``0`` when there are none."""
-    parts: list[str] = []
-    for body, c in terms:
-        mag = abs(c)
-        if mag != 1:
-            body = f"{str(mag)}*{body}"
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append((" + " if c > 0 else " - ") + body)
-    return "".join(parts) or "0"
+def _leg_order(legs: tuple) -> tuple:
+    return tuple(map(ORDER_KEY, legs))
+
+
+def _signed_sum(terms: Iterable[tuple[str, bool, str]]) -> str:
+    """``terms``, triples of body text, sign and magnitude text, as one
+    signed sum; ``0`` when there are none."""
+    out = "".join((" - " if negative else " + ")
+                  + (body if mag == "1" else f"{mag}*{body}")
+                  for body, negative, mag in terms)
+    if not out:
+        return "0"
+    return out[3:] if out[1] == "+" else "-" + out[3:]
 
 
 def render_lincomb(x: LinComb) -> str:
     """Canonical text of a linear combination, terms in compare-order."""
-    items = sorted(x.items(), key=lambda kv: kv[0].sort_key())
-    return _signed_sum((key.text, c) for key, c in items)
+    return _signed_sum((key.text, negative, mag)
+                       for key, negative, mag in x.ordered_terms(ORDER_KEY))
 
 
 def render_tensor(t: Tensor) -> str:
     """Canonical text of a tensor, legs separated by (x)."""
-    items = sorted(t.items(), key=lambda kv: tuple(k.sort_key() for k in kv[0]))
-    return _signed_sum((" (x) ".join(k.text for k in key), c)
-                       for key, c in items)
+    return _signed_sum((" (x) ".join([k.text for k in legs]), negative, mag)
+                       for legs, negative, mag in t.ordered_terms(_leg_order))
 
 
 # -- parsing -----------------------------------------------------------------
 
 _NUMBER = re.compile(r"\d+(?:/\d+)?")
+_OPERATORS = {"+": "plus", "-": "minus", "*": "times", "(": "lparen",
+              ")": "rparen"}
 
 
 class _Lexer:
@@ -81,26 +82,10 @@ class _Lexer:
 
     def _scan(self, word) -> None:
         text, n = self.text, len(self.text)
+        append = self.tokens.append
         i = 0
         while i < n:
             ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if text.startswith("(x)", i):
-                self.tokens.append(("otimes", "(x)", i))
-                i += 3
-                continue
-            if text.startswith("sh", i) and (i + 2 == n or not text[i + 2].isalnum()):
-                self.tokens.append(("sh", "sh", i))
-                i += 2
-                continue
-            if ch in "+-*()":
-                kind = {"+": "plus", "-": "minus", "*": "times",
-                        "(": "lparen", ")": "rparen"}[ch]
-                self.tokens.append((kind, ch, i))
-                i += 1
-                continue
             if ch == "[":
                 try:
                     value, end = word(text, i)
@@ -108,15 +93,27 @@ class _Lexer:
                     if err.position < n:
                         raise
                     raise ForestSyntaxError("unbalanced [", i) from None
-                self.tokens.append(("word", text[i:end], i, value))
+                append(("word", text[i:end], i, value))
                 i = end
-                continue
-            m = _NUMBER.match(text, i)
-            if m:
-                self.tokens.append(("number", m.group(0), i))
+            elif ch.isspace():
+                i += 1
+            elif ch in _OPERATORS:
+                if ch == "(" and text.startswith("(x)", i):
+                    append(("otimes", "(x)", i))
+                    i += 3
+                else:
+                    append((_OPERATORS[ch], ch, i))
+                    i += 1
+            elif ch == "s" and text.startswith("sh", i) and (
+                    i + 2 == n or not text[i + 2].isalnum()):
+                append(("sh", "sh", i))
+                i += 2
+            else:
+                m = _NUMBER.match(text, i)
+                if m is None:
+                    raise ForestSyntaxError(f"unexpected character {ch!r}", i)
+                append(("number", m.group(0), i))
                 i = m.end()
-                continue
-            raise ForestSyntaxError(f"unexpected character {ch!r}", i)
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.tokens[self.index] if self.index < len(self.tokens) else None
@@ -131,54 +128,65 @@ class _Lexer:
 
 class _Parser:
     """Sum / tensor-term / shuffle-term / factor grammar over word atoms.
-    ``unit()`` builds what a bare number scales, after the lexer has read
-    every word, so a decorated unit takes the dimension they fixed."""
+
+    Each rule returns its terms as a list of ``(key, coefficient)`` pairs:
+    a basis key for one leg, a tuple of leg keys for more; like terms are
+    summed only where a parenthesised sum ends, and the caller builds the
+    value once from the whole sum.  A coefficient stays an ``int`` unless a
+    number token holds ``/``.  ``unit()`` gives the key a bare number
+    scales, called after the lexer has read every word, so a decorated unit
+    takes the dimension they fixed."""
 
     def __init__(self, lexer: _Lexer,
                  shuffle_fn: Callable[[LinComb, LinComb], LinComb] | None,
-                 unit: Callable[[], LinComb]):
+                 unit: Callable[[], object]):
         self.lex = lexer
         self.shuffle_fn = shuffle_fn
         self.unit = unit
         self.depth = 0
 
-    def parse(self) -> Tensor:
+    def parse(self) -> tuple[int, list]:
         out = self.sum()
         tok = self.lex.peek()
         if tok is not None:
             raise ForestSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
         return out
 
-    def sum(self) -> Tensor:
+    def sum(self) -> tuple[int, list]:
         negate = False
         tok = self.lex.peek()
         if tok is not None and tok[0] == "minus":
             self.lex.next()
             negate = True
-        acc = self.tensor_term()
+        arity, terms = self.tensor_term()
         if negate:
-            acc = -acc
+            terms = [(k, -c) for k, c in terms]
         while True:
             tok = self.lex.peek()
             if tok is None or tok[0] not in ("plus", "minus"):
-                return acc
+                return arity, terms
             self.lex.next()
-            nxt = self.tensor_term()
-            if nxt.arity != acc.arity:
+            nxt_arity, nxt = self.tensor_term()
+            if nxt_arity != arity:
                 raise ForestSyntaxError("mixed tensor arity in sum", tok[2])
-            acc = acc - nxt if tok[0] == "minus" else acc + nxt
+            terms += [(k, -c) for k, c in nxt] if tok[0] == "minus" else nxt
 
-    def tensor_term(self) -> Tensor:
-        legs = [self.shuffle_term()]
-        while True:
-            tok = self.lex.peek()
-            if tok is None or tok[0] != "otimes":
-                break
+    def tensor_term(self) -> tuple[int, list]:
+        terms = self.shuffle_term()
+        tok = self.lex.peek()
+        if tok is None or tok[0] != "otimes":
+            return 1, terms
+        legs = [terms]
+        while tok is not None and tok[0] == "otimes":
             self.lex.next()
             legs.append(self.shuffle_term())
-        return tensor_of(*legs)
+            tok = self.lex.peek()
+        terms = [((), 1)]
+        for leg in legs:
+            terms = [(key + (k,), c * c2) for key, c in terms for k, c2 in leg]
+        return len(legs), terms
 
-    def shuffle_term(self) -> LinComb:
+    def shuffle_term(self) -> list:
         acc = self.factor()
         while True:
             tok = self.lex.peek()
@@ -187,89 +195,97 @@ class _Parser:
             if self.shuffle_fn is None:
                 raise ForestSyntaxError("shuffle is not defined here", tok[2])
             self.lex.next()
-            acc = self.shuffle_fn(acc, self.factor())
+            acc = list(self.shuffle_fn(LinComb.from_terms(acc),
+                                       LinComb.from_terms(self.factor())).items())
 
-    def factor(self) -> LinComb:
+    def factor(self) -> list:
         # A run of "number *" prefixes folds into one coefficient.
-        coeff = Fraction(1)
+        coeff = 1
         while True:
             tok = self.lex.peek()
             if tok is None:
                 raise ForestSyntaxError("expected a term", len(self.lex.text))
             if tok[0] != "number":
                 out = self.atomic()
-                return out if coeff == 1 else out.scale(coeff)
+                return out if coeff == 1 else [(k, c * coeff) for k, c in out]
             self.lex.next()
-            try:
-                coeff *= Fraction(tok[1])
-            except ZeroDivisionError:
-                raise ForestSyntaxError("zero denominator", tok[2]) from None
+            if "/" in tok[1]:
+                try:
+                    coeff *= Fraction(tok[1])
+                except ZeroDivisionError:
+                    raise ForestSyntaxError("zero denominator", tok[2]) from None
+            else:
+                coeff *= int(tok[1])
             nxt = self.lex.peek()
             if nxt is None or nxt[0] != "times":
-                return self.unit().scale(coeff)
+                return [(self.unit(), coeff)]
             self.lex.next()
 
-    def atomic(self) -> LinComb:
+    def atomic(self) -> list:
         tok = self.lex.next()
         if tok[0] == "word":
-            return LinComb.basis(tok[3])
+            return [(tok[3], 1)]
         if tok[0] == "lparen":
             self.depth += 1
             if self.depth > MAX_NESTING:
                 raise ForestSyntaxError(NESTING_ERROR, tok[2])
-            inner = self.sum()
+            arity, inner = self.sum()
             self.depth -= 1
             close = self.lex.next()
             if close[0] != "rparen":
                 raise ForestSyntaxError("expected )", close[2])
-            if inner.arity != 1:
+            if arity != 1:
                 raise ForestSyntaxError("tensor inside parentheses", tok[2])
-            return _one_leg(inner)
+            return list(LinComb.from_terms(inner).items())
         raise ForestSyntaxError(f"unexpected token {tok[1]!r}", tok[2])
 
 
-def _one_leg(t: Tensor) -> LinComb:
-    """A tensor of arity one as the combination it is."""
-    return LinComb({key[0]: c for key, c in t.items()})
-
-
-def _parse(text: str, word, shuffle_fn, unit: Callable[[], LinComb]) -> Tensor:
+def _parse(text: str, word, shuffle_fn, unit: Callable[[], object]
+           ) -> tuple[int, list]:
     return _Parser(_Lexer(text, word), shuffle_fn, unit).parse()
 
 
-def _forest_unit() -> LinComb:
-    return LinComb.basis(FOREST_ONE)
+def _one_leg(arity: int, terms: list) -> LinComb:
+    """A parsed plain sum as the combination it is."""
+    if arity != 1:
+        raise ForestSyntaxError("expected a plain sum, found tensor legs", 0)
+    return LinComb.from_terms(terms)
+
+
+def _forest_unit() -> OrderedForest:
+    return FOREST_ONE
 
 
 def parse_lincomb(text: str, alphabet=None) -> LinComb:
     """Parse a sum of forest words with rational coefficients."""
-    out = _parse(text, _Letters(alphabet).word, shuffle, _forest_unit)
-    if out.arity != 1:
-        raise ForestSyntaxError("expected a plain sum, found tensor legs", 0)
-    return _one_leg(out)
+    return _one_leg(*_parse(text, _Letters(alphabet).word, shuffle, _forest_unit))
 
 
 def parse_tensor(text: str, alphabet=None) -> Tensor:
     """Parse a sum of (x)-separated tensor terms over forest words."""
-    return _parse(text, _Letters(alphabet).word, shuffle, _forest_unit)
+    arity, terms = _parse(text, _Letters(alphabet).word, shuffle, _forest_unit)
+    if arity == 1:
+        terms = [((k,), c) for k, c in terms]
+    return Tensor.from_terms(arity, terms)
 
 
 def parse_reg_lincomb(text: str, d: int | None = None) -> LinComb:
     """Parse a sum of decorated words; dimension inferred when not given."""
     reader = _Decorations(d)
-    out = _parse(text, reader.word, None,
-                 lambda: LinComb.basis(reg_tree(mi_zero(reader.dim or 1))))
-    if out.arity != 1:
-        raise ForestSyntaxError("expected a plain sum, found tensor legs", 0)
-    return _one_leg(out)
+    return _one_leg(*_parse(text, reader.word, None,
+                            lambda: reg_tree(mi_zero(reader.dim or 1))))
 
 
 # -- JSON --------------------------------------------------------------------
 
+def _coeff_text(negative: bool, mag: str) -> str:
+    return "-" + mag if negative else mag
+
+
 def lincomb_to_json(x: LinComb) -> dict:
-    items = sorted(x.items(), key=lambda kv: kv[0].sort_key())
-    return {"terms": [{"coeff": str(c), "forest": forest_to_json(f)}
-                      for f, c in items]}
+    return {"terms": [{"coeff": _coeff_text(negative, mag),
+                       "forest": forest_to_json(f)}
+                      for f, negative, mag in x.ordered_terms(ORDER_KEY)]}
 
 
 def lincomb_from_json(obj: dict) -> LinComb:
@@ -279,9 +295,9 @@ def lincomb_from_json(obj: dict) -> LinComb:
 
 
 def reg_lincomb_to_json(x: LinComb) -> dict:
-    items = sorted(x.items(), key=lambda kv: kv[0].sort_key())
-    return {"terms": [{"coeff": str(c), "tree": reg_tree_to_json(t)}
-                      for t, c in items]}
+    return {"terms": [{"coeff": _coeff_text(negative, mag),
+                       "tree": reg_tree_to_json(t)}
+                      for t, negative, mag in x.ordered_terms(ORDER_KEY)]}
 
 
 def reg_lincomb_from_json(obj: dict) -> LinComb:
@@ -299,9 +315,9 @@ def _leg_json(key) -> object:
 
 
 def tensor_to_json(t: Tensor) -> dict:
-    items = sorted(t.items(), key=lambda kv: tuple(k.sort_key() for k in kv[0]))
-    return {"terms": [{"coeff": str(c), "legs": [_leg_json(k) for k in key]}
-                      for key, c in items]}
+    return {"terms": [{"coeff": _coeff_text(negative, mag),
+                       "legs": [_leg_json(k) for k in legs]}
+                      for legs, negative, mag in t.ordered_terms(_leg_order)]}
 
 
 def _leg_from_json(obj) -> OrderedForest | RegTree:

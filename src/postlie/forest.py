@@ -18,6 +18,7 @@ on their intern tables never being cleared.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .memo import memo
@@ -152,6 +153,11 @@ def b_minus(t: PlanarTree) -> OrderedForest:
     return forest(t.children)
 
 
+# Compare-order, ``sort_key()`` read at C level: the key to sort trees,
+# forests and decorated trees by, without a Python call per element.
+ORDER_KEY = attrgetter("degree", "text")
+
+
 def compare(f1: OrderedForest, f2: OrderedForest) -> int:
     """Total order: by degree, then lexicographically on canonical text."""
     k1, k2 = f1.sort_key(), f2.sort_key()
@@ -276,7 +282,7 @@ def _tree_basis(n: int, alpha: tuple[str, ...]) -> tuple[PlanarTree, ...]:
             (tree(d, f.trees)
              for d in alpha
              for f in enumerate_forests(n - 1, alpha)),
-            key=PlanarTree.sort_key,
+            key=ORDER_KEY,
         )
     )
 
@@ -302,7 +308,7 @@ def _forest_basis(n: int, alpha: tuple[str, ...]) -> tuple[OrderedForest, ...]:
         for first in enumerate_trees(k, alpha)
         for rest in enumerate_forests(n - k, alpha)
     ]
-    return tuple(sorted(found, key=OrderedForest.sort_key))
+    return tuple(sorted(found, key=ORDER_KEY))
 
 
 def forests_up_to(n: int, alphabet: Iterable[str]) -> Iterator[OrderedForest]:

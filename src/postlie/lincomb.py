@@ -14,10 +14,14 @@ denominators, sum plain integers, and divide out one gcd at the end, so no
 
 Outside this module the form does not show: ``items()`` and ``coeff()`` hand
 out each coefficient as an ``int`` when it is integral and as a ``Fraction``
-otherwise, and ``==``, ``hash`` and ``str`` agree with those values.  So
-rendering, memo keys and every other consumer see the same numbers whatever
-arithmetic produced them.  A ``float`` is refused with ``TypeError`` wherever
-a coefficient enters.
+otherwise, and ``==``, ``hash`` and ``str`` agree with those values.  So memo
+keys and every other consumer see the same numbers whatever arithmetic
+produced them.  The text and JSON writers read the ordered-terms reader
+instead: ``ordered_terms(key)`` hands out the terms in ``key`` order as
+``(key, negative, magnitude)``, the magnitude already as the text ``str``
+would give its value, formatted off the numerator with one ``gcd`` against
+the shared denominator, so writing a combination builds no ``Fraction``.  A
+``float`` is refused with ``TypeError`` wherever a coefficient enters.
 
 Keys are any hashable basis values; the degree-aware helpers additionally
 expect a ``.degree`` attribute (forests and decorated trees qualify).
@@ -40,9 +44,12 @@ expression.
 
 Every extension sums through one step, ``_add_image``: widen ``big``, the
 lcm of the images' denominators so far, to the next image's, scale, and
-``_add_into`` its terms.  The leg maps share one loop, ``Tensor._legs``,
-which takes the same step but splices each image key into the term's key:
-one leg for a LinComb image, a tuple of legs for a Tensor image.  Only
+``_add_into`` its terms, each under a given left leg if ``legwise`` passes
+one (it adds ``left (x) second`` as one image of ``second`` per term of
+``left``, building no Tensor per pair).  The leg maps share one loop,
+``Tensor._legs``, which takes the same step but splices each image key into
+the term's key: one leg for a LinComb image, a tuple of legs for a Tensor
+image.  Only
 ``concat`` keeps its own loop: its image is one key with coefficient 1, and
 building a LinComb per pair for it would only cost.  The accumulator lives
 in this module alone.  Combinatorial kernels elsewhere create terms by
@@ -130,14 +137,20 @@ def _widen(acc: dict, den: int, d: int) -> int:
     return new
 
 
-def _add_image(acc: dict, big: int, n: int, img: "_Exact", d0: int = 1) -> int:
-    """Add ``n / d0`` times ``img`` into ``acc`` over ``big``; return ``big``, widened."""
+def _add_image(acc: dict, big: int, n: int, img: "_Exact", d0: int = 1,
+               left: Hashable = None) -> int:
+    """Add ``n / d0`` times ``img`` into ``acc`` over ``big``; return ``big``,
+    widened.  With ``left`` given, each image key ``k`` lands at ``(left, k)``."""
     d = d0 * img._den
     if big % d:
         big = _widen(acc, big, d)
     s = n * big // d
-    for k, c in img._num.items():
-        _add_into(acc, k, s * c)
+    if left is None:
+        for k, c in img._num.items():
+            _add_into(acc, k, s * c)
+    else:
+        for k, c in img._num.items():
+            _add_into(acc, (left, k), s * c)
     return big
 
 
@@ -174,6 +187,24 @@ class _Exact:
     def coeff(self, key: Hashable) -> Coeff:
         n = self._num.get(key, 0)
         return _quotient(n, self._den) if n and self._den != 1 else n
+
+    def ordered_terms(self, key: Callable[[Hashable], object],
+                      ) -> Iterator[tuple[Hashable, bool, str]]:
+        """The terms in ``key`` order as ``(key, negative, magnitude)``, the
+        magnitude as ``str`` gives it (``"3"``, ``"1/2"``): read off the
+        numerators with one ``gcd`` per term, no coefficient built."""
+        num, den = self._num, self._den
+        if den == 1:
+            for k in sorted(num, key=key):
+                n = num[k]
+                yield (k, True, str(-n)) if n < 0 else (k, False, str(n))
+            return
+        for k in sorted(num, key=key):
+            n = num[k]
+            g = gcd(n, den)
+            m = (-n if n < 0 else n) // g
+            d = den // g
+            yield k, n < 0, f"{m}/{d}" if d != 1 else str(m)
 
     def support(self):
         """The keys, read without building a coefficient."""
@@ -421,12 +452,13 @@ class Tensor(_Exact):
             for (a2, b2), n2 in right:
                 left = product(a1, a2)
                 if left._num:
-                    # The image is left (x) sec, built here in one pass:
-                    # tensor_of made mkw_coproduct_forest about 40% slower.
+                    # left (x) sec as one image of sec per term of left,
+                    # keyed under it: no Tensor is built per pair.
                     sec = second(b1, b2)
-                    big = _add_image(acc, big, n1 * n2, Tensor._make(2, {
-                        (a, b): ca * cb for a, ca in left._num.items()
-                        for b, cb in sec._num.items()}), left._den * sec._den)
+                    if sec._num:
+                        d0 = left._den
+                        for a, ca in left._num.items():
+                            big = _add_image(acc, big, n1 * n2 * ca, sec, d0, a)
         return Tensor._make(2, acc, self._den * other._den * big)
 
     def contract(self, left: Callable[[Hashable], LinComb],

@@ -6,11 +6,10 @@ import pytest
 
 from postlie.coaction import (check_translation_vector, compose_vectors,
                               disjointness_witness, graft_duality_failures,
-                              rho_graft, shuffle_primitive_failures, translate,
-                              verify_cointeraction,
-                              verify_cotranslation_cosubstitution)
+                              rho_graft, shuffle_primitive_failures, translate)
 from postlie.forest import FOREST_ONE, parse_forest
 from postlie.lincomb import LinComb, tensor_of
+from postlie.verify import DegreeCapError, run_suite
 
 
 def b(text):
@@ -73,10 +72,18 @@ def test_shuffle_primitive_failures():
 
 
 def test_cointeraction_reports_pass():
-    rep = verify_cointeraction(3)
+    rep = run_suite("cointeraction", 3)
     assert rep["ok"] and all(c["status"] == "pass" for c in rep["checks"])
-    rep = verify_cotranslation_cosubstitution(3)
+    rep = run_suite("cotranslation", 3)
     assert rep["ok"]
+
+
+@pytest.mark.parametrize("suite", ["cointeraction", "cotranslation"])
+def test_coaction_suites_refuse_a_degree_past_the_cap(suite):
+    # The one way in to the coaction laws is run_suite, which caps the
+    # degree before any law runs.
+    with pytest.raises(DegreeCapError):
+        run_suite(suite, 40)
 
 
 def test_disjointness_unit_series():

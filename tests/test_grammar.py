@@ -71,10 +71,12 @@ ERRORS = [
     ("parse_lincomb", "([a]", None, "unexpected end of expression", 4),
     ("parse_lincomb", "[a])", None, "unexpected token ')'", 3),
     ("parse_tensor", "[a] (x) [b] + [c]", None, "mixed tensor arity in sum", 12),
+    ("parse_tensor", "[a] - [a] (x) [b]", None, "mixed tensor arity in sum", 4),
     ("parse_reg_lincomb", "[o{1}] sh [o{0}]", None,
      "shuffle is not defined here", 7),
     ("parse_lincomb", "2*", None, "expected a term", 2),
     ("parse_lincomb", "1/0*[a]", None, "zero denominator", 0),
+    ("parse_lincomb", "(2*1/0)", None, "zero denominator", 3),
     ("parse_lincomb", "([a] + [b] 2)", None, "expected )", 11),
     ("parse_tensor", "([a] (x) [b])", None, "tensor inside parentheses", 0),
     ("parse_lincomb", "[a] (x) [b]", None,

@@ -17,8 +17,8 @@ from pathlib import Path
 import pytest
 
 from postlie import clear_caches
-from postlie.coaction import (verify_cointeraction,
-                              verify_cotranslation_cosubstitution)
+from postlie.coaction import cointeraction_laws, cotranslation_laws
+from postlie.laws import run_laws
 from postlie.verify import run_suite, suite_names
 
 DATA = Path(__file__).parent / "data"
@@ -35,9 +35,12 @@ def reports() -> dict:
             for d in range(top + 1):
                 out[f"{name} {','.join(alphabet)} {d}"] = \
                     run_suite(name, d, alphabet)
-    out["verify_cointeraction(3)"] = verify_cointeraction(3)
-    out["verify_cotranslation_cosubstitution(3)"] = \
-        verify_cotranslation_cosubstitution(3)
+    # The two keys name the coaction reports retired from the package;
+    # their bytes are kept by building them with run_laws as those did.
+    out["verify_cointeraction(3)"] = run_laws(
+        "cointeraction", 3, ("o",), cointeraction_laws(3, ("o",)))
+    out["verify_cotranslation_cosubstitution(3)"] = run_laws(
+        "cotranslation-cosubstitution", 3, ("o",), cotranslation_laws(3, ("o",)))
     return out
 
 
