@@ -41,9 +41,9 @@ from .regstruct import (RegTree, bracket0, deformed_graft,
                         deformed_mkw_coproduct, enumerate_reg_trees,
                         enumerate_v_letters, lower_root_adjacent,
                         parse_reg_tree, phi_reg, phi_reg_inverse, plant,
-                        raise_at, reg_assoc_product, reg_deshuffle,
-                        reg_gl_product, reg_graft, reg_one, reg_raise,
-                        reg_tree, render_reg_tree, x_power)
+                        reg_assoc_product, reg_deshuffle, reg_gl_product,
+                        reg_graft, reg_one, reg_raise, reg_tree,
+                        render_reg_tree, x_power)
 from .exprs import (parse_lincomb, parse_reg_lincomb, parse_tensor,
                     render_lincomb, render_tensor)
 from .verify import DegreeCapError, degree_cap, run_suite, suite_names

@@ -35,9 +35,10 @@ from operator import attrgetter
 from typing import Iterable, Mapping
 
 from .characters import group_like_failures
+from .exprs import render_lincomb
 from .forest import (FOREST_ONE, OrderedForest, b_minus, b_plus,
                      enumerate_forests, forest, leaf, letters_in as _letters,
-                     render_forest, single, tree)
+                     single, tree)
 from .grafting import gl_forests, gl_product, graft_forests, left_graft
 from .laws import ONCE, Law, deg_range, forests, pair_range, run_laws
 from .lincomb import (LinComb, Tensor, _concat_product, deconcat_forest,
@@ -265,15 +266,6 @@ def compose_vectors(v: TranslationVector, u: TranslationVector,
 
 # -- the two coactions meet only trivially ---------------------------------
 
-def _fmt(x: LinComb) -> str:
-    if x.is_zero:
-        return "0"
-    bits = []
-    for f, c in sorted(x.items(), key=lambda kv: kv[0].sort_key()):
-        bits.append(f"{c}*{render_forest(f)}" if c != 1 else render_forest(f))
-    return " + ".join(bits)
-
-
 def disjointness_witness(v: TranslationVector | None, xi: LinComb,
                          maxdeg: int) -> dict:
     """Compare translating with grafting a fixed group-like series.
@@ -303,7 +295,7 @@ def disjointness_witness(v: TranslationVector | None, xi: LinComb,
         diff = (left_graft(xi, LinComb.basis(f)).truncate(maxdeg)
                 - translate(used, LinComb.basis(f), maxdeg))
         if not diff.is_zero:
-            return f"difference {_fmt(diff)}"
+            return f"difference {render_lincomb(diff)}"
 
     def forced_form():
         return [f"shift for {d!r} differs from the forced one" for d in forced

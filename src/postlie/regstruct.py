@@ -10,12 +10,15 @@ built from them.
 
 The operations:
 
-* raising adds to a vertex decoration; lowering subtracts a unit from one
-  root-adjacent edge decoration per term, dropping what would go negative;
-* deformed grafting attaches the left tree to a vertex v of the right one
-  through an edge decorated a, summed over ell <= min(n_v, a) with
-  componentwise binomial weights, the edge losing ell and the vertex
-  losing ell; polynomial generators act by raising instead of attaching;
+* raising by l is the product X^l * x, adding l over the vertices with
+  multinomial weights; lowering subtracts a unit from one root-adjacent
+  edge decoration per term, dropping what would go negative;
+* deformed grafting recurses on the right operand as planar grafting
+  does: a word splits over the deshuffle of the left operand, and a
+  planted tree plant(b, s) becomes plant(b, A * s), with * the
+  Grossman-Larson style product below; its word product carries the
+  componentwise binomial decoration transfers, and polynomial generators
+  on the left act by raising;
 * the associative word product (roots merge left to right; a unit vertex
   commutes past planted letters at the cost of one lowering term) and the
   Grossman-Larson style product built on it by deshuffling the left
@@ -357,68 +360,23 @@ def reg_tree_from_json(obj: dict) -> RegTree:
     return reg_tree(tuple(int(v) for v in obj["n"]), edges)
 
 
-# -- vertex surgery ---------------------------------------------------------
-
-def _at_each_vertex(t: RegTree, local) -> dict:
-    # local(t), a fresh dict, plus, per edge, the recursion on its subtree
-    # put back in place.
-    out = local(t)
-    for k, (a, sub) in enumerate(t.edges):
-        for s, m in _at_each_vertex(sub, local).items():
-            key = reg_tree(t.dec, t.edges[:k] + ((a, s),) + t.edges[k + 1:])
-            out[key] = out.get(key, 0) + m
-    return out
-
-
-def _raised(e: MultiIndex):
-    # The local step of a unit raise: add ``e`` to the vertex's decoration.
-    return lambda s: {reg_tree(mi_add(s.dec, e), s.edges): 1}
-
-
-def _map_vertex(node: RegTree, target: int, fn, idx: int = 0):
-    # fn(dec, edges) -> (dec, edges), applied at the preorder target vertex.
-    my = idx
-    idx += 1
-    kids = []
-    for a, sub in node.edges:
-        ns, idx = _map_vertex(sub, target, fn, idx)
-        kids.append((a, ns))
-    dec, eds = node.dec, tuple(kids)
-    if my == target:
-        dec, eds = fn(dec, eds)
-    return reg_tree(dec, eds), idx
-
-
-def raise_at(t: RegTree, v: int, l: MultiIndex) -> RegTree:
-    """Add ``l`` to the decoration of preorder vertex ``v``."""
-    l = tuple(int(a) for a in l)
-    if len(l) != t.dim:
-        raise ValueError("raise amount has the wrong dimension")
-    if any(a < 0 for a in l):
-        raise ValueError("raise amount must be componentwise nonnegative")
-    out, count = _map_vertex(t, v, lambda dec, eds: (mi_add(dec, l), eds))
-    if not 0 <= v < count:
-        raise ValueError(f"vertex index {v} out of range")
-    return out
-
-
-def _raise_unit(t: RegTree, j: int) -> LinComb:
-    return LinComb._make(_at_each_vertex(t, _raised(mi_unit(t.dim, j))))
-
+# -- raising and lowering ---------------------------------------------------
 
 def reg_raise(x: LinComb | RegTree, l: MultiIndex) -> LinComb:
-    """Raise by ``l``, one unit coordinate at a time over all vertices.
+    """Raise by ``l``: the product ``X^l * x`` of :func:`reg_gl_product`.
 
-    Each unit step distributes over every vertex, so repeated units pick
-    up multinomial multiplicities.
+    The deshuffle of ``X^l`` splits it into ``X^n`` times ``X^(l-n)``
+    with binomial weights; the first factor raises the root and the
+    second grafts into the branches, raising each vertex below, so the
+    sum over vertices picks up multinomial multiplicities.
     """
-    out = _as_lin(x)
-    for j, reps in enumerate(tuple(int(a) for a in l)):
-        if reps < 0:
-            raise ValueError("raise amount must be componentwise nonnegative")
-        for _ in range(reps):
-            out = out.map_basis(lambda t: _raise_unit(t, j))
-    return out
+    l = tuple(int(a) for a in l)
+    if any(a < 0 for a in l):
+        raise ValueError("raise amount must be componentwise nonnegative")
+    lx = _as_lin(x)
+    if any(t.dim != len(l) for t in lx.support()):
+        raise ValueError("raise amount has the wrong dimension")
+    return reg_gl_product(x_power(l), lx)
 
 
 def _lower_tree(t: RegTree, i: MultiIndex) -> LinComb:
@@ -508,59 +466,36 @@ def _peel(t: RegTree) -> tuple[RegTree, RegTree]:
 
 # -- deformed grafting ------------------------------------------------------
 
-def _graft_letters(t1: RegTree, t2: RegTree) -> LinComb:
-    # Both arguments are single letters; t2 is not the unit.
-    if not t2.edges:
-        return LinComb.zero()
-    b, sigma = t2.edges[0]
-    if not t1.edges:
-        local = _raised(t1.dec)
-    else:
-        a, tau = t1.edges[0]
-
-        def local(s: RegTree) -> dict:
-            # tau hangs first below s; a transfer l <= min(n_s, a) lowers
-            # both n_s and the new edge by l, with weight binom(n_s, l)
-            return {reg_tree(mi_sub(s.dec, l), ((mi_sub(a, l), tau),) + s.edges):
-                    mi_binom(s.dec, l)
-                    for l in iproduct(*[range(min(p, q) + 1)
-                                        for p, q in zip(s.dec, a)])}
-    return LinComb._make({plant(b, s): m for s, m in
-                          _at_each_vertex(sigma, local).items()})
-
-
 @memo
 def reg_graft_trees(t1: RegTree, t2: RegTree) -> LinComb:
     _check_dim(t1, t2)
     if t1.is_unit:
         return LinComb.basis(t2)
-    if t2.is_unit:
-        return LinComb.zero()
     if t2.letters >= 2:
         u2, r2 = _peel(t2)
         return reg_deshuffle_tree(t1).contract(
             lambda a1: reg_graft_trees(a1, u2),
             lambda a2: reg_graft_trees(a2, r2), reg_mul_trees)
-    if t1.letters <= 1:
-        return _graft_letters(t1, t2)
-    u, w = _peel(t1)
-    inner = reg_graft_trees(w, t2).map_basis(
-        lambda f: reg_graft_trees(u, f))
-    outer = reg_graft_trees(u, w).map_basis(
-        lambda f: reg_graft_trees(f, t2))
-    return inner - outer
+    if not t2.edges:
+        return LinComb.zero()
+    (b, sigma), = t2.edges
+    return LinComb._adopt({plant(b, s): c
+                           for s, c in reg_gl_trees(t1, sigma).items()})
 
 
 def reg_graft(x: LinComb | RegTree, y: LinComb | RegTree) -> LinComb:
     """Deformed grafting, extended to whole words on both sides.
 
-    On single letters: a planted tree attaches to every vertex of the
-    right operand's content, spreading over the binomially weighted
-    decoration transfers; a polynomial generator raises the content
-    instead; any letter acting on a polynomial generator gives zero.
-    Word arguments reduce by the enveloping recursions, peeling the left
-    word letter by letter and splitting the right word through the
-    deshuffle of the left.
+    The planar Guin-Oudom recursion on the right operand: the empty word
+    acts as the identity; anything else sends the empty word and a
+    polynomial generator to zero; a right word of two or more letters
+    splits as u w into (A_(1) > u) . (A_(2) > w) over the deshuffle of
+    the left operand A; and on a planted letter
+    A > plant(b, s) = plant(b, A * s), with * the product of
+    :func:`reg_gl_product`.  The word product inside ``A * s`` commutes
+    the root decoration of ``s`` past the branches of ``A``, which gives
+    the binomially weighted decoration transfers; a polynomial generator
+    X_j as A raises every vertex of ``s`` by the unit j.
     """
     return _as_lin(x).map_pairs(_as_lin(y), reg_graft_trees)
 

@@ -1,13 +1,18 @@
 """Reference vertex surgery: one preorder index per vertex, one rebuild per term.
 
 This is natural growth (planar, from ``postlie.growth``, and nonplanar, from
-``postlie.bck``) and the deformed unit raise and letter graft (from
-``postlie.regstruct``) as they stood before they became structural
-recursions, kept verbatim below this header as the oracle for
-``tests/test_growth_oracle.py``.  Each kernel numbers the vertices of the
-right operand in depth-first preorder and rebuilds the whole tree once per
-vertex and term, through a mutable counter.  Its caches are
-``functools.cache``, so they stay out of the library's memo registry.
+``postlie.bck``) as it stood before it became a structural recursion, and
+the deformed unit raise and letter graft that ``postlie.regstruct`` once
+ran by vertex surgery and now gets from the Guin-Oudom recursion on the
+right operand (``reg_raise`` is the product ``X^l * t``; ``reg_graft`` of
+a planted letter into ``plant(b, s)`` plants the product with ``s``).  The
+kernels are kept verbatim below this header as the oracle for
+``tests/test_growth_oracle.py``, together with the by-index raise
+``raise_at`` and its preorder walker ``_map_vertex``, which the library
+no longer has.  Each kernel numbers the vertices of the right operand in
+depth-first preorder and rebuilds the whole tree once per vertex and term,
+through a mutable counter.  Its caches are ``functools.cache``, so they
+stay out of the library's memo registry.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from typing import Iterator
 from postlie.bck import np_forest, np_of_forest, np_of_tree
 from postlie.forest import OrderedForest, PlanarTree, forest, tree
 from postlie.lincomb import LinComb, _shuffle_words
-from postlie.regstruct import (MultiIndex, RegTree, _map_vertex, mi_binom,
-                               mi_sub, mi_unit, plant, raise_at)
+from postlie.regstruct import (MultiIndex, RegTree, mi_add, mi_binom, mi_sub,
+                               mi_unit, plant, reg_tree)
 
 
 # -- planar growth (postlie.growth) -----------------------------------------
@@ -87,6 +92,33 @@ def _np_growth_forests(w1: OrderedForest, w2: OrderedForest) -> LinComb:
 
 def vertex_count(t: RegTree) -> int:
     return 1 + sum(vertex_count(sub) for _, sub in t.edges)
+
+
+def _map_vertex(node: RegTree, target: int, fn, idx: int = 0):
+    # fn(dec, edges) -> (dec, edges), applied at the preorder target vertex.
+    my = idx
+    idx += 1
+    kids = []
+    for a, sub in node.edges:
+        ns, idx = _map_vertex(sub, target, fn, idx)
+        kids.append((a, ns))
+    dec, eds = node.dec, tuple(kids)
+    if my == target:
+        dec, eds = fn(dec, eds)
+    return reg_tree(dec, eds), idx
+
+
+def raise_at(t: RegTree, v: int, l: MultiIndex) -> RegTree:
+    """Add ``l`` to the decoration of preorder vertex ``v``."""
+    l = tuple(int(a) for a in l)
+    if len(l) != t.dim:
+        raise ValueError("raise amount has the wrong dimension")
+    if any(a < 0 for a in l):
+        raise ValueError("raise amount must be componentwise nonnegative")
+    out, count = _map_vertex(t, v, lambda dec, eds: (mi_add(dec, l), eds))
+    if not 0 <= v < count:
+        raise ValueError(f"vertex index {v} out of range")
+    return out
 
 
 def _preorder_decs(t: RegTree) -> Iterator[MultiIndex]:

@@ -7,6 +7,7 @@ import pytest
 from postlie.coaction import (check_translation_vector, compose_vectors,
                               disjointness_witness, graft_duality_failures,
                               rho_graft, shuffle_primitive_failures, translate)
+from postlie.exprs import parse_lincomb, render_lincomb
 from postlie.forest import FOREST_ONE, parse_forest
 from postlie.lincomb import LinComb, tensor_of
 from postlie.verify import DegreeCapError, run_suite
@@ -100,6 +101,16 @@ def test_disjointness_separating_series():
     by_name = {c["name"]: c for c in rep["checks"]}
     assert by_name["agree-on-single-vertex"]["status"] == "pass"
     assert by_name["agree-on-two-vertex-chain"]["status"] == "fail"
+
+
+def test_disjointness_witness_with_a_negative_coefficient_parses_back():
+    rep = disjointness_witness(None, exp_word(Fraction(-1, 2), "i", 3), 3)
+    by_name = {c["name"]: c for c in rep["checks"]}
+    text = by_name["agree-on-two-vertex-chain"]["witness"]
+    assert text.startswith("difference ")
+    diff = parse_lincomb(text.removeprefix("difference "))
+    assert any(c < 0 for _, c in diff.items())
+    assert render_lincomb(diff) == text.removeprefix("difference ")
 
 
 def test_disjointness_rejects_bad_series():

@@ -14,6 +14,7 @@ from functools import cache
 
 import pytest
 
+from growth_oracle import _graft_letters
 from postlie.characters import _phi_forest
 from postlie.forest import forest, forests_up_to, single, word
 from postlie.grafting import (_gl_antipode_forest, concat_antipode,
@@ -21,9 +22,8 @@ from postlie.grafting import (_gl_antipode_forest, concat_antipode,
 from postlie.lincomb import (LinComb, _add_into, concat, deshuffle_forest,
                              shuffle_words)
 from postlie.mkw import _antipode_forest, reduced_coproduct_forest
-from postlie.regstruct import (_graft_letters, _peel, enumerate_reg_trees,
-                               reg_deshuffle_tree, reg_gl_trees,
-                               reg_graft_trees, reg_mul_trees)
+from postlie.regstruct import (_peel, enumerate_reg_trees, reg_deshuffle_tree,
+                               reg_gl_trees, reg_graft_trees, reg_mul_trees)
 
 AB = ("a", "b")
 

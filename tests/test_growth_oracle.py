@@ -6,9 +6,11 @@ term.  Planar natural growth must give the same combination, denominator
 and term order included, on every pair of forests with ``o`` up to degree
 sum 7, ``a,b`` up to 5 and ``a,b,c`` up to 4; nonplanar growth the same
 combination on those pairs, which include non-canonical planar operands.
-The deformed letter graft and unit raise must agree on every letter pair
-and every tree of bounded degree in dimensions 1 to 3.  An AST pin keeps
-preorder indexing out of the library apart from the by-index ``raise_at``.
+The library's ``reg_graft`` on letter pairs and ``reg_raise`` by a unit,
+both now the Guin-Oudom recursion on the right operand, must agree with the
+oracle's letter graft and unit raise on every letter pair and every tree of
+bounded degree in dimensions 1 to 3.  An AST pin keeps preorder indexing
+and vertex surgery out of the library.
 """
 
 import ast
@@ -21,8 +23,8 @@ import postlie
 from postlie.bck import _np_growth_forests
 from postlie.forest import forests_up_to
 from postlie.growth import _growth_forests
-from postlie.regstruct import (_graft_letters, _raise_unit,
-                               enumerate_reg_trees, enumerate_v_letters)
+from postlie.regstruct import (enumerate_reg_trees, enumerate_v_letters,
+                               mi_unit, reg_graft, reg_raise)
 
 SRC = Path(postlie.__file__).parent
 
@@ -67,8 +69,7 @@ def test_letter_graft_matches_preorder_surgery(d, pair_deg, tree_deg):
     for t1 in letters:
         for t2 in letters:
             if t1.degree + t2.degree <= pair_deg:
-                assert list(_graft_letters(t1, t2).items()) \
-                    == list(ref._graft_letters(t1, t2).items()), \
+                assert reg_graft(t1, t2) == ref._graft_letters(t1, t2), \
                     (t1.text, t2.text)
 
 
@@ -76,8 +77,8 @@ def test_letter_graft_matches_preorder_surgery(d, pair_deg, tree_deg):
 def test_unit_raise_matches_preorder_surgery(d, pair_deg, tree_deg):
     for t in _upto(enumerate_reg_trees, tree_deg, d):
         for j in range(d):
-            assert list(_raise_unit(t, j).items()) \
-                == list(ref._raise_unit(t, j).items()), (t.text, j)
+            assert reg_raise(t, mi_unit(d, j)) == ref._raise_unit(t, j), \
+                (t.text, j)
 
 
 def _callers(path: Path, name: str) -> set[str]:
@@ -86,7 +87,8 @@ def _callers(path: Path, name: str) -> set[str]:
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
-        if isinstance(node, ast.Name) and node.id == name:
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name):
             found.add(".".join((path.stem,) + scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -95,15 +97,19 @@ def _callers(path: Path, name: str) -> set[str]:
     return found
 
 
+SURGERY = {"_map_vertex", "raise_at", "_at_each_vertex", "_graft_letters"}
+
+
 def test_no_kernel_numbers_vertices_in_preorder():
-    """Growth and the deformed graft recurse on the tree; only the public
-    by-index ``raise_at`` walks a preorder counter."""
+    """Growth and the deformed graft recurse on the tree; no module of the
+    library walks a preorder counter or rebuilds a tree vertex by vertex."""
     defined, callers = set(), set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef):
                 defined.add(node.name)
-        callers |= _callers(path, "_map_vertex")
-    assert not defined & {"_vertex_children", "_replace_at", "_preorder_decs",
-                          "vertex_count"}
-    assert callers == {"regstruct._map_vertex", "regstruct.raise_at"}
+        for name in SURGERY:
+            callers |= _callers(path, name)
+    assert not defined & ({"_vertex_children", "_replace_at",
+                           "_preorder_decs", "vertex_count"} | SURGERY)
+    assert callers == set()

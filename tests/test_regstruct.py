@@ -67,6 +67,27 @@ def test_raise_and_lower():
     assert lower_root_adjacent(I1, (1,)) == L(BULLET)
 
 
+@pytest.mark.parametrize("text,amount", [("[o{0,0}[o{0,0}]{0,0}]", (1,)),
+                                         ("[o{0}[o{0}]{0}]", (0, 1))])
+def test_raise_refuses_an_amount_of_the_wrong_length(text, amount):
+    with pytest.raises(ValueError, match="raise amount has the wrong dimension"):
+        reg_raise(parse_reg_tree(text), amount)
+
+
+def test_raise_refuses_a_negative_amount():
+    with pytest.raises(ValueError, match="componentwise nonnegative"):
+        reg_raise(ONE, (-1,))
+
+
+def test_word_product_lowers_the_commuted_coordinate():
+    # X_1 commutes past a branch whose edge carries (0,1): the lowering
+    # term takes the unit from coordinate 1, the one that commuted.
+    left, right = (parse_reg_tree(t) for t in ("[o{0,0}[o{0,0}]{0,1}]",
+                                                "[o{0,1}]"))
+    assert reg_assoc_product(left, right) == parse_reg_lincomb(
+        "[o{0,1}[o{0,0}]{0,1}] + [o{0,0}[o{0,0}]{0,0}]")
+
+
 def test_word_product_oracles():
     assert reg_assoc_product(X, X) == L(X2)
     XI = reg_tree((1,), (((0,), ONE),))
