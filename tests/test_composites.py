@@ -4,10 +4,14 @@ Each composite in the library is one expression over the extensions of
 ``postlie.lincomb`` (``map_basis``, ``map_pairs``, ``apply_linear``,
 ``legwise``, ``contract``).  The oracles here are the earlier loops, which
 sum term by term into a dict (the recursive ones through their own memo): the
-Guin-Oudom products on planar forests and on decorated trees (with the split
-branch of deformed grafting), the MKW and Grossman-Larson antipodes and
-``phi`` in its per-tree replacement form ``phi(t w) = t . phi(w) - sum_j phi(w with s_j replaced by
-t < s_j)``.
+Guin-Oudom products on planar forests and on decorated trees, the MKW and
+Grossman-Larson antipodes and ``phi`` in its per-tree replacement form
+``phi(t w) = t . phi(w) - sum_j phi(w with s_j replaced by t < s_j)``.  The
+deformed graft's oracle is its earlier form, which splits a right word over
+the deshuffle, peels the left word and subtracts,
+``(u w) > t = u > (w > t) - (u > w) > t``, and grafts single letters by the
+preorder surgery of ``growth_oracle``; the library now recurses on the right
+operand alone.
 """
 
 from functools import cache

@@ -88,7 +88,8 @@ def _callers(path: Path, name: str) -> set[str]:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             scope = scope + (node.name,)
         if (isinstance(node, ast.Name) and node.id == name
-                or isinstance(node, ast.Attribute) and node.attr == name):
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and node.name == name):
             found.add(".".join((path.stem,) + scope))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
