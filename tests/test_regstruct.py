@@ -67,16 +67,13 @@ def test_raise_and_lower():
     assert lower_root_adjacent(I1, (1,)) == L(BULLET)
 
 
-@pytest.mark.parametrize("text,amount", [("[o{0,0}[o{0,0}]{0,0}]", (1,)),
-                                         ("[o{0}[o{0}]{0}]", (0, 1))])
-def test_raise_refuses_an_amount_of_the_wrong_length(text, amount):
-    with pytest.raises(ValueError, match="raise amount has the wrong dimension"):
+@pytest.mark.parametrize("text,amount,message", [
+    ("[o{0,0}[o{0,0}]{0,0}]", (1,), "raise amount has the wrong dimension"),
+    ("[o{0}[o{0}]{0}]", (0, 1), "raise amount has the wrong dimension"),
+    ("[o{0}]", (-1,), "raise amount must be componentwise nonnegative")])
+def test_raise_refuses_a_bad_amount(text, amount, message):
+    with pytest.raises(ValueError, match=message):
         reg_raise(parse_reg_tree(text), amount)
-
-
-def test_raise_refuses_a_negative_amount():
-    with pytest.raises(ValueError, match="componentwise nonnegative"):
-        reg_raise(ONE, (-1,))
 
 
 def test_word_product_lowers_the_commuted_coordinate():
