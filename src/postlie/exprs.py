@@ -5,6 +5,11 @@ text), coefficients are exact rationals, and the empty word prints as 1.
 The parser accepts sums with rational coefficients, juxtaposed bracket
 groups as words, ``sh`` for the shuffle product, and ``(x)`` separating
 tensor legs, so coproduct displays round-trip through text.
+
+``parse_lincomb`` is a memo on the text and the alphabet as a set: equal
+text parses once per process, and every later call returns the same
+``LinComb``.  Malformed text is not cached, so it raises the same error on
+every call.  The other parsers read their text afresh each time.
 """
 
 from __future__ import annotations
@@ -14,9 +19,10 @@ from fractions import Fraction
 from typing import Callable, Iterable
 
 from .forest import (FOREST_ONE, MAX_NESTING, NESTING_ERROR, ORDER_KEY,
-                     ForestSyntaxError, OrderedForest, _Letters,
+                     ForestSyntaxError, OrderedForest, _check_text, _Letters,
                      forest_from_json, forest_to_json)
 from .lincomb import LinComb, Tensor, shuffle
+from .memo import memo
 from .regstruct import (RegTree, _Decorations, mi_zero, reg_tree,
                         reg_tree_from_json, reg_tree_to_json)
 
@@ -257,12 +263,23 @@ def _forest_unit() -> OrderedForest:
 
 
 def parse_lincomb(text: str, alphabet=None) -> LinComb:
-    """Parse a sum of forest words with rational coefficients."""
-    return _one_leg(*_parse(text, _Letters(alphabet).word, shuffle, _forest_unit))
+    """Parse a sum of forest words with rational coefficients.
+
+    The value is remembered per text and alphabet set (``"ab"``, ``["b",
+    "a"]`` and ``{"a", "b"}`` are one key), so repeated text returns the
+    same object; an error is raised afresh on every call."""
+    _check_text(text)
+    return _parse_lincomb(text, None if alphabet is None else frozenset(alphabet))
+
+
+@memo
+def _parse_lincomb(text: str, letters: frozenset | None) -> LinComb:
+    return _one_leg(*_parse(text, _Letters(letters).word, shuffle, _forest_unit))
 
 
 def parse_tensor(text: str, alphabet=None) -> Tensor:
     """Parse a sum of (x)-separated tensor terms over forest words."""
+    _check_text(text)
     arity, terms = _parse(text, _Letters(alphabet).word, shuffle, _forest_unit)
     if arity == 1:
         terms = [((k,), c) for k, c in terms]
@@ -271,6 +288,7 @@ def parse_tensor(text: str, alphabet=None) -> Tensor:
 
 def parse_reg_lincomb(text: str, d: int | None = None) -> LinComb:
     """Parse a sum of decorated words; dimension inferred when not given."""
+    _check_text(text)
     reader = _Decorations(d)
     return _one_leg(*_parse(text, reader.word, None,
                             lambda: reg_tree(mi_zero(reader.dim or 1))))

@@ -177,6 +177,12 @@ MAX_NESTING = 100
 NESTING_ERROR = f"nesting deeper than {MAX_NESTING}"
 
 
+def _check_text(text) -> None:
+    """Refuse parser input that is not a ``str`` before anything reads it."""
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a str, not {type(text).__name__}")
+
+
 def _skip_ws(text: str, pos: int) -> int:
     while pos < len(text) and text[pos].isspace():
         pos += 1
@@ -240,8 +246,10 @@ def parse_forest(text: str, alphabet: Iterable[str] | None = None) -> OrderedFor
     ``alphabet`` restricts the admissible decoration tokens; with a singleton
     alphabet the token may be omitted inside brackets.  ``1`` (or an empty
     string of trees) is the empty forest.  Raises :class:`ForestSyntaxError`
-    with a position on malformed input.
+    with a position on malformed input, and :class:`TypeError` when
+    ``text`` is not a ``str``.
     """
+    _check_text(text)
     pos = _skip_ws(text, 0)
     unit = text.startswith("1", pos)
     if unit:

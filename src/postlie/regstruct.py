@@ -42,7 +42,7 @@ from itertools import product as iproduct
 from math import comb
 from typing import Iterator
 
-from .forest import ForestSyntaxError, _descend, _skip_ws
+from .forest import ForestSyntaxError, _check_text, _descend, _skip_ws
 from .lincomb import LinComb, Tensor, _deshuffle_words, graded_transpose
 from .memo import memo
 
@@ -112,8 +112,9 @@ class RegTree:
     ``dec`` is the root's multi-index, ``edges`` the ordered tuple of
     (edge decoration, subtree) pairs.  ``degree`` counts edges plus the
     norms of every decoration below and including this vertex.  Instances
-    are unique per shape (built only by ``reg_tree``, whose table is never
-    cleared), so equality and hashing are Python's identity ones.
+    are unique per shape (built only through ``_node``, the intern step
+    behind ``reg_tree``, whose table is never cleared), so equality and
+    hashing are Python's identity ones.
     """
 
     __slots__ = ("dec", "edges", "degree", "_text")
@@ -168,24 +169,31 @@ def reg_tree(dec: MultiIndex, edges=()) -> RegTree:
         return got
     dec = tuple(int(a) for a in dec)
     edges = tuple((tuple(int(a) for a in e), sub) for e, sub in edges)
-    key = (dec, edges)
-    got = _REG_TREES.get(key)
-    if got is not None:
-        return got
     d = len(dec)
     if d < 1:
         raise ValueError("decoration dimension must be at least 1")
     if any(a < 0 for a in dec):
         raise ValueError("negative vertex decoration")
-    deg = mi_norm(dec)
     for e, sub in edges:
         if not isinstance(sub, RegTree) or len(e) != d or sub.dim != d:
             raise ValueError("edge decoration or subtree dimension mismatch")
         if any(a < 0 for a in e):
             raise ValueError("negative edge decoration")
-        deg += 1 + mi_norm(e) + sub.degree
-    t = _REG_TREES.setdefault(key, RegTree(dec, edges, deg))
-    return t
+    return _node(dec, edges)
+
+
+def _node(dec: MultiIndex, edges: tuple) -> RegTree:
+    """Trusted: intern the tree of ``dec`` and ``edges``, int tuples of one
+    dimension with nonnegative entries over interned subtrees, as kernels
+    build them from trees they were given."""
+    key = (dec, edges)
+    got = _REG_TREES.get(key)
+    if got is None:
+        deg = sum(dec)
+        for e, sub in edges:
+            deg += 1 + sum(e) + sub.degree
+        got = _REG_TREES.setdefault(key, RegTree(dec, edges, deg))
+    return got
 
 
 def reg_one(d: int) -> RegTree:
@@ -329,8 +337,10 @@ def parse_reg_tree(text: str, d: int | None = None) -> RegTree:
     numbers are tolerated, as is omitting the ``o``.  Omitted decorations
     are zero.  The dimension comes from ``d`` or, failing that, from the
     first explicit multi-index.  Raises :class:`ForestSyntaxError` with a
-    position on malformed input.
+    position on malformed input, and :class:`TypeError` when ``text`` is not
+    a ``str``.
     """
+    _check_text(text)
     reader = _Decorations(d)
     pos = _skip_ws(text, 0)
     if not text.startswith("[", pos):
@@ -387,7 +397,7 @@ def _lower_tree(t: RegTree, i: MultiIndex) -> LinComb:
         na = mi_sub(a, i)
         if na is not None:
             eds = t.edges[:k] + ((na, sub),) + t.edges[k + 1:]
-            out[reg_tree(t.dec, eds)] = 1
+            out[_node(t.dec, eds)] = 1
     return LinComb._make(out)
 
 
@@ -415,10 +425,10 @@ def reg_mul_trees(t1: RegTree, t2: RegTree) -> LinComb:
     _check_dim(t1, t2)
     j = next((k for k, a in enumerate(t2.dec) if a), None)
     if j is None:
-        return LinComb.basis(reg_tree(t1.dec, t1.edges + t2.edges))
+        return LinComb.basis(_node(t1.dec, t1.edges + t2.edges))
     e = mi_unit(t1.dim, j)
-    rest = reg_tree(mi_sub(t2.dec, e), t2.edges)
-    stepped = (LinComb.basis(reg_tree(mi_add(t1.dec, e), t1.edges))
+    rest = _node(mi_sub(t2.dec, e), t2.edges)
+    stepped = (LinComb.basis(_node(mi_add(t1.dec, e), t1.edges))
                + _lower_tree(t1, e))
     return stepped.map_basis(lambda s: reg_mul_trees(s, rest))
 
@@ -443,7 +453,7 @@ def reg_deshuffle_tree(t: RegTree) -> Tensor:
     for n1, n2 in mi_splits(t.dec):
         w = mi_binom(t.dec, n1)
         for (left, right), m in splits:
-            key = (reg_tree(n1, left), reg_tree(n2, right))
+            key = (_node(n1, left), _node(n2, right))
             acc[key] = acc.get(key, 0) + w * m
     return Tensor._make(2, acc)
 
@@ -459,9 +469,8 @@ def _peel(t: RegTree) -> tuple[RegTree, RegTree]:
     j = next((k for k, a in enumerate(t.dec) if a), None)
     if j is not None:
         e = mi_unit(t.dim, j)
-        return reg_tree(e), reg_tree(mi_sub(t.dec, e), t.edges)
-    a, sub = t.edges[0]
-    return plant(a, sub), reg_tree(t.dec, t.edges[1:])
+        return _node(e, ()), _node(mi_sub(t.dec, e), t.edges)
+    return _node(mi_zero(t.dim), t.edges[:1]), _node(t.dec, t.edges[1:])
 
 
 # -- deformed grafting ------------------------------------------------------
@@ -479,7 +488,8 @@ def reg_graft_trees(t1: RegTree, t2: RegTree) -> LinComb:
     if not t2.edges:
         return LinComb.zero()
     (b, sigma), = t2.edges
-    return LinComb._adopt({plant(b, s): c
+    root = mi_zero(t1.dim)
+    return LinComb._adopt({_node(root, ((b, s),)): c
                            for s, c in reg_gl_trees(t1, sigma).items()})
 
 

@@ -128,3 +128,14 @@ def test_zero_denominator_is_a_syntax_error(text, position):
         parse_lincomb(text)
     assert e.value.position == position
     assert e.value.message == "zero denominator"
+
+
+@pytest.mark.parametrize("parse", [parse_lincomb, parse_tensor,
+                                   parse_reg_lincomb, parse_forest,
+                                   parse_reg_tree])
+@pytest.mark.parametrize("text,kind", [
+    (b"[o]", "bytes"), (["[o]"], "list"), (None, "NoneType"), (3, "int")])
+def test_parsers_refuse_text_that_is_not_a_str(parse, text, kind):
+    with pytest.raises(TypeError) as err:
+        parse(text)
+    assert str(err.value) == f"text must be a str, not {kind}"

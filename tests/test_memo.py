@@ -5,11 +5,14 @@ import importlib
 import inspect
 from pathlib import Path
 
+import pytest
+
 import postlie
 from postlie import bck, cache_sizes, clear_caches, regstruct
 from postlie.bck import bck_coproduct, np_parse
 from postlie.coaction import delta_star_forest, translate
-from postlie.forest import enumerate_forests, parse_forest
+from postlie.exprs import parse_lincomb
+from postlie.forest import ForestSyntaxError, enumerate_forests, parse_forest
 from postlie.grafting import gl_antipode, graft_forests
 from postlie.growth import fold_tensor, primitive_basis, primitive_projection
 from postlie.lincomb import LinComb, Tensor
@@ -46,7 +49,7 @@ def test_cache_sizes_names_one_entry_per_memo():
                     for d in node.decorator_list):
                 decorated.append(f"{path.stem}.{node.name}")
     assert sorted(cache_sizes()) == sorted(decorated)
-    assert len(decorated) == 32
+    assert len(decorated) == 33
 
 
 def sample_values():
@@ -68,6 +71,7 @@ def sample_values():
         "bases": (enumerate_forests(4, "ba"), enumerate_reg_trees(3, 1),
                   bck.enumerate_np_forests(3, ("a",))),
         "bck": bck_coproduct(LinComb.basis(np_parse("[a[b][a]]"))),
+        "parse": parse_lincomb("2*[a[b]] - 1/3*[b] sh [a]", "ab"),
     }
 
 
@@ -115,5 +119,33 @@ def test_arguments_are_normalised_before_the_memo():
     assert enumerate_reg_trees(2, 1) is enumerate_reg_trees(2, 1, None)
     assert primitive_basis(2, ["o"]) is primitive_basis(2, ("o",))
     sizes = cache_sizes()
+    text = "[a] + 1/2*[b[a]]"
+    parsed = parse_lincomb(text, "ab")
+    for alphabet in (["a", "b"], ("b", "a"), {"a", "b"}, frozenset("ba")):
+        assert parse_lincomb(text, alphabet) is parsed
+    assert parse_lincomb(text) is parse_lincomb(text, None)
+    sizes = cache_sizes()
     assert sizes["regstruct._reg_tree_basis"] == 3  # degrees 0, 1, 2
     assert sizes["growth._primitive_basis"] == 1
+    assert sizes["exprs._parse_lincomb"] == 2  # alphabet {a, b}, and none
+
+
+def test_parsed_text_is_one_object():
+    text = "3*[o[o]] - 2/5*[o][o]"
+    assert parse_lincomb(text, "o") is parse_lincomb(text, "o")
+    assert parse_lincomb(text) is parse_lincomb(text)
+
+
+@pytest.mark.parametrize("text,position", [
+    ("[a] + ", 6), ("2**[a]", 2), ("[a[b]", 0), ("[c]", 1)])
+def test_malformed_text_raises_the_same_error_and_is_not_cached(text, position):
+    parse_lincomb("[a]", "ab")
+    before = cache_sizes()["exprs._parse_lincomb"]
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ForestSyntaxError) as err:
+            parse_lincomb(text, "ab")
+        errors.append((type(err.value), str(err.value), err.value.position))
+    assert errors[0] == errors[1]
+    assert errors[0][2] == position
+    assert cache_sizes()["exprs._parse_lincomb"] == before

@@ -17,7 +17,7 @@ from postlie.regstruct import (RegTree, bracket0, deformed_graft, deformed_mkw_c
                                reg_assoc_product, reg_deshuffle, reg_gl_product,
                                reg_graft, reg_one, reg_raise, reg_tree,
                                reg_tree_from_json, reg_tree_to_json, x_power,
-                               _phi_tree)
+                               _peel, _phi_tree)
 
 L = LinComb.basis
 
@@ -28,6 +28,47 @@ BULLET = plant((0,), ONE)            # zero-decorated branch over a bare vertex
 I1 = plant((1,), ONE)
 VTX1 = x_power((1,))
 I0V1 = plant((0,), VTX1)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: reg_tree(()), "decoration dimension must be at least 1"),
+    (lambda: x_power((-1,)), "negative vertex decoration"),
+    (lambda: plant((0, 0), ONE), "edge decoration or subtree dimension mismatch"),
+    (lambda: reg_tree((0,), [((0,), "[o]")]),
+     "edge decoration or subtree dimension mismatch"),
+    (lambda: plant((-1,), ONE), "negative edge decoration"),
+    (lambda: reg_tree_from_json({"n": [0], "e": [{"a": [-1], "t": {"n": [0]}}]}),
+     "negative edge decoration")])
+def test_bad_decorations_are_refused(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def _degree(t: RegTree) -> int:
+    return sum(t.dec) + sum(1 + sum(a) + _degree(sub) for a, sub in t.edges)
+
+
+def test_kernel_built_trees_are_the_validated_trees():
+    """Kernels intern their trees without the checks of ``reg_tree``; every
+    tree they build is the one ``reg_tree`` accepts from the same parts,
+    with the degree counted from scratch."""
+    trees = [t for n in range(3) for t in enumerate_reg_trees(n, 2)]
+    built = set()
+    for t1, t2 in iproduct(trees, repeat=2):
+        for x in (reg_gl_product(t1, t2), reg_assoc_product(t1, t2)):
+            built.update(x.support())
+    for t in trees:
+        built.update(k for legs in reg_deshuffle(t).support() for k in legs)
+        for unit in ((1, 0), (0, 1)):
+            built.update(lower_root_adjacent(t, unit).support())
+        if not t.is_unit:
+            built.update(_peel(t))
+    stack = list(built)
+    while stack:
+        t = stack.pop()
+        stack.extend(sub for _, sub in t.edges)
+        assert reg_tree(list(t.dec), [(list(a), sub) for a, sub in t.edges]) is t
+        assert t.degree == _degree(t)
 
 
 def test_enumeration_counts():
