@@ -118,22 +118,15 @@ def test_arguments_are_normalised_before_the_memo():
     assert enumerate_forests(3, ["a", "b", "a"]) is basis
     assert enumerate_reg_trees(2, 1) is enumerate_reg_trees(2, 1, None)
     assert primitive_basis(2, ["o"]) is primitive_basis(2, ("o",))
-    sizes = cache_sizes()
     text = "[a] + 1/2*[b[a]]"
     parsed = parse_lincomb(text, "ab")
-    for alphabet in (["a", "b"], ("b", "a"), {"a", "b"}, frozenset("ba")):
+    for alphabet in ("ab", ["a", "b"], ("b", "a"), {"a", "b"}, frozenset("ba")):
         assert parse_lincomb(text, alphabet) is parsed
     assert parse_lincomb(text) is parse_lincomb(text, None)
     sizes = cache_sizes()
     assert sizes["regstruct._reg_tree_basis"] == 3  # degrees 0, 1, 2
     assert sizes["growth._primitive_basis"] == 1
     assert sizes["exprs._parse_lincomb"] == 2  # alphabet {a, b}, and none
-
-
-def test_parsed_text_is_one_object():
-    text = "3*[o[o]] - 2/5*[o][o]"
-    assert parse_lincomb(text, "o") is parse_lincomb(text, "o")
-    assert parse_lincomb(text) is parse_lincomb(text)
 
 
 @pytest.mark.parametrize("text,position", [
