@@ -215,8 +215,10 @@ def _reg_basis_size(n: int, d: int, max_norm: int | None = None) -> int:
 
 def _translate(args, x):
     maxdeg = _max_degree(args, x)
-    v = _pairs(args.v, ";", "vector entry", "letter=expr",
-               lambda expr: parse_lincomb(expr).truncate(maxdeg))
+    v = _pairs(args.v, ";", "vector entry", "letter=expr", parse_lincomb)
+    # capped here: _pairs reads every ValueError as "has no exact value"
+    for key, val in v.items():
+        cap_degree(val.max_degree(), f"degree of vector entry {key!r}")
     return translate(v, x, maxdeg)
 
 

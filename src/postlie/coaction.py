@@ -9,10 +9,9 @@ tree separately, shuffles all pruned groups into the left leg and keeps
 the trimmed trees concatenated in their original order on the right.
 
 The coproduct dual to the Grossman-Larson product, needed by the
-cosubstitution identity, is not given a second combinatorial definition.
-It is read off the transpose of that product degree by degree through the
-pairing (`graded_transpose`), so the identity is checked against a single
-source of truth.
+cosubstitution identity, is the MKW coproduct: by the paper's main result
+the Guin-Oudom extension on planar forests yields the dual of the MKW
+Hopf algebra (the `gl-duality` suite checks it against the product).
 
 The interaction identities are stated as rows of laws (see
 :mod:`postlie.laws`): ``cointeraction_laws`` and ``cotranslation_laws``
@@ -21,9 +20,9 @@ feed the ``cointeraction`` and ``cotranslation`` suites of
 
 Translations act on the dual side: ``translate`` shifts every vertex
 decoration ``i`` by a chosen primitive element and extends over trees by
-grafting and over forests by the Grossman-Larson recursion.  The images
-of basis forests are memoised per vector and cutoff, so the calls of a
-suite, one per basis forest with one vector, share them.  The
+grafting and over forests by concatenation, as the Guin-Oudom morphism it
+is.  The images of basis forests are memoised per vector and cutoff, so
+the calls of a suite, one per basis forest with one vector, share them.  The
 ``disjointness_witness`` report replays the argument showing that a
 translation can agree with grafting by a fixed group-like series only
 when that series is trivial; its checks are rows of laws as well.
@@ -37,12 +36,11 @@ from typing import Iterable, Mapping
 from .characters import group_like_failures
 from .exprs import render_lincomb
 from .forest import (FOREST_ONE, OrderedForest, b_minus, b_plus,
-                     enumerate_forests, forest, leaf, letters_in as _letters,
-                     single, tree)
-from .grafting import gl_forests, gl_product, graft_forests, left_graft
+                     enumerate_forests, forest, leaf, single, tree)
+from .grafting import graft_forests, left_graft
 from .laws import ONCE, Law, deg_range, forests, pair_range, run_laws
-from .lincomb import (LinComb, Tensor, _concat_product, deconcat_forest,
-                      deshuffle, duality_mismatches, graded_transpose,
+from .lincomb import (LinComb, Tensor, _concat_product, concat,
+                      deconcat_forest, deshuffle, duality_mismatches,
                       shuffle_words, tensor_of)
 from .memo import memo
 from .mkw import mkw_coproduct_forest
@@ -91,21 +89,10 @@ def graft_duality_failures(maxdeg: int, alphabet: Iterable[str]) -> list[str]:
 
 # -- the coproduct dual to the Grossman-Larson product ---------------------
 
-@memo
-def _gl_transpose(n: int, letters: tuple[str, ...]) -> dict[OrderedForest, Tensor]:
-    return graded_transpose(n, lambda i: enumerate_forests(i, letters),
-                            gl_forests)
-
-
 def delta_star_forest(f: OrderedForest) -> Tensor:
-    """Coproduct dual to the Grossman-Larson product.
-
-    Read off the transpose of the whole degree over the letters of ``f``,
-    which is computed once per degree and letter set.  Restricting the
-    sweep to the decorations of ``f`` is exact: grafting neither creates
-    nor destroys vertices, so mismatched letters pair to zero anyway.
-    """
-    return _gl_transpose(f.degree, _letters(f))[f]
+    """Coproduct dual to the Grossman-Larson product: the MKW coproduct.
+    Nothing in the package calls it; it is kept as a public synonym."""
+    return mkw_coproduct_forest(f)
 
 
 # -- interaction axioms ----------------------------------------------------
@@ -157,7 +144,8 @@ def cotranslation_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
     Re-expanding the right leg must agree with first splitting the left
     leg by deconcatenation, coacting on the middle piece and shuffling
     the two left legs back together; it must also agree with splitting
-    the left leg by the coproduct dual to the Grossman-Larson product.
+    the left leg by the coproduct dual to the Grossman-Larson product,
+    which is the MKW coproduct.
     """
     def iterated(f: OrderedForest) -> Tensor:
         return rho_forest(f).apply_coproduct(1, rho_forest)
@@ -170,7 +158,7 @@ def cotranslation_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
             return f.text
 
     def substitution(f):
-        if iterated(f) != rho_forest(f).apply_coproduct(0, delta_star_forest):
+        if iterated(f) != rho_forest(f).apply_coproduct(0, mkw_coproduct_forest):
             return f.text
 
     return [
@@ -206,10 +194,11 @@ def translate(v: TranslationVector, x: LinComb | OrderedForest,
 
     Single vertices go to themselves plus their shift.  A tree is peeled
     into its children forest grafted onto its root vertex, and the root
-    vertex is shifted.  A forest splits as head times tail through the
-    Grossman-Larson product, with the overcounted grafting of the head
-    into the tail removed again.  The result is both a morphism for the
-    Grossman-Larson product and for concatenation, up to the cutoff.
+    vertex is shifted.  A forest goes to the concatenation of the images
+    of its trees: each image is primitive for the deshuffle, so this is
+    the Guin-Oudom recursion ``T(t w) = T(t) * T(w) - T(t > w)``, and
+    truncation commutes with products that add degrees.  The result is a
+    morphism for both products, up to the cutoff.
 
     Missing decorations shift by zero; every present shift must be
     primitive for the deshuffle coproduct.
@@ -217,7 +206,9 @@ def translate(v: TranslationVector, x: LinComb | OrderedForest,
     _checked_vector(tuple(v.items()))
     if isinstance(x, OrderedForest):
         x = LinComb.basis(x)
-    return _translate_lin(tuple(sorted(v.items())), maxdeg, x.truncate(maxdeg))
+    items = tuple(sorted(v.items()))
+    return x.truncate(maxdeg).map_basis(
+        lambda f: _translate_forest(items, maxdeg, f))
 
 
 @memo
@@ -227,10 +218,6 @@ def _checked_vector(items: tuple) -> bool:
     are not cached."""
     check_translation_vector(dict(items))
     return True
-
-
-def _translate_lin(v: tuple, maxdeg: int, y: LinComb) -> LinComb:
-    return y.map_basis(lambda f: _translate_forest(v, maxdeg, f))
 
 
 @memo
@@ -245,11 +232,9 @@ def _translate_forest(v: tuple, maxdeg: int, f: OrderedForest) -> LinComb:
                   + dict(v).get(t.decoration, LinComb.zero()))
         return left_graft(_translate_forest(v, maxdeg, b_minus(t)),
                           target).truncate(maxdeg)
-    head = single(f.trees[0])
-    rest = forest(f.trees[1:])
-    return (gl_product(_translate_forest(v, maxdeg, head),
-                       _translate_forest(v, maxdeg, rest)).truncate(maxdeg)
-            - _translate_lin(v, maxdeg, graft_forests(head, rest)))
+    return concat(_translate_forest(v, maxdeg, single(f.trees[0])),
+                  _translate_forest(v, maxdeg, forest(f.trees[1:]))
+                  ).truncate(maxdeg)
 
 
 def compose_vectors(v: TranslationVector, u: TranslationVector,

@@ -306,10 +306,19 @@ def lincomb_to_json(x: LinComb) -> dict:
                       for f, negative, mag in x.ordered_terms(ORDER_KEY)]}
 
 
+def _json_terms(obj: dict, field: str, read) -> list[tuple]:
+    """``(read(term[field]), term["coeff"])`` for each term of a JSON sum;
+    a malformed shape raises ``ValueError``."""
+    terms = obj.get("terms") if isinstance(obj, dict) else None
+    if not isinstance(terms, list) or not all(
+            isinstance(t, dict) and "coeff" in t and field in t for t in terms):
+        raise ValueError(f'expected a "terms" list, each term with "coeff" '
+                         f'and "{field}"')
+    return [(read(t[field]), t["coeff"]) for t in terms]
+
+
 def lincomb_from_json(obj: dict) -> LinComb:
-    return LinComb.from_terms(
-        (forest_from_json(t["forest"]), t["coeff"])
-        for t in obj["terms"])
+    return LinComb.from_terms(_json_terms(obj, "forest", forest_from_json))
 
 
 def reg_lincomb_to_json(x: LinComb) -> dict:
@@ -319,9 +328,7 @@ def reg_lincomb_to_json(x: LinComb) -> dict:
 
 
 def reg_lincomb_from_json(obj: dict) -> LinComb:
-    return LinComb.from_terms(
-        (reg_tree_from_json(t["tree"]), t["coeff"])
-        for t in obj["terms"])
+    return LinComb.from_terms(_json_terms(obj, "tree", reg_tree_from_json))
 
 
 def _leg_json(key) -> object:
@@ -338,13 +345,17 @@ def tensor_to_json(t: Tensor) -> dict:
                       for legs, negative, mag in t.ordered_terms(_leg_order)]}
 
 
-def _leg_from_json(obj) -> OrderedForest | RegTree:
+def _legs_from_json(legs: list) -> tuple:
     # A list is a forest, an object a decorated tree: ``_leg_json`` reversed.
-    return reg_tree_from_json(obj) if isinstance(obj, dict) else forest_from_json(obj)
+    if not isinstance(legs, list) or not legs:
+        raise ValueError("tensor legs must be a nonempty list")
+    return tuple(reg_tree_from_json(leg) if isinstance(leg, dict)
+                 else forest_from_json(leg) for leg in legs)
 
 
 def tensor_from_json(obj: dict) -> Tensor:
-    terms = [(tuple(map(_leg_from_json, t["legs"])), t["coeff"])
-             for t in obj["terms"]]
-    arity = len(terms[0][0]) if terms else 2
-    return Tensor.from_terms(arity, terms)
+    terms = _json_terms(obj, "legs", _legs_from_json)
+    arities = {len(legs) for legs, _ in terms}
+    if len(arities) > 1:
+        raise ValueError("mixed tensor arity in sum")
+    return Tensor.from_terms(arities.pop() if arities else 2, terms)

@@ -82,6 +82,24 @@ def test_translate(capsys):
     assert out.strip() == "3/2*[o]"
 
 
+def test_translate_checks_the_vector_as_written(capsys):
+    # an entry above the cutoff is still checked whole, not cut to it first
+    code, out, err = run(capsys, "translate", "[o]", "--v", "o=[o][o]")
+    assert (code, out) == (1, "")
+    assert err == ("error: translation term for decoration 'o' is not "
+                   "primitive: [o] (x) [o]: 2\n")
+
+
+def test_translate_vector_entry_degree_cap_exit_1(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "translate", "[o]", "--v",
+                         f"o=[o[o]];a={DEGREE_12}")
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (1, "")
+    assert err.startswith("error: degree of vector entry 'a' 12 exceeds")
+    assert "POSTLIE_DEGREE_CAP" in err
+
+
 def test_basis_listing(capsys):
     code, out, _ = run(capsys, "basis", "--degree", "2", "--alphabet", "a")
     assert code == 0

@@ -99,6 +99,32 @@ def test_json_round_trips():
     assert len(r) > 1 and tensor_from_json(tensor_to_json(r)) == r
 
 
+def test_tensor_from_json_refuses_mixed_leg_counts():
+    two = tensor_to_json(parse_tensor("[a] (x) [b]"))
+    one = tensor_to_json(parse_tensor("2*[a]"))
+    # refused as parse_tensor refuses the same sum
+    with pytest.raises(ValueError, match="mixed tensor arity"):
+        tensor_from_json({"terms": two["terms"] + one["terms"]})
+
+
+@pytest.mark.parametrize("read", [lincomb_from_json, reg_lincomb_from_json,
+                                  tensor_from_json])
+@pytest.mark.parametrize("obj", [
+    [], "terms", None, {}, {"terms": 5}, {"terms": [5]},
+    {"terms": [{"coeff": "1"}]}, {"terms": [{"forest": [], "tree": {},
+                                             "legs": []}]},
+])
+def test_malformed_json_sums_raise_value_error(read, obj):
+    with pytest.raises(ValueError, match="term"):
+        read(obj)
+
+
+@pytest.mark.parametrize("legs", [5, "[a]", []])
+def test_tensor_legs_must_be_a_nonempty_list(legs):
+    with pytest.raises(ValueError, match="legs must be a nonempty list"):
+        tensor_from_json({"terms": [{"coeff": "1", "legs": legs}]})
+
+
 coeffs_st = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 forests_st = st.sampled_from(tuple(forests_up_to(3, ("a", "b"))))
 

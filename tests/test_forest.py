@@ -4,7 +4,6 @@ import pytest
 
 from postlie.bck import np_parse
 from postlie.characters import TruncChar
-from postlie.coaction import _letters
 from postlie.forest import (FOREST_ONE, ForestSyntaxError, OrderedForest,
                             PlanarTree, b_minus, b_plus, compare,
                             enumerate_forests, enumerate_trees, forest,
@@ -143,7 +142,7 @@ def test_identity_survives_clear_caches():
 
 def test_one_letter_walk_for_coaction_and_characters():
     f, g = parse_forest("[b[c]][a]"), parse_forest("[d[a[e]]]")
-    assert letters_in(f) == _letters(f) == ("a", "b", "c")
+    assert letters_in(f) == ("a", "b", "c")
     assert letters_in() == letters_in(FOREST_ONE) == ()
     X = TruncChar(5, {f: 1, g: 2})
     assert X.letters() == letters_in(f, g) == ("a", "b", "c", "d", "e")

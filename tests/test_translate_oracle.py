@@ -1,11 +1,15 @@
 """The memoised translation against the per-call recursion it replaced.
 
 ``translate_oracle`` is the earlier ``translate``: it rebuilds the image of
-every subforest in a dict held by one call.  ``translate`` keeps one memo
-per vector and cutoff for the life of the process, so the sweep interleaves
+every subforest in a dict held by one call, and splits a forest by the
+Grossman-Larson recursion ``T(t w) = T(t) * T(w) - T(t > w)``, where the
+library concatenates ``T(t) T(w)``.  ``translate`` keeps one memo per
+vector and cutoff for the life of the process, so the sweep interleaves
 vectors and cutoffs without clearing caches, runs once more after
 ``clear_caches()``, and includes equal vectors built in different key
-orders, which must share their memo entries.
+orders, which must share their memo entries.  The concatenation form rests
+on every shift being primitive, so a second sweep shifts by commutators of
+trees, the Lie polynomials beyond single trees.
 """
 
 import random
@@ -15,11 +19,12 @@ import pytest
 
 from postlie import cache_sizes, clear_caches
 from postlie.coaction import check_translation_vector, translate
+from postlie.exprs import parse_lincomb
 from postlie.forest import (FOREST_ONE, OrderedForest, b_minus,
                             enumerate_forests, forest, forests_up_to, leaf,
                             parse_forest, single)
 from postlie.grafting import gl_product, graft_forests, left_graft
-from postlie.lincomb import LinComb
+from postlie.lincomb import LinComb, concat
 
 MEMO = "coaction._translate_forest"
 CUTOFFS = range(6)
@@ -70,6 +75,45 @@ def seeded_vectors(letters, count, seed):
             (rng.choice(trees), Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
             for _ in range(rng.randint(1, 3))) for d in present})
     return out
+
+
+def commutator(s, t) -> LinComb:
+    """``s t - t s`` under concatenation: shuffle-primitive when ``s`` and
+    ``t`` are."""
+    return concat(s, t) - concat(t, s)
+
+
+def bracket_vectors(letters, count, seed):
+    """A tree plus a commutator of two trees of degree <= 2, with rational
+    coefficients, for each letter."""
+    rng = random.Random(seed)
+    trees = [LinComb.basis(f) for n in (1, 2)
+             for f in enumerate_forests(n, letters) if len(f) == 1]
+    return [{d: rng.choice(trees) * Fraction(rng.randint(-2, 2),
+                                             rng.randint(1, 3))
+             + commutator(*rng.sample(trees, 2))
+             * Fraction(rng.randint(1, 3), rng.randint(1, 4))
+             for d in letters} for _ in range(count)]
+
+
+# Lie-polynomial shifts written out, one per letter set
+BRACKETS = {("a", "b"): {"a": "[a][b] - [b][a]",
+                         "b": "[a[b]][a] - [a][a[b]]"},
+            ("o",): {"o": "[o[o]][o] - [o][o[o]]"}}
+
+
+@pytest.mark.parametrize("letters,maxdeg,seed", [(("o",), 5, 3),
+                                                 (("a", "b"), 4, 4)])
+def test_translate_matches_the_recursion_on_bracket_shifts(letters, maxdeg,
+                                                           seed):
+    fixed = {d: parse_lincomb(text) for d, text in BRACKETS[letters].items()}
+    vectors = [fixed] + bracket_vectors(letters, 3, seed)
+    basis = list(forests_up_to(maxdeg, letters))
+    for cutoff in range(maxdeg + 1):
+        for v in vectors:
+            for f in basis:
+                assert translate(v, f, cutoff) == \
+                    translate_oracle(v, f, cutoff), (v, f.text, cutoff)
 
 
 @pytest.mark.parametrize("letters,maxdeg,seed", [(("o",), 5, 1),

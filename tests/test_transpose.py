@@ -6,14 +6,17 @@ coefficient of ``x``.  It costs ``|B_n|`` times more products per degree,
 so it only runs here, on small degrees.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import postlie
 from postlie import clear_caches, coaction, mkw
-from postlie.coaction import (_letters, delta_star_forest,
-                              graft_duality_failures, rho_forest)
-from postlie.forest import enumerate_forests, parse_forest, word
+from postlie.coaction import (delta_star_forest, graft_duality_failures,
+                              rho_forest)
+from postlie.forest import enumerate_forests, letters_in, parse_forest, word
 from postlie.grafting import gl_forests, graft_forests
 from postlie.lincomb import LinComb, Tensor, deconcat_forest, graded_transpose
 from postlie.mkw import duality_failures, mkw_coproduct_forest
@@ -63,16 +66,15 @@ def same(got: Tensor, want: Tensor) -> bool:
     return got == want and list(got.items()) == list(want.items())
 
 
-def test_delta_star_matches_oracle_values_and_order():
-    clear_caches()
-    for n in range(5):
-        forests = enumerate_forests(n, AB)
-        # read a two-letter forest first, so a sweep over both letters is
-        # cached before the forests over one letter are read
-        mixed = [f for f in forests if len(_letters(f)) == 2]
-        for f in mixed[:1] + list(forests):
-            want = oracle_transpose(f, forest_basis(_letters(f)), gl_forests)
-            assert same(delta_star_forest(f), want), f.text
+def test_delta_star_matches_the_gl_transpose_in_value():
+    # the coproduct dual to the Grossman-Larson product is the MKW coproduct;
+    # the oracle reads it off the product over the letters of each forest
+    for letters, top in ((AB, 4), (("o",), 6)):
+        for n in range(top + 1):
+            for f in enumerate_forests(n, letters):
+                want = oracle_transpose(f, forest_basis(letters_in(f)),
+                                        gl_forests)
+                assert delta_star_forest(f) == want, f.text
 
 
 def test_delta_concat_matches_oracle_values_and_order():
@@ -111,6 +113,28 @@ def test_deformed_mkw_matches_oracle_values_and_order():
         for t in basis(n):
             want = oracle_transpose(t, basis, reg_gl_trees)
             assert same(deformed_mkw_tree(t), want), t.text
+
+
+def test_only_the_duality_sweep_and_the_deformed_coproduct_transpose():
+    """A dual coproduct is read off a transpose only where no recursion
+    gives it: the pairing sweep and the deformed coproduct.  The coproduct
+    dual to the planar Grossman-Larson product is the MKW coproduct, so no
+    second transposed planar coproduct belongs in the package."""
+    users = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and child.id == "graded_transpose":
+                users.add(f"{path.stem}.{owner}")
+            visit(child, owner)
+
+    for path in sorted(Path(postlie.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), None)
+    assert users == {"lincomb.duality_mismatches",
+                     "regstruct._reg_gl_transpose"}
 
 
 def test_filtered_terms_outside_the_degree_are_dropped():
