@@ -21,8 +21,8 @@ from .memo import cache_sizes, clear_caches, memo
 from .grafting import (concat_antipode, gl_antipode, gl_exp, gl_forests,
                        gl_inverse_product, gl_product, graft_forests,
                        jacobi_bracket, left_graft)
-from .mkw import (duality_failures, iterated_reduced, mkw_antipode,
-                  mkw_coproduct, reduced_coproduct)
+from .mkw import (iterated_reduced, mkw_antipode, mkw_coproduct,
+                  reduced_coproduct)
 from .growth import (coalgebra_endomorphism, comodule_coaction, f_decompose,
                      f_recompose, fold_tensor, growth_fold, is_primitive,
                      natural_growth, primitive_basis, primitive_projection,

@@ -27,9 +27,9 @@ import json
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .forest import (FOREST_ONE, ForestSyntaxError, OrderedForest,
-                     enumerate_forests, forest, leaf, letters_in,
-                     parse_forest, single)
+from .forest import (FOREST_ONE, ORDER_KEY, ForestSyntaxError,
+                     OrderedForest, enumerate_forests, forest, leaf,
+                     letters_in, parse_forest, single)
 from .grafting import gl_product, graft_forests
 from .laws import forests
 from .lincomb import (Coeff, LinComb, as_coeff, concat, deconcat_forest,
@@ -75,7 +75,7 @@ def phi_matrix(n: int, alphabet: Iterable[str]) -> tuple[tuple[OrderedForest, ..
     forest j; with this ordering the matrix is unitriangular.
     """
     basis = tuple(sorted(enumerate_forests(n, tuple(alphabet)),
-                         key=lambda f: (len(f.trees), f.sort_key())))
+                         key=lambda f: (len(f.trees), ORDER_KEY(f))))
     index = {f: i for i, f in enumerate(basis)}
     mat = [[0] * len(basis) for _ in basis]
     for j, f in enumerate(basis):
@@ -177,7 +177,7 @@ def group_like_failures(series: LinComb, N: int) -> list[tuple]:
     lhs = deshuffle(series.truncate(N))
     rhs = tensor_of(series, series)
     keys = sorted((lhs - rhs).support(),
-                  key=lambda p: (p[0].sort_key(), p[1].sort_key()))
+                  key=lambda p: (ORDER_KEY(p[0]), ORDER_KEY(p[1])))
     return [(l, r, lhs.coeff((l, r)), rhs.coeff((l, r)))
             for l, r in keys if l.degree + r.degree <= N]
 
@@ -242,7 +242,7 @@ def unembed_rough_path(Y: TruncChar) -> TruncChar:
 
 
 def char_to_json(X: TruncChar) -> str:
-    rows = sorted(X._values.items(), key=lambda kv: kv[0].sort_key())
+    rows = sorted(X._values.items(), key=lambda kv: ORDER_KEY(kv[0]))
     return json.dumps({"N": X.N, "flavor": X.flavor,
                        "values": {f.text: str(c) for f, c in rows}}, indent=2)
 
@@ -283,6 +283,6 @@ def char_from_json(text: str) -> TruncChar:
 
 def char_to_csv(X: TruncChar) -> str:
     lines = ["forest,value"]
-    rows = sorted(X._values.items(), key=lambda kv: kv[0].sort_key())
+    rows = sorted(X._values.items(), key=lambda kv: ORDER_KEY(kv[0]))
     lines.extend(f"{f.text},{c}" for f, c in rows)
     return "\n".join(lines) + "\n"

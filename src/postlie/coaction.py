@@ -7,6 +7,8 @@ nothing is deconcatenated.  On one tree it keeps all admissible cuts
 except the one pruning the entire tree; on a longer forest it cuts each
 tree separately, shuffles all pruned groups into the left leg and keeps
 the trimmed trees concatenated in their original order on the right.
+The ``graft-vs-coaction`` row of the ``gl-duality`` suite checks it
+against the transpose of grafting.
 
 The coproduct dual to the Grossman-Larson product, needed by the
 cosubstitution identity, is the MKW coproduct: by the paper's main result
@@ -31,17 +33,16 @@ when that series is trivial; its checks are rows of laws as well.
 from __future__ import annotations
 
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .characters import group_like_failures
 from .exprs import render_lincomb
-from .forest import (FOREST_ONE, OrderedForest, b_minus, b_plus,
-                     enumerate_forests, forest, leaf, single, tree)
-from .grafting import graft_forests, left_graft
+from .forest import (FOREST_ONE, OrderedForest, b_minus, b_plus, forest,
+                     leaf, single, tree)
+from .grafting import left_graft
 from .laws import ONCE, Law, deg_range, forests, pair_range, run_laws
 from .lincomb import (LinComb, Tensor, _concat_product, concat,
-                      deconcat_forest, deshuffle, duality_mismatches,
-                      shuffle_words, tensor_of)
+                      deconcat_forest, deshuffle, shuffle_words, tensor_of)
 from .memo import memo
 from .mkw import mkw_coproduct_forest
 
@@ -69,22 +70,6 @@ def rho_graft(x: LinComb | OrderedForest) -> Tensor:
     if isinstance(x, OrderedForest):
         return rho_forest(x)
     return x.apply_coproduct(rho_forest)
-
-
-def graft_duality_failures(maxdeg: int, alphabet: Iterable[str]) -> list[str]:
-    """Mismatches between the coaction and the transpose of left grafting.
-
-    An empty list certifies both that the pairing duality holds and that
-    the cut-based rule agrees with the rule obtained by transposing the
-    grafting product, for all basis forests of degree at most ``maxdeg``.
-    """
-    letters = tuple(alphabet)
-    return [f"<{a.text} (x) {b.text}, rho({x.text})> = {lhs}, but "
-            f"<{a.text} graft {b.text}, {x.text}> = {rhs}"
-            for n in range(1, maxdeg + 1)
-            for x, a, b, lhs, rhs in duality_mismatches(
-                n, lambda i: enumerate_forests(i, letters), graft_forests,
-                rho_forest)]
 
 
 # -- the coproduct dual to the Grossman-Larson product ---------------------
@@ -179,15 +164,6 @@ def shuffle_primitive_failures(x: LinComb) -> list[str]:
     return [f"{a.text} (x) {b.text}: {c}" for (a, b), c in red.items()]
 
 
-def check_translation_vector(v: TranslationVector) -> None:
-    for key, val in v.items():
-        bad = shuffle_primitive_failures(val)
-        if bad:
-            raise ValueError(
-                f"translation term for decoration {key!r} is not "
-                f"primitive: {bad[0]}")
-
-
 def translate(v: TranslationVector, x: LinComb | OrderedForest,
               maxdeg: int) -> LinComb:
     """Shift every decoration ``i`` of ``x`` by ``v[i]``, up to ``maxdeg``.
@@ -213,10 +189,15 @@ def translate(v: TranslationVector, x: LinComb | OrderedForest,
 
 @memo
 def _checked_vector(items: tuple) -> bool:
-    """`check_translation_vector` once per vector, given by its items in
-    order so that a failure names the same decoration; failures raise and
-    are not cached."""
-    check_translation_vector(dict(items))
+    """Refuse a vector with a shift that is not primitive for the deshuffle,
+    naming the first bad decoration in the order of ``items``; checked once
+    per vector, and a failure raises and is not cached."""
+    for key, val in items:
+        bad = shuffle_primitive_failures(val)
+        if bad:
+            raise ValueError(
+                f"translation term for decoration {key!r} is not "
+                f"primitive: {bad[0]}")
     return True
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Iterable
 from .forest import (FOREST_ONE, MAX_NESTING, NESTING_ERROR, ORDER_KEY,
                      ForestSyntaxError, OrderedForest, _check_text, _Letters,
                      forest_from_json, forest_to_json)
-from .lincomb import LinComb, Tensor, shuffle
+from .lincomb import Coeff, LinComb, Tensor, as_coeff, shuffle
 from .memo import memo
 from .regstruct import (RegTree, _Decorations, mi_zero, reg_tree,
                         reg_tree_from_json, reg_tree_to_json)
@@ -306,15 +306,28 @@ def lincomb_to_json(x: LinComb) -> dict:
                       for f, negative, mag in x.ordered_terms(ORDER_KEY)]}
 
 
+def _json_coeff(value) -> Coeff:
+    """An integer or an exact fraction string, as an exact coefficient; a
+    float raises ``TypeError`` as in ``as_coeff``, any other value
+    ``ValueError``."""
+    if type(value) is int or isinstance(value, (str, float)):
+        try:
+            return as_coeff(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"term coefficient {value!r} is not an integer or an "
+                     "exact fraction string")
+
+
 def _json_terms(obj: dict, field: str, read) -> list[tuple]:
-    """``(read(term[field]), term["coeff"])`` for each term of a JSON sum;
-    a malformed shape raises ``ValueError``."""
+    """``(read(term[field]), coefficient)`` for each term of a JSON sum;
+    a malformed shape or coefficient raises ``ValueError``."""
     terms = obj.get("terms") if isinstance(obj, dict) else None
     if not isinstance(terms, list) or not all(
             isinstance(t, dict) and "coeff" in t and field in t for t in terms):
         raise ValueError(f'expected a "terms" list, each term with "coeff" '
                          f'and "{field}"')
-    return [(read(t[field]), t["coeff"]) for t in terms]
+    return [(read(t[field]), _json_coeff(t["coeff"])) for t in terms]
 
 
 def lincomb_from_json(obj: dict) -> LinComb:

@@ -50,9 +50,6 @@ class PlanarTree:
             self._text = t
         return t
 
-    def sort_key(self) -> tuple[int, str]:
-        return (self.degree, self.text)
-
     def __repr__(self) -> str:
         return f"PlanarTree({self.text!r})"
 
@@ -93,9 +90,6 @@ class OrderedForest:
     @property
     def is_empty(self) -> bool:
         return not self.trees
-
-    def sort_key(self) -> tuple[int, str]:
-        return (self.degree, self.text)
 
     def __len__(self) -> int:
         return len(self.trees)
@@ -153,19 +147,9 @@ def b_minus(t: PlanarTree) -> OrderedForest:
     return forest(t.children)
 
 
-# Compare-order, ``sort_key()`` read at C level: the key to sort trees,
-# forests and decorated trees by, without a Python call per element.
+# Compare-order, by degree and then by canonical text: the one key to sort
+# trees, forests and decorated trees by, read at C level.
 ORDER_KEY = attrgetter("degree", "text")
-
-
-def compare(f1: OrderedForest, f2: OrderedForest) -> int:
-    """Total order: by degree, then lexicographically on canonical text."""
-    k1, k2 = f1.sort_key(), f2.sort_key()
-    if k1 < k2:
-        return -1
-    if k1 > k2:
-        return 1
-    return 0
 
 
 # The one decoration token of plain forests: a letter of an alphabet.
@@ -336,7 +320,10 @@ def tree_from_json(obj: dict) -> PlanarTree:
     children = obj.get("c", [])
     if not isinstance(children, Sequence) or isinstance(children, (str, bytes)):
         raise ValueError("tree children must be a list")
-    return tree(str(obj["d"]), (tree_from_json(c) for c in children))
+    dec = obj["d"]
+    if not isinstance(dec, str) or TOKEN.fullmatch(dec) is None:
+        raise ValueError(f"tree decoration {dec!r} is not one decoration token")
+    return tree(dec, (tree_from_json(c) for c in children))
 
 
 def forest_to_json(f: OrderedForest) -> list:

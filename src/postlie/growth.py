@@ -186,26 +186,13 @@ def _primitive_basis(n: int, alphabet: tuple[str, ...]) -> tuple[LinComb, ...]:
     return kernel_basis(enumerate_forests(n, alphabet), reduced_coproduct_forest)
 
 
-def compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Ordered splittings of n into k positive parts."""
-    if k <= 0 or k > n:
-        return
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(1, n - k + 2):
-        for rest in compositions(n - first, k - 1):
-            yield (first,) + rest
-
-
-def interval_decompositions(a: int, b: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    """Splittings of the integer interval [a..b] into consecutive blocks."""
-    if a > b:
+def compositions(n: int) -> Iterator[tuple[int, ...]]:
+    """Every ordered splitting of n into positive parts; ``()`` for 0."""
+    if n == 0:
         yield ()
-        return
-    for j in range(a, b + 1):
-        for rest in interval_decompositions(j + 1, b):
-            yield ((a, j),) + rest
+    for first in range(1, n + 1):
+        for rest in compositions(n - first):
+            yield (first,) + rest
 
 
 def comodule_coaction(n: int, family: Mapping[tuple[int, int], LinComb]) -> list[dict[int, LinComb]]:
@@ -229,7 +216,9 @@ def comodule_coaction(n: int, family: Mapping[tuple[int, int], LinComb]) -> list
         row = {i: LinComb.basis(FOREST_ONE)}
         for j in range(i):
             total = LinComb.zero()
-            for blocks in interval_decompositions(j + 1, i):
+            for comp in compositions(i - j):
+                blocks = [(j + e - a + 1, j + e)
+                          for a, e in zip(comp, accumulate(comp))]
                 total = total + growth_fold([family[b] for b in reversed(blocks)])
             if not total.is_zero:
                 row[j] = total
@@ -249,13 +238,12 @@ def coalgebra_endomorphism(u: Mapping[int, Callable[[Tensor], LinComb]],
     """
     out = x.coeff(FOREST_ONE) * LinComb.basis(FOREST_ONE)
     for nlevel, t in f_decompose(x - out).items():
-        for k in range(1, nlevel + 1):
-            for comp in compositions(nlevel, k):
-                if any(a not in u for a in comp):
-                    continue
-                ends = tuple(accumulate(comp))
-                out = out + t.map_basis(lambda key: fold_tensor(tensor_of(
-                    *(u[a](Tensor.basis(key[e - a:e])) for a, e in zip(comp, ends)))))
+        for comp in compositions(nlevel):
+            if any(a not in u for a in comp):
+                continue
+            ends = tuple(accumulate(comp))
+            out = out + t.map_basis(lambda key: fold_tensor(tensor_of(
+                *(u[a](Tensor.basis(key[e - a:e])) for a, e in zip(comp, ends)))))
     return out
 
 

@@ -11,20 +11,14 @@ left-admissible cuts of each tree: every root-to-leaf path meets at most one
 cut edge and, at each vertex, the cut edges form a leftmost prefix.
 
 This Hopf algebra is the graded dual of the Grossman-Larson one; the
-``duality_failures`` sweep checks ``<A * B, x> = <A (x) B, D(x)>`` on graded
-pieces and is the main cross-validation between the two modules.
+``gl-duality`` suite of :mod:`postlie.verify` checks
+``<A * B, x> = <A (x) B, D(x)>`` on graded pieces.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Iterable
-
-from .forest import (FOREST_ONE, OrderedForest, b_minus, b_plus,
-                     enumerate_forests, forest, single)
-from .grafting import gl_forests
-from .lincomb import (LinComb, Tensor, _concat_product, duality_mismatches,
-                      shuffle_words)
+from .forest import FOREST_ONE, OrderedForest, b_minus, b_plus, forest, single
+from .lincomb import LinComb, Tensor, _concat_product, shuffle_words
 from .memo import memo
 
 
@@ -57,10 +51,7 @@ def reduced_coproduct_forest(f: OrderedForest) -> Tensor:
 
 
 def reduced_coproduct(x: LinComb) -> Tensor:
-    """D(x) - x (x) 1 - 1 (x) x; a unit component is dropped with a warning."""
-    if x.coeff(FOREST_ONE):
-        warnings.warn("reduced coproduct: dropping unit component", stacklevel=2)
-        x = x - x.coeff(FOREST_ONE) * LinComb.basis(FOREST_ONE)
+    """D(x) - x (x) 1 - 1 (x) x; a unit component raises ``ValueError``."""
     return x.apply_coproduct(reduced_coproduct_forest)
 
 
@@ -86,14 +77,3 @@ def mkw_antipode(x: LinComb) -> LinComb:
     """Antipode of the MKW Hopf algebra: S(x) = -x - S(x^(1)) sh x^(2)."""
     return x.map_basis(_antipode_forest)
 
-
-def duality_failures(maxdeg: int, alphabet: Iterable[str]
-                     ) -> list[tuple[OrderedForest, OrderedForest, OrderedForest]]:
-    """Witnesses (A, B, x) with <A * B, x> != <A (x) B, D(x)>: per degree,
-    the support of ``D(x)`` minus the `graded_transpose` of the product."""
-    alpha = tuple(sorted(set(alphabet)))
-    return [(a, b, x)
-            for n in range(maxdeg + 1)
-            for x, a, b, _, _ in duality_mismatches(
-                n, lambda i: enumerate_forests(i, alpha), gl_forests,
-                mkw_coproduct_forest)]

@@ -42,7 +42,8 @@ from itertools import product as iproduct
 from math import comb
 from typing import Iterator
 
-from .forest import ForestSyntaxError, _check_text, _descend, _skip_ws
+from .forest import (ORDER_KEY, ForestSyntaxError, _check_text, _descend,
+                     _skip_ws)
 from .lincomb import LinComb, Tensor, _deshuffle_words, graded_transpose
 from .memo import memo
 
@@ -89,6 +90,15 @@ def mi_splits(m: MultiIndex) -> Iterator[tuple[MultiIndex, MultiIndex]]:
     """All componentwise decompositions m = n1 + n2."""
     for n1 in iproduct(*[range(a + 1) for a in m]):
         yield n1, tuple(a - b for a, b in zip(m, n1))
+
+
+def _multi_index(entries, what: str) -> MultiIndex:
+    """``entries`` as a tuple; an entry that is not an ``int``, a ``bool``
+    included, raises ``ValueError`` naming ``what``."""
+    m = tuple(entries)
+    if any(type(a) is not int for a in m):
+        raise ValueError(f"{what} must hold integers, got {m!r}")
+    return m
 
 
 def multiindices(d: int, norm: int) -> list[MultiIndex]:
@@ -146,9 +156,6 @@ class RegTree:
             self._text = t
         return t
 
-    def sort_key(self) -> tuple[int, str]:
-        return (self.degree, self.text)
-
     def __repr__(self) -> str:
         return f"RegTree({self.text!r})"
 
@@ -158,17 +165,18 @@ _REG_TREES: dict[tuple, RegTree] = {}
 
 def reg_tree(dec: MultiIndex, edges=()) -> RegTree:
     """Intern the tree with the given root decoration and child edges."""
-    # Kernels pass int tuples and mostly hit: look up first and normalise
-    # only on a miss or on unhashable input.  An interned key is valid, so
-    # a hit needs no checks.
+    # Callers pass int tuples and mostly hit: look up first and check only
+    # on a miss or on unhashable input.  An interned key is valid, so a hit
+    # needs no checks; an entry that only compares equal to an int (1.0,
+    # True) finds that int's tree when it is already interned.
     try:
         got = _REG_TREES.get((dec, edges))
     except TypeError:
         got = None
     if got is not None:
         return got
-    dec = tuple(int(a) for a in dec)
-    edges = tuple((tuple(int(a) for a in e), sub) for e, sub in edges)
+    dec = _multi_index(dec, "vertex decoration")
+    edges = tuple((_multi_index(e, "edge decoration"), sub) for e, sub in edges)
     d = len(dec)
     if d < 1:
         raise ValueError("decoration dimension must be at least 1")
@@ -366,8 +374,9 @@ def reg_tree_from_json(obj: dict) -> RegTree:
     for e in obj.get("e", []):
         if not isinstance(e, dict) or "a" not in e or "t" not in e:
             raise ValueError("each edge needs 'a' and 't' entries")
-        edges.append((tuple(int(v) for v in e["a"]), reg_tree_from_json(e["t"])))
-    return reg_tree(tuple(int(v) for v in obj["n"]), edges)
+        edges.append((_multi_index(e["a"], "edge decoration"),
+                      reg_tree_from_json(e["t"])))
+    return reg_tree(_multi_index(obj["n"], "vertex decoration"), edges)
 
 
 # -- raising and lowering ---------------------------------------------------
@@ -380,7 +389,7 @@ def reg_raise(x: LinComb | RegTree, l: MultiIndex) -> LinComb:
     second grafts into the branches, raising each vertex below, so the
     sum over vertices picks up multinomial multiplicities.
     """
-    l = tuple(int(a) for a in l)
+    l = _multi_index(l, "raise amount")
     if any(a < 0 for a in l):
         raise ValueError("raise amount must be componentwise nonnegative")
     lx = _as_lin(x)
@@ -406,7 +415,7 @@ def lower_root_adjacent(x: LinComb | RegTree, i: MultiIndex) -> LinComb:
 
     Terms whose edge decoration would go negative vanish.
     """
-    i = tuple(int(a) for a in i)
+    i = _multi_index(i, "lowering index")
     if mi_norm(i) != 1 or any(a < 0 for a in i):
         raise ValueError("lowering needs a unit multi-index")
 
@@ -605,7 +614,7 @@ def _reg_tree_basis(n: int, d: int,
         for m in multiindices(d, p):
             for eds in _branch_seqs(n - p, d, max_norm):
                 acc.append(reg_tree(m, eds))
-    return tuple(sorted(acc, key=RegTree.sort_key))
+    return tuple(sorted(acc, key=ORDER_KEY))
 
 
 def _branch_seqs(total: int, d: int, max_norm: int | None) -> list[tuple]:

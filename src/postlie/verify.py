@@ -34,14 +34,14 @@ from .characters import (_phi_forest, canonical_lift, char_convolve,
                          character_failures, embed_rough_path, phi,
                          phi_inverse, unembed_rough_path)
 from .coaction import (compose_vectors, cointeraction_laws,
-                       cotranslation_laws, disjointness_witness,
-                       graft_duality_failures, rho_graft, translate)
+                       cotranslation_laws, disjointness_witness, rho_forest,
+                       rho_graft, translate)
 from .exprs import (parse_lincomb, parse_reg_lincomb, parse_tensor,
                     render_lincomb)
 from .forest import (FOREST_ONE, enumerate_forests, enumerate_trees, leaf,
                      single, tree, word)
-from .grafting import (gl_antipode, gl_forests, gl_product, jacobi_bracket,
-                       left_graft)
+from .grafting import (gl_antipode, gl_forests, gl_product, graft_forests,
+                       jacobi_bracket, left_graft)
 from .growth import (f_decompose, f_recompose, fold_tensor, growth_fold,
                      is_primitive, natural_growth, primitive_basis,
                      primitive_projection)
@@ -50,8 +50,8 @@ from .laws import (ONCE, Law, deg_range, forests, graded, pair_range, pool,
 from .lincomb import (LinComb, concat, deconcat_forest, deshuffle,
                       deshuffle_forest, duality_mismatches, shuffle_words,
                       tensor_of)
-from .mkw import (duality_failures, mkw_antipode, mkw_coproduct,
-                  mkw_coproduct_forest, reduced_coproduct)
+from .mkw import (mkw_antipode, mkw_coproduct, mkw_coproduct_forest,
+                  reduced_coproduct)
 from .regstruct import (bracket0, deformed_graft, deformed_mkw_coproduct,
                         deformed_mkw_tree, enumerate_reg_trees,
                         enumerate_v_letters, lower_root_adjacent, mi_unit,
@@ -225,27 +225,27 @@ def _postlie_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
 # -- product/coproduct dualities ---------------------------------------------
 
 def _gl_duality_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
-    def cut_coproduct():
-        return [f"A={a.text} B={b.text} x={x.text}"
-                for a, b, x in duality_failures(maxdeg, letters)]
+    """``<product(a, b), x> = <a (x) b, coproduct(x)>`` for four pairs, one
+    degree per case; a mismatch fills ``witness`` with the texts of ``a``,
+    ``b`` and ``x`` and the two pairings ``lhs`` and ``rhs``."""
+    def row(name, lo, product, coproduct, witness):
+        def check(n):
+            return [witness.format(a=a.text, b=b.text, x=x.text, lhs=lhs,
+                                   rhs=rhs)
+                    for x, a, b, lhs, rhs in duality_mismatches(
+                        n, lambda i: enumerate_forests(i, letters), product,
+                        coproduct)]
+        return Law(name, deg_range(maxdeg), graded(_degree, maxdeg, lo), check)
 
-    def dual_in_degree(product, coproduct):
-        return lambda n: [f"a={a.text} b={b.text} x={x.text}"
-                          for x, a, b, _, _ in duality_mismatches(
-                              n, lambda i: enumerate_forests(i, letters),
-                              product, coproduct)]
-
+    pair = "a={a} b={b} x={x}"
     return [
-        Law("gl-product-vs-cut-coproduct", deg_range(maxdeg), ONCE,
-            cut_coproduct),
-        Law("graft-vs-coaction", deg_range(maxdeg), ONCE,
-            lambda: graft_duality_failures(maxdeg, letters)),
-        Law("concat-vs-deconcat", deg_range(maxdeg), graded(_degree, maxdeg),
-            dual_in_degree(lambda a, b: concat(_basis(a), _basis(b)),
-                           deconcat_forest)),
-        Law("shuffle-vs-deshuffle", deg_range(maxdeg),
-            graded(_degree, maxdeg),
-            dual_in_degree(shuffle_words, deshuffle_forest)),
+        row("gl-product-vs-cut-coproduct", 0, gl_forests, mkw_coproduct_forest,
+            "A={a} B={b} x={x}"),
+        row("graft-vs-coaction", 1, graft_forests, rho_forest,
+            "<{a} (x) {b}, rho({x})> = {lhs}, but <{a} graft {b}, {x}> = {rhs}"),
+        row("concat-vs-deconcat", 0, lambda a, b: concat(_basis(a), _basis(b)),
+            deconcat_forest, pair),
+        row("shuffle-vs-deshuffle", 0, shuffle_words, deshuffle_forest, pair),
     ]
 
 

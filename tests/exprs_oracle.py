@@ -1,10 +1,11 @@
 """Reference writers: text and JSON through ``items()``, one value per term.
 
 These are the five writers of ``postlie.exprs`` as they stood before they
-read the stored numerators through ``ordered_terms``, kept verbatim below
-this header as the oracle for ``tests/test_exprs_oracle.py``.  Each sorts
-``x.items()`` by ``sort_key``, so a combination with ``den > 1`` hands out
-one ``Fraction`` per term, and ``_signed_sum`` takes ``abs``, compares and
+read the stored numerators through ``ordered_terms``, kept below this
+header as the oracle for ``tests/test_exprs_oracle.py``.  Each sorts
+``x.items()`` by ``(degree, text)``, written out rather than read from
+``forest.ORDER_KEY``, so a combination with ``den > 1`` hands out one
+``Fraction`` per term, and ``_signed_sum`` takes ``abs``, compares and
 calls ``str`` on each.  They accept any object with ``items()``, so
 ``tests/test_lincomb_oracle.py`` renders its reference combinations here.
 """
@@ -35,25 +36,26 @@ def _signed_sum(terms: Iterable[tuple[str, Coeff]]) -> str:
 
 def render_lincomb(x: LinComb) -> str:
     """Canonical text of a linear combination, terms in compare-order."""
-    items = sorted(x.items(), key=lambda kv: kv[0].sort_key())
+    items = sorted(x.items(), key=lambda kv: (kv[0].degree, kv[0].text))
     return _signed_sum((key.text, c) for key, c in items)
 
 
 def render_tensor(t: Tensor) -> str:
     """Canonical text of a tensor, legs separated by (x)."""
-    items = sorted(t.items(), key=lambda kv: tuple(k.sort_key() for k in kv[0]))
+    items = sorted(t.items(), key=lambda kv: tuple(
+        (k.degree, k.text) for k in kv[0]))
     return _signed_sum((" (x) ".join(k.text for k in key), c)
                        for key, c in items)
 
 
 def lincomb_to_json(x: LinComb) -> dict:
-    items = sorted(x.items(), key=lambda kv: kv[0].sort_key())
+    items = sorted(x.items(), key=lambda kv: (kv[0].degree, kv[0].text))
     return {"terms": [{"coeff": str(c), "forest": forest_to_json(f)}
                       for f, c in items]}
 
 
 def reg_lincomb_to_json(x: LinComb) -> dict:
-    items = sorted(x.items(), key=lambda kv: kv[0].sort_key())
+    items = sorted(x.items(), key=lambda kv: (kv[0].degree, kv[0].text))
     return {"terms": [{"coeff": str(c), "tree": reg_tree_to_json(t)}
                       for t, c in items]}
 
@@ -67,6 +69,7 @@ def _leg_json(key) -> object:
 
 
 def tensor_to_json(t: Tensor) -> dict:
-    items = sorted(t.items(), key=lambda kv: tuple(k.sort_key() for k in kv[0]))
+    items = sorted(t.items(), key=lambda kv: tuple(
+        (k.degree, k.text) for k in kv[0]))
     return {"terms": [{"coeff": str(c), "legs": [_leg_json(k) for k in key]}
                       for key, c in items]}

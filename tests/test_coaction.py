@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from postlie.coaction import (check_translation_vector, compose_vectors,
-                              disjointness_witness, graft_duality_failures,
-                              rho_graft, shuffle_primitive_failures, translate)
+from postlie.coaction import (compose_vectors, disjointness_witness,
+                              rho_forest, rho_graft,
+                              shuffle_primitive_failures, translate)
 from postlie.exprs import parse_lincomb, render_lincomb
-from postlie.forest import FOREST_ONE, parse_forest
-from postlie.lincomb import LinComb, tensor_of
+from postlie.forest import FOREST_ONE, enumerate_forests, parse_forest
+from postlie.grafting import graft_forests
+from postlie.lincomb import LinComb, duality_mismatches, tensor_of
 from postlie.verify import DegreeCapError, run_suite
 
 
@@ -36,8 +37,11 @@ def test_rho_small_values():
 
 
 def test_rho_graft_duality_exhaustive():
-    assert graft_duality_failures(3, ("a",)) == []
-    assert graft_duality_failures(2, ("a", "b")) == []
+    for letters, top in ((("a",), 3), (("a", "b"), 2)):
+        for n in range(1, top + 1):
+            assert not list(duality_mismatches(
+                n, lambda i: enumerate_forests(i, letters), graft_forests,
+                rho_forest))
 
 
 def test_translate_empty_vector_is_identity():
@@ -51,11 +55,11 @@ def test_translate_shifts_letters():
 
 
 def test_translation_vector_validation():
-    check_translation_vector({"o": b("[o]")})
-    with pytest.raises(ValueError):
-        check_translation_vector({"o": LinComb.basis(FOREST_ONE)})
-    with pytest.raises(ValueError):
-        check_translation_vector({"o": b("[o][o]")})
+    translate({"o": b("[o]")}, b("[o]"), 2)
+    with pytest.raises(ValueError, match="constant part"):
+        translate({"o": LinComb.basis(FOREST_ONE)}, b("[o]"), 2)
+    with pytest.raises(ValueError, match="not primitive"):
+        translate({"o": b("[o][o]")}, b("[o]"), 2)
 
 
 def test_compose_vectors_matches_composition():
@@ -124,12 +128,13 @@ def test_disjointness_rejects_bad_series():
 def test_translate_checks_each_vector_once(monkeypatch):
     import postlie.coaction as coaction
     calls = []
-    monkeypatch.setattr(coaction, "check_translation_vector",
-                        lambda v: calls.append(dict(v)))
+    check = coaction.shuffle_primitive_failures
+    monkeypatch.setattr(coaction, "shuffle_primitive_failures",
+                        lambda x: calls.append(x) or check(x))
     v = {"o": b("[o]") * Fraction(1, 7)}
     for text in ("[o]", "[o[o]]", "[o][o]"):
         translate(v, b(text), 3)
-    assert calls == [v]
+    assert calls == [v["o"]]
 
 
 def test_failing_translation_vector_is_not_cached():

@@ -113,6 +113,10 @@ def test_tensor_from_json_refuses_mixed_leg_counts():
     [], "terms", None, {}, {"terms": 5}, {"terms": [5]},
     {"terms": [{"coeff": "1"}]}, {"terms": [{"forest": [], "tree": {},
                                              "legs": []}]},
+    # a coefficient that is not an integer or an exact fraction string
+    *({"terms": [{"coeff": c, "forest": [], "tree": {"n": [0]},
+                  "legs": [[], []]}]}
+      for c in ("1/0", [1], None, True, "one", {"n": 1})),
 ])
 def test_malformed_json_sums_raise_value_error(read, obj):
     with pytest.raises(ValueError, match="term"):

@@ -4,8 +4,8 @@ import pytest
 
 from postlie.bck import np_parse
 from postlie.characters import TruncChar
-from postlie.forest import (FOREST_ONE, ForestSyntaxError, OrderedForest,
-                            PlanarTree, b_minus, b_plus, compare,
+from postlie.forest import (FOREST_ONE, ORDER_KEY, ForestSyntaxError,
+                            OrderedForest, PlanarTree, b_minus, b_plus,
                             enumerate_forests, enumerate_trees, forest,
                             forest_from_json, forest_to_json, leaf,
                             letters_in, parse_forest, render_forest, single,
@@ -46,9 +46,9 @@ def test_word_concatenation():
 def test_compare_is_graded_then_textual():
     small = parse_forest("[a][b]")
     big = parse_forest("[a][b][c]")
-    assert compare(small, big) < 0
-    assert compare(parse_forest("[a[b]]"), parse_forest("[a][b]")) < 0
-    assert compare(small, small) == 0
+    assert ORDER_KEY(small) < ORDER_KEY(big)
+    assert ORDER_KEY(parse_forest("[a[b]]")) < ORDER_KEY(parse_forest("[a][b]"))
+    assert ORDER_KEY(small) == ORDER_KEY(parse_forest("[a] [b]"))
 
 
 def test_parse_rejects_malformed():
@@ -88,7 +88,7 @@ def test_counts_two_letters():
 
 def test_enumeration_sorted_and_interned():
     forests = enumerate_forests(3, ("o",))
-    keys = [f.sort_key() for f in forests]
+    keys = [ORDER_KEY(f) for f in forests]
     assert keys == sorted(keys)
     assert all(parse_forest(f.text) is f for f in forests)
 
@@ -146,3 +146,11 @@ def test_one_letter_walk_for_coaction_and_characters():
     assert letters_in() == letters_in(FOREST_ONE) == ()
     X = TruncChar(5, {f: 1, g: 2})
     assert X.letters() == letters_in(f, g) == ("a", "b", "c", "d", "e")
+
+
+@pytest.mark.parametrize("dec", ["a]b", "", "a b", 3, None, ["a"]])
+def test_json_decoration_must_be_one_token(dec):
+    # the CLI and parse_forest take one decoration token; so does JSON, so
+    # every tree it reads renders as text that parses back
+    with pytest.raises(ValueError, match="not one decoration token"):
+        forest_from_json([{"d": dec, "c": []}])

@@ -1,9 +1,14 @@
 """Admissible-cut coproduct, its antipode, and the product/coproduct duality."""
 
-from postlie.forest import FOREST_ONE, forests_up_to, parse_forest
-from postlie.lincomb import LinComb, pairing, shuffle, tensor_of
-from postlie.mkw import (duality_failures, mkw_antipode, mkw_coproduct,
-                         reduced_coproduct)
+import pytest
+
+from postlie.forest import (FOREST_ONE, enumerate_forests, forests_up_to,
+                            parse_forest)
+from postlie.grafting import gl_forests
+from postlie.lincomb import (LinComb, duality_mismatches, pairing, shuffle,
+                             tensor_of)
+from postlie.mkw import (iterated_reduced, mkw_antipode, mkw_coproduct,
+                         mkw_coproduct_forest, reduced_coproduct)
 
 
 def b(text):
@@ -30,6 +35,13 @@ def test_coproduct_ladder():
 def test_reduced_coproduct_strips_trivial_cuts():
     assert reduced_coproduct(b("[a[b]]")) == tensor_of(b("[b]"), b("[a]"))
     assert reduced_coproduct(b("[a]")).is_zero
+
+
+@pytest.mark.parametrize("reduce", [reduced_coproduct,
+                                    lambda x: iterated_reduced(x, 2)])
+def test_reduced_coproduct_refuses_a_unit_component(reduce):
+    with pytest.raises(ValueError, match="reduced coproduct of the unit"):
+        reduce(one() + b("[a[b]]"))
 
 
 def test_coproduct_word_counts():
@@ -59,8 +71,11 @@ def test_antipode_convolution_identity():
 
 
 def test_gl_duality_exhaustive():
-    assert duality_failures(3, ("a",)) == []
-    assert duality_failures(2, ("a", "b")) == []
+    for letters, top in ((("a",), 3), (("a", "b"), 2)):
+        for n in range(top + 1):
+            assert not list(duality_mismatches(
+                n, lambda i: enumerate_forests(i, letters), gl_forests,
+                mkw_coproduct_forest))
 
 
 def test_duality_spot_check():

@@ -38,7 +38,21 @@ I0V1 = plant((0,), VTX1)
      "edge decoration or subtree dimension mismatch"),
     (lambda: plant((-1,), ONE), "negative edge decoration"),
     (lambda: reg_tree_from_json({"n": [0], "e": [{"a": [-1], "t": {"n": [0]}}]}),
-     "negative edge decoration")])
+     "negative edge decoration"),
+    # an entry that is not an int is refused, never rounded or coerced
+    (lambda: reg_tree((1.7,)), "vertex decoration must hold integers"),
+    (lambda: reg_tree((0,), [((True,), ONE)]),
+     "edge decoration must hold integers"),
+    (lambda: reg_tree_from_json({"n": [1.9]}),
+     "vertex decoration must hold integers"),
+    (lambda: reg_tree_from_json({"n": ["2"]}),
+     "vertex decoration must hold integers"),
+    (lambda: reg_tree_from_json({"n": [True]}),
+     "vertex decoration must hold integers"),
+    (lambda: reg_tree_from_json({"n": [0], "e": [{"a": [0.0], "t": {"n": [0]}}]}),
+     "edge decoration must hold integers"),
+    (lambda: lower_root_adjacent(I1, (1.2,)), "lowering index must hold integers"),
+    (lambda: lower_root_adjacent(I1, (True,)), "lowering index must hold integers")])
 def test_bad_decorations_are_refused(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -111,7 +125,10 @@ def test_raise_and_lower():
 @pytest.mark.parametrize("text,amount,message", [
     ("[o{0,0}[o{0,0}]{0,0}]", (1,), "raise amount has the wrong dimension"),
     ("[o{0}[o{0}]{0}]", (0, 1), "raise amount has the wrong dimension"),
-    ("[o{0}]", (-1,), "raise amount must be componentwise nonnegative")])
+    ("[o{0}]", (-1,), "raise amount must be componentwise nonnegative"),
+    ("[o{0}]", (1.5,), "raise amount must hold integers"),
+    ("[o{0}]", ("1",), "raise amount must hold integers"),
+    ("[o{0}]", (True,), "raise amount must hold integers")])
 def test_raise_refuses_a_bad_amount(text, amount, message):
     with pytest.raises(ValueError, match=message):
         reg_raise(parse_reg_tree(text), amount)
@@ -377,11 +394,13 @@ def test_identity_survives_clear_caches():
 def test_reg_tree_normalises_outside_input_on_hits_and_misses():
     t = reg_tree((1, 0), (((0, 1), x_power((0, 2))),))
     assert reg_tree([1, 0], [([0, 1], x_power([0, 2]))]) is t
-    assert reg_tree((1.0, False), (((0, True), x_power((0, 2))),)) is t
     assert reg_tree(iter((1, 0)), iter([((0, 1), x_power((0, 2)))])) is t
-    fresh = reg_tree(["7", 5.0])
-    assert fresh.dec == (7, 5) and all(type(a) is int for a in fresh.dec)
+    fresh = reg_tree([7, 5])
+    assert type(fresh.dec) is tuple and fresh.dec == (7, 5)
     assert reg_tree((7, 5)) is fresh
+    # entries are never coerced: a string or a float is refused on a miss
+    with pytest.raises(ValueError, match="must hold integers"):
+        reg_tree(["8", 5.0])
 
 
 @pytest.mark.parametrize("dec, edges", [
