@@ -34,21 +34,19 @@ class ForestSyntaxError(ValueError):
 
 
 class PlanarTree:
-    __slots__ = ("decoration", "children", "degree", "_text")
+    __slots__ = ("decoration", "children", "degree", "text")
 
     def __init__(self, decoration: str, children: tuple["PlanarTree", ...]):
         self.decoration = decoration
         self.children = children
-        self.degree = 1 + sum(c.degree for c in children)
-        self._text: str | None = None
-
-    @property
-    def text(self) -> str:
-        t = self._text
-        if t is None:
-            t = "[" + self.decoration + "".join(c.text for c in self.children) + "]"
-            self._text = t
-        return t
+        degree = 1
+        parts = ["[", decoration]
+        for c in children:
+            degree += c.degree
+            parts.append(c.text)
+        parts.append("]")
+        self.degree = degree
+        self.text = "".join(parts)
 
     def __repr__(self) -> str:
         return f"PlanarTree({self.text!r})"
@@ -72,20 +70,17 @@ def leaf(decoration: str) -> PlanarTree:
 
 
 class OrderedForest:
-    __slots__ = ("trees", "degree", "_text")
+    __slots__ = ("trees", "degree", "text")
 
     def __init__(self, trees_: tuple[PlanarTree, ...]):
         self.trees = trees_
-        self.degree = sum(t.degree for t in trees_)
-        self._text: str | None = None
-
-    @property
-    def text(self) -> str:
-        t = self._text
-        if t is None:
-            t = "".join(t_.text for t_ in self.trees) if self.trees else "1"
-            self._text = t
-        return t
+        degree = 0
+        parts = []
+        for t in trees_:
+            degree += t.degree
+            parts.append(t.text)
+        self.degree = degree
+        self.text = "".join(parts) or "1"
 
     @property
     def is_empty(self) -> bool:
@@ -314,12 +309,17 @@ def tree_to_json(t: PlanarTree) -> dict:
     return {"d": t.decoration, "c": [tree_to_json(c) for c in t.children]}
 
 
+def _json_list(obj, message: str) -> Sequence:
+    """``obj`` when it is a JSON list (a sequence, not text); else ValueError."""
+    if not isinstance(obj, Sequence) or isinstance(obj, (str, bytes)):
+        raise ValueError(message)
+    return obj
+
+
 def tree_from_json(obj: dict) -> PlanarTree:
     if not isinstance(obj, dict) or "d" not in obj:
         raise ValueError(f"not a tree object: {obj!r}")
-    children = obj.get("c", [])
-    if not isinstance(children, Sequence) or isinstance(children, (str, bytes)):
-        raise ValueError("tree children must be a list")
+    children = _json_list(obj.get("c", []), "tree children must be a list")
     dec = obj["d"]
     if not isinstance(dec, str) or TOKEN.fullmatch(dec) is None:
         raise ValueError(f"tree decoration {dec!r} is not one decoration token")
@@ -331,6 +331,5 @@ def forest_to_json(f: OrderedForest) -> list:
 
 
 def forest_from_json(obj: list) -> OrderedForest:
-    if not isinstance(obj, Sequence) or isinstance(obj, (str, bytes)):
-        raise ValueError("forest must be a list of trees")
+    _json_list(obj, "forest must be a list of trees")
     return forest(tree_from_json(t) for t in obj)

@@ -43,7 +43,7 @@ from math import comb
 from typing import Iterator
 
 from .forest import (ORDER_KEY, ForestSyntaxError, _check_text, _descend,
-                     _skip_ws)
+                     _json_list, _skip_ws)
 from .lincomb import LinComb, Tensor, _deshuffle_words, graded_transpose
 from .memo import memo
 
@@ -150,10 +150,16 @@ class RegTree:
 
     @property
     def text(self) -> str:
+        # Lazy, as most kernel-built trees are never printed; built from the
+        # subtrees' cached texts, so each subtree is rendered once.
         t = self._text
         if t is None:
-            t = render_reg_tree(self)
-            self._text = t
+            bits = ["[o{", _render_mi(self.dec), "}"]
+            for a, sub in self.edges:
+                bits.append(sub.text)
+                bits.append("{" + _render_mi(a) + "}")
+            bits.append("]")
+            t = self._text = "".join(bits)
         return t
 
     def __repr__(self) -> str:
@@ -164,17 +170,10 @@ _REG_TREES: dict[tuple, RegTree] = {}
 
 
 def reg_tree(dec: MultiIndex, edges=()) -> RegTree:
-    """Intern the tree with the given root decoration and child edges."""
-    # Callers pass int tuples and mostly hit: look up first and check only
-    # on a miss or on unhashable input.  An interned key is valid, so a hit
-    # needs no checks; an entry that only compares equal to an int (1.0,
-    # True) finds that int's tree when it is already interned.
-    try:
-        got = _REG_TREES.get((dec, edges))
-    except TypeError:
-        got = None
-    if got is not None:
-        return got
+    """Check, then intern, the tree with the given root decoration and child
+    edges.  Every call checks, hits included: an entry that only compares
+    equal to an int (1.0, True) is refused, not matched to that int's tree.
+    Kernels that build from checked trees call ``_node`` instead."""
     dec = _multi_index(dec, "vertex decoration")
     edges = tuple((_multi_index(e, "edge decoration"), sub) for e, sub in edges)
     d = len(dec)
@@ -237,12 +236,7 @@ def _render_mi(m: MultiIndex) -> str:
 
 def render_reg_tree(t: RegTree) -> str:
     """Canonical text: vertices as ``o{m}``, each child followed by ``{a}``."""
-    bits = ["[o{", _render_mi(t.dec), "}"]
-    for a, sub in t.edges:
-        bits.append(render_reg_tree(sub))
-        bits.append("{" + _render_mi(a) + "}")
-    bits.append("]")
-    return "".join(bits)
+    return t.text
 
 
 _INT = re.compile(r"\d+")
@@ -371,12 +365,13 @@ def reg_tree_from_json(obj: dict) -> RegTree:
     if not isinstance(obj, dict) or "n" not in obj:
         raise ValueError(f"not a decorated tree object: {obj!r}")
     edges = []
-    for e in obj.get("e", []):
+    for e in _json_list(obj.get("e", []), "tree edges 'e' must be a list"):
         if not isinstance(e, dict) or "a" not in e or "t" not in e:
             raise ValueError("each edge needs 'a' and 't' entries")
-        edges.append((_multi_index(e["a"], "edge decoration"),
+        edges.append((_json_list(e["a"], "edge decoration 'a' must be a list"),
                       reg_tree_from_json(e["t"])))
-    return reg_tree(_multi_index(obj["n"], "vertex decoration"), edges)
+    return reg_tree(_json_list(obj["n"], "vertex decoration 'n' must be a list"),
+                    edges)
 
 
 # -- raising and lowering ---------------------------------------------------
@@ -613,7 +608,7 @@ def _reg_tree_basis(n: int, d: int,
             break
         for m in multiindices(d, p):
             for eds in _branch_seqs(n - p, d, max_norm):
-                acc.append(reg_tree(m, eds))
+                acc.append(_node(m, eds))
     return tuple(sorted(acc, key=ORDER_KEY))
 
 

@@ -2,14 +2,16 @@
 
 import pytest
 
-from postlie.bck import np_parse
+from postlie.bck import bck_primitive_projection, np_parse
 from postlie.characters import TruncChar
+from postlie.exprs import parse_lincomb
 from postlie.forest import (FOREST_ONE, ORDER_KEY, ForestSyntaxError,
                             OrderedForest, PlanarTree, b_minus, b_plus,
                             enumerate_forests, enumerate_trees, forest,
                             forest_from_json, forest_to_json, leaf,
                             letters_in, parse_forest, render_forest, single,
                             tree, word)
+from postlie.grafting import left_graft
 from postlie.memo import clear_caches
 
 
@@ -154,3 +156,56 @@ def test_json_decoration_must_be_one_token(dec):
     # every tree it reads renders as text that parses back
     with pytest.raises(ValueError, match="not one decoration token"):
         forest_from_json([{"d": dec, "c": []}])
+
+
+# -- the intern step: degree and text, computed once from the children ------
+
+def _render(t: PlanarTree) -> str:
+    return "[" + t.decoration + "".join(_render(c) for c in t.children) + "]"
+
+
+def _vertices(t: PlanarTree) -> int:
+    return 1 + sum(_vertices(c) for c in t.children)
+
+
+def _assert_interned_right(forests, alphabet):
+    # every forest, and every tree in it at any depth, carries the degree
+    # and text the recursive definitions give, and its text parses back to it
+    for f in forests:
+        assert f.text == ("".join(map(_render, f.trees)) or "1")
+        assert f.degree == sum(map(_vertices, f.trees))
+        assert parse_forest(f.text, alphabet) is f
+        stack = list(f.trees)
+        while stack:
+            t = stack.pop()
+            assert (t.text, t.degree) == (_render(t), _vertices(t))
+            assert parse_forest(t.text, alphabet) is single(t)
+            stack.extend(t.children)
+
+
+@pytest.mark.parametrize("alphabet,top", [(("o",), 7), (("a", "b"), 5)])
+def test_enumerated_trees_and_forests_carry_their_text_and_degree(alphabet, top):
+    for n in range(top + 1):
+        _assert_interned_right(enumerate_forests(n, alphabet), alphabet)
+        _assert_interned_right(map(single, enumerate_trees(n, alphabet)), alphabet)
+
+
+def test_kernel_built_forests_carry_their_text_and_degree():
+    # a five-on-six graft over a,b (756 terms) and a degree-6 commutative
+    # primitive projection (203 terms) build thousands of fresh forests
+    ab = ("a", "b")
+    graft = left_graft(parse_lincomb("[a][b][b][b][b]", ab),
+                       parse_lincomb("[b[b[a[b]][b]][a]]", ab))
+    pi = bck_primitive_projection(parse_lincomb("[b[a[b][b]]][a[b]]", ab))
+    assert (len(graft.support()), len(pi.support())) == (756, 203)
+    _assert_interned_right(graft.support(), ab)
+    _assert_interned_right(pi.support(), ab)
+
+
+@pytest.mark.parametrize("dec", [5, None, b"a"])
+def test_tree_refuses_a_decoration_that_is_not_text(dec):
+    # text is built at the intern step, so a bad decoration fails there
+    with pytest.raises(TypeError):
+        tree(dec)
+    with pytest.raises(TypeError):
+        tree(dec, (leaf("a"),))

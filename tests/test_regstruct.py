@@ -43,6 +43,11 @@ I0V1 = plant((0,), VTX1)
     (lambda: reg_tree((1.7,)), "vertex decoration must hold integers"),
     (lambda: reg_tree((0,), [((True,), ONE)]),
      "edge decoration must hold integers"),
+    # ... also when an equal int tree is interned already (X, I1 above)
+    (lambda: reg_tree((True,)), "vertex decoration must hold integers"),
+    (lambda: reg_tree((1.0,)), "vertex decoration must hold integers"),
+    (lambda: reg_tree((0,), (((True,), ONE),)),
+     "edge decoration must hold integers"),
     (lambda: reg_tree_from_json({"n": [1.9]}),
      "vertex decoration must hold integers"),
     (lambda: reg_tree_from_json({"n": ["2"]}),
@@ -51,6 +56,11 @@ I0V1 = plant((0,), VTX1)
      "vertex decoration must hold integers"),
     (lambda: reg_tree_from_json({"n": [0], "e": [{"a": [0.0], "t": {"n": [0]}}]}),
      "edge decoration must hold integers"),
+    # a JSON field that is not a list is refused by name
+    (lambda: reg_tree_from_json({"n": 5}), "'n' must be a list"),
+    (lambda: reg_tree_from_json({"n": [0], "e": 3}), "'e' must be a list"),
+    (lambda: reg_tree_from_json({"n": [0], "e": [{"a": 5, "t": {"n": [0]}}]}),
+     "'a' must be a list"),
     (lambda: lower_root_adjacent(I1, (1.2,)), "lowering index must hold integers"),
     (lambda: lower_root_adjacent(I1, (True,)), "lowering index must hold integers")])
 def test_bad_decorations_are_refused(build, message):
