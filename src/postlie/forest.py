@@ -42,6 +42,9 @@ class PlanarTree:
         degree = 1
         parts = ["[", decoration]
         for c in children:
+            if not isinstance(c, PlanarTree):
+                raise TypeError(f"tree child must be a PlanarTree, "
+                                f"not {type(c).__name__}")
             degree += c.degree
             parts.append(c.text)
         parts.append("]")
@@ -61,8 +64,21 @@ def tree(decoration: str, children: Iterable[PlanarTree] = ()) -> PlanarTree:
     key = (decoration, kids)
     t = _TREES.get(key)
     if t is None:
-        t = _TREES.setdefault(key, PlanarTree(decoration, kids))
+        t = _TREES.setdefault(key, PlanarTree(_token(decoration), kids))
     return t
+
+
+@memo
+def _token(decoration: str) -> str:
+    """``decoration`` if it is one decoration token, so that every tree's
+    text parses back; else ``TypeError`` or ``ValueError``."""
+    if not isinstance(decoration, str):
+        raise TypeError(f"tree decoration must be a str, "
+                        f"not {type(decoration).__name__}")
+    if TOKEN.fullmatch(decoration) is None:
+        raise ValueError(
+            f"tree decoration {decoration!r} is not one decoration token")
+    return decoration
 
 
 def leaf(decoration: str) -> PlanarTree:
@@ -77,6 +93,9 @@ class OrderedForest:
         degree = 0
         parts = []
         for t in trees_:
+            if not isinstance(t, PlanarTree):
+                raise TypeError(f"forest tree must be a PlanarTree, "
+                                f"not {type(t).__name__}")
             degree += t.degree
             parts.append(t.text)
         self.degree = degree
@@ -321,7 +340,7 @@ def tree_from_json(obj: dict) -> PlanarTree:
         raise ValueError(f"not a tree object: {obj!r}")
     children = _json_list(obj.get("c", []), "tree children must be a list")
     dec = obj["d"]
-    if not isinstance(dec, str) or TOKEN.fullmatch(dec) is None:
+    if not isinstance(dec, str):
         raise ValueError(f"tree decoration {dec!r} is not one decoration token")
     return tree(dec, (tree_from_json(c) for c in children))
 

@@ -39,7 +39,8 @@ from functools import reduce
 from itertools import accumulate
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .forest import FOREST_ONE, OrderedForest, enumerate_forests, forest, tree
+from .forest import (FOREST_ONE, OrderedForest, _canon_alphabet,
+                     enumerate_forests, forest, tree)
 from .lincomb import LinComb, Tensor, _shuffle_words, tensor_of
 from .linalg import kernel_basis, rank
 from .memo import memo
@@ -176,7 +177,7 @@ def primitive_basis(n: int, alphabet: Iterable[str]) -> tuple[LinComb, ...]:
     degree-n forests; the coordinate order follows the canonical forest
     enumeration, so the result is deterministic.
     """
-    return _primitive_basis(n, tuple(alphabet))
+    return _primitive_basis(n, _canon_alphabet(alphabet))
 
 
 @memo

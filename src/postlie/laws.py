@@ -10,10 +10,12 @@ and status, plus, when it fails, its first witness and its failure count.
 A law that holds on several carriers is one row builder that takes the
 carrier's operations (``verify._postlie_axioms``, ``verify._unitriangular``).
 
-Sweeps stream their cases.  ``graded`` walks degree compositions (and
-``forests`` the planar forests that way), ``tuples`` walks pools in
-product order under a degree budget, and ``ONCE`` is the single case of a
-law with no arguments.
+Sweeps stream their cases from one walker, ``tuples``.  A ``pool`` is a
+lazy ``(basis, lo, hi)`` descriptor; ``tuples`` walks the degree
+compositions of its pools under a budget in lexicographic order and, for
+each, the product of the pools' items at those degrees.  ``graded`` is
+that walk over copies of one pool (``forests`` over the planar forests),
+and ``ONCE`` is the single case of a law with no arguments.
 """
 
 from __future__ import annotations
@@ -42,28 +44,36 @@ def pair_range(maxdeg: int) -> str:
     return f"degree pairs summing to <= {maxdeg}"
 
 
-def _compositions(k: int, budget: int, lo: int,
-                  ascending: bool) -> Iterator[tuple[int, ...]]:
-    if k == 0:
-        yield ()
-        return
-    for d in range(lo, budget + 1):
-        for rest in _compositions(k - 1, budget - d, d if ascending else lo,
-                                  ascending):
-            yield (d,) + rest
+def pool(basis: Callable[[int], Iterable], lo: int, hi: int) -> tuple:
+    """The items of ``basis(n)`` for ``lo <= n <= hi``, as the lazy
+    descriptor ``(basis, lo, hi)``: `tuples` calls ``basis`` only at the
+    degrees of the compositions it walks."""
+    return basis, lo, hi
+
+
+def _walk(budget: int, pools: Sequence[tuple],
+          ascending: bool = False) -> Iterator[tuple]:
+    ranges = [range(lo, min(hi, budget) + 1) for _, lo, hi in pools]
+    for degrees in product(*ranges):
+        if sum(degrees) <= budget and (not ascending
+                                       or list(degrees) == sorted(degrees)):
+            yield from product(*[basis(n) for (basis, _, _), n
+                                 in zip(pools, degrees)])
+
+
+def tuples(budget: int, *pools: tuple) -> Iterator[tuple]:
+    """One item from each pool, degree sum <= budget: degree compositions
+    outermost, in lexicographic order, then each one's items in product
+    order."""
+    return _walk(budget, pools)
 
 
 def graded(basis: Callable[[int], Iterable], budget: int, lo: int = 0,
            k: int = 1, ascending: bool = False) -> Iterator[tuple]:
-    """``k``-tuples from ``basis(degree)`` with degrees ``>= lo`` summing
-    to at most ``budget``.
-
-    Degree compositions run outermost, in lexicographic order, and the
-    elements of one composition in product order.  ``ascending`` keeps
-    only nondecreasing compositions, for laws symmetric in their arguments.
-    """
-    for degrees in _compositions(k, budget, lo, ascending):
-        yield from product(*map(basis, degrees))
+    """`tuples` over ``k`` copies of ``pool(basis, lo, budget)``;
+    ``ascending`` keeps only nondecreasing compositions, for laws symmetric
+    in their arguments."""
+    return _walk(budget, (pool(basis, lo, budget),) * k, ascending)
 
 
 def forests(letters: tuple[str, ...], budget: int, lo: int = 0, k: int = 1,
@@ -71,29 +81,6 @@ def forests(letters: tuple[str, ...], budget: int, lo: int = 0, k: int = 1,
     """`graded` over the planar forests decorated by ``letters``."""
     return graded(lambda n: enumerate_forests(n, letters), budget, lo, k,
                   ascending)
-
-
-def pool(basis: Callable[[int], Iterable], lo: int,
-         hi: int) -> list[tuple[int, object]]:
-    """``(degree, element)`` pairs of ``basis`` for ``lo <= degree <= hi``."""
-    return [(n, x) for n in range(lo, hi + 1) for x in basis(n)]
-
-
-def tuples(budget: int, *pools: Sequence[tuple[int, object]]) -> Iterator[tuple]:
-    """Tuples with one item from each pool and degree sum <= budget, in
-    product order.
-
-    Each pool holds ``(degree, item)`` pairs sorted by degree, so each
-    loop stops at the budget left by the items before it.
-    """
-    if not pools:
-        yield ()
-        return
-    for n, x in pools[0]:
-        if n > budget:
-            break
-        for rest in tuples(budget - n, *pools[1:]):
-            yield (x,) + rest
 
 
 def _failures(law: Law) -> list[str]:

@@ -597,8 +597,8 @@ def _reg_phi_laws(maxdeg: int, letters: tuple[str, ...]) -> list[Law]:
     L = LinComb.basis
     one = reg_one(1)
     peel_deg = min(maxdeg, 2)
-    dim_two = [t for _, t in pool(lambda n: enumerate_reg_trees(n, 2),
-                                  0, peel_deg)]
+    dim_two = [t for n in range(peel_deg + 1)
+               for t in enumerate_reg_trees(n, 2)]
 
     def identity_on_letters(t):
         if phi_reg(t, maxdeg) != L(t):

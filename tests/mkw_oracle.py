@@ -10,7 +10,9 @@ cut at one vertex stay concatenated in their planar order; groups cut at
 different vertices are shuffled together.  The tensor ``pruned (x) trunk``
 is summed over all cuts, plus the extreme term ``tree (x) 1``.  Forests are
 grafted onto a reserved root:
-``D(w) = (id (x) B-)(D(B+(w)) - B+(w) (x) 1)``.  Its caches are
+``D(w) = (id (x) B-)(D(B+(w)) - B+(w) (x) 1)``; the reserved root is
+``_``, a decoration token that no test alphabet uses (trees refuse a
+decoration that is not a token).  Its caches are
 ``functools.cache``, so they stay out of the library's memo registry.
 """
 
@@ -22,7 +24,7 @@ from postlie.forest import (FOREST_ONE, OrderedForest, PlanarTree, b_minus,
                             forest, single, tree)
 from postlie.lincomb import LinComb, Tensor, shuffle
 
-_RESERVED = "\x00"
+_RESERVED = "_"
 
 # (pruned groups, trunk) pairs per tree; groups are forests cut at distinct
 # vertices, to be shuffled together.

@@ -2,8 +2,8 @@
 
 import pytest
 
-from postlie.bck import bck_primitive_projection, np_parse
-from postlie.characters import TruncChar
+from postlie.bck import bck_primitive_projection, np_parse, np_tree
+from postlie.characters import TruncChar, canonical_lift
 from postlie.exprs import parse_lincomb
 from postlie.forest import (FOREST_ONE, ORDER_KEY, ForestSyntaxError,
                             OrderedForest, PlanarTree, b_minus, b_plus,
@@ -13,6 +13,7 @@ from postlie.forest import (FOREST_ONE, ORDER_KEY, ForestSyntaxError,
                             tree, word)
 from postlie.grafting import left_graft
 from postlie.memo import clear_caches
+from postlie.verify import run_suite
 
 
 def test_unit_forest():
@@ -209,3 +210,32 @@ def test_tree_refuses_a_decoration_that_is_not_text(dec):
         tree(dec)
     with pytest.raises(TypeError):
         tree(dec, (leaf("a"),))
+
+
+@pytest.mark.parametrize("dec", ["a]b", "", "a b"])
+def test_tree_refuses_a_decoration_that_does_not_parse_back(dec):
+    # without the check, single(tree("a]b")).text is "[a]b]", which
+    # parse_forest rejects
+    with pytest.raises(ValueError, match="not one decoration token"):
+        tree(dec)
+    with pytest.raises(ValueError, match="not one decoration token"):
+        tree(dec, (leaf("a"),))
+
+
+def test_constructors_refuse_what_is_not_a_tree():
+    with pytest.raises(TypeError, match="not int"):
+        tree("a", (5,))
+    with pytest.raises(TypeError, match="not str"):
+        tree("a", (leaf("b"), "[c]"))
+    with pytest.raises(TypeError, match="not str"):
+        forest(["[a]"])
+    assert forest([leaf("a")]) is parse_forest("[a]")
+
+
+def test_library_entry_points_refuse_a_decoration_that_does_not_parse_back():
+    with pytest.raises(ValueError, match="'a b' is not one decoration token"):
+        canonical_lift({"a b": 1}, 2)
+    with pytest.raises(ValueError, match="'x y' is not one decoration token"):
+        np_tree("x y")
+    with pytest.raises(ValueError, match="'a b' is not one decoration token"):
+        run_suite("hopf-axioms", 2, ("a b",))

@@ -24,12 +24,57 @@ def test_graded_walks_degree_compositions_then_products():
         0, 1, 2, 1, 2, 2]
 
 
-def test_tuples_walk_pools_in_product_order_under_the_budget():
-    small = pool({1: ("a",), 2: ("b",)}.get, 1, 2)
-    assert small == [(1, "a"), (2, "b")]
-    assert list(tuples(3, small, small)) == [("a", "a"), ("a", "b"),
-                                             ("b", "a")]
+def test_tuples_walk_degree_compositions_then_products():
+    # two items at degree 1, so product order and composition order differ
+    left = pool({1: ("a", "b"), 2: ("c",)}.get, 1, 2)
+    right = pool({0: ("e",), 1: ("x",), 2: ("y",)}.get, 0, 1)
+    assert list(tuples(3, left, right)) == [
+        ("a", "e"), ("b", "e"), ("a", "x"), ("b", "x"), ("c", "e"),
+        ("c", "x")]
+    assert list(tuples(1, left, right)) == [("a", "e"), ("b", "e")]
+    assert list(tuples(0, left)) == []
     assert list(tuples(0)) == [()]
+
+
+def test_ascending_keeps_nondecreasing_compositions_in_the_same_order():
+    basis = {1: ("a", "b"), 2: ("c",)}.get
+    assert list(graded(basis, 3, 1, 2, ascending=True)) == [
+        ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"), ("a", "c"),
+        ("b", "c")]
+    assert list(graded(basis, 3, 1, 2)) == [
+        ("a", "a"), ("a", "b"), ("b", "a"), ("b", "b"), ("a", "c"),
+        ("b", "c"), ("c", "a"), ("c", "b")]
+
+
+@pytest.mark.parametrize("budget,lo,k", [
+    (0, 0, 1), (3, 0, 1), (4, 1, 2), (3, 0, 2), (5, 1, 3), (2, 1, 3)])
+def test_graded_is_tuples_over_copies_of_one_pool(budget, lo, k):
+    table = {0: ("e",), 1: ("a", "b"), 2: ("c", "d"), 3: ("f",)}
+
+    def basis(n):
+        return table.get(n, ())
+
+    assert list(graded(basis, budget, lo, k)) == list(
+        tuples(budget, *[pool(basis, lo, budget)] * k))
+
+
+def test_bases_are_called_only_at_reachable_degrees():
+    calls = []
+
+    def basis(n):
+        calls.append(n)
+        return (n,)
+
+    p = pool(basis, 1, 5)
+    assert calls == []  # a pool is a descriptor; nothing is enumerated yet
+    assert list(tuples(3, p, p, p)) == [(1, 1, 1)]
+    assert set(calls) == {1}
+    calls.clear()
+    assert len(list(graded(basis, 4, 1, 2))) == 6
+    assert max(calls) == 3
+    calls.clear()
+    assert list(tuples(2, p, pool(basis, 2, 3))) == []
+    assert calls == []
 
 
 def test_runner_counts_every_witness_and_keeps_the_first():

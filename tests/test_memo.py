@@ -49,7 +49,7 @@ def test_cache_sizes_names_one_entry_per_memo():
                     for d in node.decorator_list):
                 decorated.append(f"{path.stem}.{node.name}")
     assert sorted(cache_sizes()) == sorted(decorated)
-    assert len(decorated) == 32
+    assert len(decorated) == 33
 
 
 def sample_values():
@@ -118,6 +118,9 @@ def test_arguments_are_normalised_before_the_memo():
     assert enumerate_forests(3, ["a", "b", "a"]) is basis
     assert enumerate_reg_trees(2, 1) is enumerate_reg_trees(2, 1, None)
     assert primitive_basis(2, ["o"]) is primitive_basis(2, ("o",))
+    prims = primitive_basis(3, "ab")
+    assert primitive_basis(3, ("b", "a")) is prims
+    assert primitive_basis(3, ["a", "b", "a"]) is prims
     text = "[a] + 1/2*[b[a]]"
     parsed = parse_lincomb(text, "ab")
     for alphabet in ("ab", ["a", "b"], ("b", "a"), {"a", "b"}, frozenset("ba")):
@@ -125,7 +128,7 @@ def test_arguments_are_normalised_before_the_memo():
     assert parse_lincomb(text) is parse_lincomb(text, None)
     sizes = cache_sizes()
     assert sizes["regstruct._reg_tree_basis"] == 3  # degrees 0, 1, 2
-    assert sizes["growth._primitive_basis"] == 1
+    assert sizes["growth._primitive_basis"] == 2  # (2, o) and (3, ab)
     assert sizes["exprs._parse_lincomb"] == 2  # alphabet {a, b}, and none
 
 
