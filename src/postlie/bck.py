@@ -108,7 +108,6 @@ def bck_coproduct(x: LinComb) -> Tensor:
     return forget_planarity(x).apply_coproduct(bck_coproduct_forest)
 
 
-@memo
 def bck_reduced_forest(f: OrderedForest) -> Tensor:
     if f.is_empty:
         raise ValueError("reduced coproduct of the unit is undefined")

@@ -98,6 +98,9 @@ class TruncChar:
 
     def __init__(self, N: int, values: Mapping[OrderedForest, int | Fraction],
                  flavor: str = MKW_FLAVOR):
+        if type(N) is not int:
+            raise TypeError(f"truncation degree must be an int, "
+                            f"not {type(N).__name__}")
         if N < 0:
             raise ValueError("truncation degree must be nonnegative")
         canon = _FLAVORS.get(flavor)
@@ -105,6 +108,9 @@ class TruncChar:
             raise ValueError(f"unknown flavor {flavor!r}")
         vals: dict = {}
         for f, c in values.items():
+            if not isinstance(f, OrderedForest):
+                raise TypeError(f"character key must be an OrderedForest, "
+                                f"not {type(f).__name__}")
             if f.degree > N:
                 raise ValueError(f"value on {f.text} exceeds truncation {N}")
             cc = as_coeff(c)

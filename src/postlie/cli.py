@@ -17,7 +17,8 @@ more trees than dimension two gives there.
 
 Exit codes: 0 on success, 1 for failed verification suites and other
 errors, 2 for malformed input expressions (the message carries the
-position, and names the vector entry or character file and key).
+position, and names the vector entry or character file and key).  Every
+error reading a character file, its degree cap included, names the file.
 """
 
 from __future__ import annotations
@@ -119,10 +120,12 @@ def _characters(args, names):
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 X = char_from_json(fh.read())
+                cap_degree(X.N, "truncation degree")
             except ForestSyntaxError as err:
                 raise ForestSyntaxError(f"{path}: {err.message}",
                                         err.position) from None
-        cap_degree(X.N, "truncation degree")
+            except ValueError as err:
+                raise ValueError(f"{path}: {err}") from None
         out.append(X)
     return out
 

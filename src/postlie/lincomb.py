@@ -3,14 +3,14 @@
 :class:`LinComb` maps basis keys to nonzero exact coefficients.  It stores
 them as integer numerators over one shared denominator: ``num`` maps each key
 to a nonzero ``int``, ``den >= 1`` and ``gcd(den, *num.values()) == 1``, so
-every value has exactly one stored form.  The combinatorial kernels
-(grafting, the cut and BCK coproducts, shuffles and deshuffles) emit integer
-multiplicities, so ``den == 1`` is the common case; it costs plain ``int``
-arithmetic and nothing else.  Where the maths divides (growth shares
-``1/|w|``, exponentials, characters, translations, linear algebra) the linear
-and bilinear extensions bring every image to the lcm of the images'
-denominators, sum plain integers, and divide out one gcd at the end, so no
-``Fraction`` is made per term.
+every value has exactly one stored form, and a value stores nothing else.
+The combinatorial kernels (grafting, the cut and BCK coproducts, shuffles and
+deshuffles) emit integer multiplicities, so ``den == 1`` is the common case;
+it costs plain ``int`` arithmetic and nothing else.  Where the maths divides
+(growth shares ``1/|w|``, exponentials, characters, translations, linear
+algebra) the linear and bilinear extensions bring every image to the lcm of
+the images' denominators, sum plain integers, and divide out one gcd at the
+end, so no ``Fraction`` is made per term.
 
 Outside this module the form does not show: ``items()`` and ``coeff()`` hand
 out each coefficient as an ``int`` when it is integral and as a ``Fraction``
@@ -25,8 +25,8 @@ the shared denominator, so writing a combination builds no ``Fraction``.  A
 
 Keys are any hashable basis values; the degree-aware helpers additionally
 expect a ``.degree`` attribute (forests and decorated trees qualify).
-Instances are immutable and hashable, so a LinComb can itself be used as a
-letter of a formal word.
+Instances are immutable and hashable (the hash is computed on each call, as
+few values are ever hashed), so a LinComb can itself be a letter of a word.
 
 :class:`Tensor` is the flat sparse analogue for tensor products, stored the
 same way: terms are keyed by tuples of basis keys, one per leg.
@@ -155,16 +155,16 @@ def _add_image(acc: dict, big: int, n: int, img: "_Exact", d0: int = 1,
 
 
 class _Exact:
-    """Storage and arithmetic shared by :class:`LinComb` and :class:`Tensor`."""
+    """Storage and arithmetic shared by :class:`LinComb` and :class:`Tensor`:
+    the numerators ``_num`` over ``_den``, and no cached hash."""
 
-    __slots__ = ("_num", "_den", "_hash")
+    __slots__ = ("_num", "_den")
 
     def _checked(self, terms: Mapping | None) -> None:
         data = {k: v for k, v in (terms or {}).items() if v}
         if not _EXACT.issuperset(map(type, data.values())):
             _reject_inexact(data.values())
         self._num, self._den = _split(data)
-        self._hash = None
 
     def _set(self, num: dict, den: int):
         # Store num / den in normal form: divide out their common factor.
@@ -175,7 +175,6 @@ class _Exact:
                 num = {k: n // g for k, n in num.items()}
         self._num = num
         self._den = den
-        self._hash = None
         return self
 
     def items(self) -> Iterator[tuple[Hashable, Coeff]]:
@@ -344,11 +343,7 @@ class LinComb(_Exact):
         return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self.items()))
-            self._hash = h
-        return h
+        return hash(frozenset(self.items()))
 
     def __repr__(self) -> str:
         if not self._num:
@@ -496,11 +491,7 @@ class Tensor(_Exact):
                 and self._num == other._num)
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.arity, frozenset(self.items())))
-            self._hash = h
-        return h
+        return hash((self.arity, frozenset(self.items())))
 
     def __repr__(self) -> str:
         return f"Tensor(arity={self.arity}, nterms={len(self._num)})"

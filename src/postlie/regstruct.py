@@ -121,19 +121,27 @@ class RegTree:
 
     ``dec`` is the root's multi-index, ``edges`` the ordered tuple of
     (edge decoration, subtree) pairs.  ``degree`` counts edges plus the
-    norms of every decoration below and including this vertex.  Instances
-    are unique per shape (built only through ``_node``, the intern step
-    behind ``reg_tree``, whose table is never cleared), so equality and
-    hashing are Python's identity ones.
+    norms of every decoration below and including this vertex, and ``text``
+    is the canonical text: both are built once, from the subtrees' own.
+    Instances are unique per shape (built only through ``_node``, the
+    intern step behind ``reg_tree``, whose table is never cleared), so
+    equality and hashing are Python's identity ones.
     """
 
-    __slots__ = ("dec", "edges", "degree", "_text")
+    __slots__ = ("dec", "edges", "degree", "text")
 
-    def __init__(self, dec: MultiIndex, edges: tuple, degree: int):
+    def __init__(self, dec: MultiIndex, edges: tuple):
         self.dec = dec
         self.edges = edges
+        degree = sum(dec)
+        parts = ["[o{", _render_mi(dec), "}"]
+        for a, sub in edges:
+            degree += 1 + sum(a) + sub.degree
+            parts.append(sub.text)
+            parts.append("{" + _render_mi(a) + "}")
+        parts.append("]")
         self.degree = degree
-        self._text: str | None = None
+        self.text = "".join(parts)
 
     @property
     def dim(self) -> int:
@@ -147,20 +155,6 @@ class RegTree:
     def letters(self) -> int:
         """Length of the word this tree denotes: root norm plus branch count."""
         return mi_norm(self.dec) + len(self.edges)
-
-    @property
-    def text(self) -> str:
-        # Lazy, as most kernel-built trees are never printed; built from the
-        # subtrees' cached texts, so each subtree is rendered once.
-        t = self._text
-        if t is None:
-            bits = ["[o{", _render_mi(self.dec), "}"]
-            for a, sub in self.edges:
-                bits.append(sub.text)
-                bits.append("{" + _render_mi(a) + "}")
-            bits.append("]")
-            t = self._text = "".join(bits)
-        return t
 
     def __repr__(self) -> str:
         return f"RegTree({self.text!r})"
@@ -196,10 +190,7 @@ def _node(dec: MultiIndex, edges: tuple) -> RegTree:
     key = (dec, edges)
     got = _REG_TREES.get(key)
     if got is None:
-        deg = sum(dec)
-        for e, sub in edges:
-            deg += 1 + sum(e) + sub.degree
-        got = _REG_TREES.setdefault(key, RegTree(dec, edges, deg))
+        got = _REG_TREES.setdefault(key, RegTree(dec, edges))
     return got
 
 
@@ -635,11 +626,9 @@ def _branches(deg: int, d: int, max_norm: int | None) -> list[tuple]:
     return out
 
 
-def enumerate_v_letters(n: int, d: int,
-                        max_norm: int | None = None) -> tuple[RegTree, ...]:
+def enumerate_v_letters(n: int, d: int) -> tuple[RegTree, ...]:
     """Degree ``n`` generators: unit vertices and planted trees."""
-    return tuple(t for t in enumerate_reg_trees(n, d, max_norm)
-                 if is_v_letter(t))
+    return tuple(filter(is_v_letter, enumerate_reg_trees(n, d)))
 
 
 # -- dual coproduct ---------------------------------------------------------

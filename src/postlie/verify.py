@@ -38,8 +38,8 @@ from .coaction import (compose_vectors, cointeraction_laws,
                        rho_graft, translate)
 from .exprs import (parse_lincomb, parse_reg_lincomb, parse_tensor,
                     render_lincomb)
-from .forest import (FOREST_ONE, enumerate_forests, enumerate_trees, leaf,
-                     single, tree, word)
+from .forest import (FOREST_ONE, _canon_alphabet, enumerate_forests,
+                     enumerate_trees, leaf, single, tree, word)
 from .grafting import (gl_antipode, gl_forests, gl_product, graft_forests,
                        jacobi_bracket, left_graft)
 from .growth import (f_decompose, f_recompose, fold_tensor, growth_fold,
@@ -809,9 +809,9 @@ def run_suite(name: str, maxdeg: int | None = None,
     """Run one suite and return its report.
 
     ``maxdeg`` falls back to the suite's default and must stay within
-    :func:`degree_cap`; ``alphabet`` must list at least one letter.  It
-    feeds the planar sweeps and is ignored by the decorated suites, which
-    fix dimension one.
+    :func:`degree_cap`; ``alphabet``, read as a sorted set, must list at
+    least one letter.  It feeds the planar sweeps and is ignored by the
+    decorated suites, which fix dimension one.
     """
     try:
         suite = _SUITES[name]
@@ -819,7 +819,7 @@ def run_suite(name: str, maxdeg: int | None = None,
         known = ", ".join(_SUITES)
         raise ValueError(f"unknown suite {name!r}; choose one of {known}") \
             from None
-    letters = tuple(alphabet)
+    letters = _canon_alphabet(alphabet)
     if not letters:
         raise ValueError("alphabet must list at least one letter")
     maxdeg = cap_degree(suite.default if maxdeg is None else maxdeg,

@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from postlie.characters import (canonical_lift, char_convolve, char_from_json,
-                                char_inverse, char_to_csv, char_to_json,
-                                character_failures, counit_char,
+from postlie.characters import (TruncChar, canonical_lift, char_convolve,
+                                char_from_json, char_inverse, char_to_csv,
+                                char_to_json, character_failures, counit_char,
                                 embed_rough_path, group_like_failures, phi,
                                 phi_inverse, phi_matrix, unembed_rough_path)
 from postlie.forest import forests_up_to, parse_forest
@@ -100,6 +100,19 @@ def test_char_serialization_round_trips():
 def test_char_from_json_rejects_malformed_input(text):
     with pytest.raises(ValueError):
         char_from_json(text)
+
+
+@pytest.mark.parametrize("N, values, named", [
+    (2.5, {}, "float"),
+    (True, {}, "bool"),
+    ("3", {}, "str"),
+    (3, {"[a]": 1}, "str"),
+    (3, {parse_forest("[a]").trees[0]: 1}, "PlanarTree"),
+])
+def test_truncchar_refuses_what_it_cannot_hold(N, values, named):
+    # a character the JSON reader would refuse is not built in the first place
+    with pytest.raises(TypeError, match=named):
+        TruncChar(N, values)
 
 
 def test_embed_unembed_round_trip():

@@ -267,6 +267,7 @@ def test_unary_operand_degree_cap_exit_1(capsys, command):
     '[1, 2]',
     '{"N": "2", "values": {}, "flavor": "mkw"}',
     '{"N": 2, "values": {"[o]": "half"}, "flavor": "mkw"}',
+    'N = 2',
 ])
 @pytest.mark.parametrize("command", ["chen", "embed"])
 def test_malformed_character_file_exit_1(tmp_path, capsys, command, text):
@@ -275,7 +276,7 @@ def test_malformed_character_file_exit_1(tmp_path, capsys, command, text):
     files = (str(path),) * (2 if command == "chen" else 1)
     code, out, err = run(capsys, command, *files)
     assert (code, out) == (1, "")
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert err.startswith(f"error: {path}: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["chen", "embed"])
@@ -285,7 +286,7 @@ def test_character_truncation_degree_cap_exit_1(tmp_path, capsys, command):
     files = (str(path),) * (2 if command == "chen" else 1)
     code, _, err = run(capsys, command, *files)
     assert code == 1
-    assert "POSTLIE_DEGREE_CAP" in err
+    assert err.startswith(f"error: {path}: ") and "POSTLIE_DEGREE_CAP" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from postlie.forest import FOREST_ONE, enumerate_forests, parse_forest
-from postlie.lincomb import (LinComb, Tensor, concat, counit, deconcat,
-                             deshuffle, pairing, shuffle, shuffle_words,
-                             tensor_of)
+from postlie.lincomb import (LinComb, Tensor, _Exact, concat, counit,
+                             deconcat, deshuffle, pairing, shuffle,
+                             shuffle_words, tensor_of)
 
 FORESTS = enumerate_forests(0, ("a", "b")) + enumerate_forests(1, ("a", "b")) \
     + enumerate_forests(2, ("a", "b"))
@@ -27,6 +27,18 @@ def test_zero_and_basis():
     assert not x.is_zero
     assert x.coeff(parse_forest("[a]")) == 1
     assert (x - x).is_zero
+
+
+def test_values_store_no_hash_and_hash_by_value():
+    assert _Exact.__slots__ == ("_num", "_den")
+    assert LinComb.__slots__ == () and Tensor.__slots__ == ("arity",)
+    a, b = parse_forest("[a]"), parse_forest("[b]")
+    x = LinComb.from_terms([(a, Fraction(1, 2)), (b, 2)])
+    y = LinComb.basis(a).scale(Fraction(1, 2)) + LinComb.basis(b) * 2
+    assert x == y and hash(x) == hash(y) == hash(x)
+    assert {x: 1}[y] == 1
+    t = tensor_of(x, LinComb.basis(b))
+    assert hash(t) == hash(Tensor.from_terms(2, t.items()))
 
 
 def test_terms_drop_zero_coefficients():

@@ -49,7 +49,7 @@ def test_cache_sizes_names_one_entry_per_memo():
                     for d in node.decorator_list):
                 decorated.append(f"{path.stem}.{node.name}")
     assert sorted(cache_sizes()) == sorted(decorated)
-    assert len(decorated) == 33
+    assert len(decorated) == 32
 
 
 def sample_values():

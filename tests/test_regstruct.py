@@ -366,6 +366,9 @@ def test_equality_and_hash_are_identity():
     assert RegTree.__eq__ is object.__eq__
     assert RegTree.__hash__ is object.__hash__
     assert "_hash" not in RegTree.__slots__
+    # degree and text are plain slots, filled at the intern step
+    assert RegTree.__slots__ == ("dec", "edges", "degree", "text")
+    assert not isinstance(RegTree.__dict__["text"], property)
 
 
 def _reg_built_every_way():

@@ -76,6 +76,14 @@ def test_alphabet_threads_through():
     assert tuple(rep["alphabet"]) == ("a", "b")
     assert rep["ok"]
 
+
+@pytest.mark.parametrize("name, maxdeg", [("hopf-axioms", 1), ("phi-iso", 3)])
+def test_alphabet_is_read_as_a_sorted_set(name, maxdeg):
+    # a repeated letter is one letter: the laws and the report see {a, b}
+    assert (run_suite(name, maxdeg, ("b", "a", "b"))
+            == run_suite(name, maxdeg, ("a", "b")))
+
+
 def test_cap_degree_messages(monkeypatch):
     from postlie.verify import cap_degree
     monkeypatch.delenv("POSTLIE_DEGREE_CAP", raising=False)
