@@ -253,13 +253,25 @@ def char_to_json(X: TruncChar) -> str:
                        "values": {f.text: str(c) for f, c in rows}}, indent=2)
 
 
+def _json_object(pairs: list) -> dict:
+    # A key written twice is refused, not overwritten by its later value.
+    out: dict = {}
+    for k, v in pairs:
+        if k in out:
+            raise ValueError(f"key {k!r} is given twice")
+        out[k] = v
+    return out
+
+
 def char_from_json(text: str) -> TruncChar:
     """Read `char_to_json` output; malformed input raises ``ValueError``.
 
     Values are integers or exact strings such as ``"-1/3"``; a JSON float
-    is refused, so no binary fraction enters a coefficient.
+    is refused, so no binary fraction enters a coefficient.  Two keys that
+    name one forest (``"[a]"`` and ``" [a]"``, or one key written twice)
+    are refused rather than one value overwriting the other.
     """
-    data = json.loads(text)
+    data = json.loads(text, object_pairs_hook=_json_object)
     if not isinstance(data, dict):
         raise ValueError("character file must hold a JSON object")
     N, values, flavor = (data.get(k) for k in ("N", "values", "flavor"))
@@ -271,7 +283,7 @@ def char_from_json(text: str) -> TruncChar:
     if not isinstance(flavor, str):
         raise ValueError(
             f"character 'flavor' must be a string, got {flavor!r}")
-    vals = {}
+    vals, keys = {}, {}
     for k, v in values.items():
         try:
             f = parse_forest(k)
@@ -284,6 +296,10 @@ def char_from_json(text: str) -> TruncChar:
         except (TypeError, ValueError, ZeroDivisionError):
             raise ValueError(f"value {v!r} on {k} is not an integer or an "
                              "exact fraction string") from None
+        if f in keys:
+            raise ValueError(f"keys {keys[f]!r} and {k!r} both name the "
+                             f"forest {f.text}")
+        keys[f] = k
     return TruncChar(N, vals, flavor)
 
 

@@ -340,8 +340,19 @@ def reg_lincomb_to_json(x: LinComb) -> dict:
                       for t, negative, mag in x.ordered_terms(ORDER_KEY)]}
 
 
+def _one_dimension(trees: Iterable) -> None:
+    """Refuse decorated trees of more than one dimension in one sum, as
+    ``parse_reg_lincomb`` does."""
+    dims = {t.dim for t in trees if isinstance(t, RegTree)}
+    if len(dims) > 1:
+        raise ValueError(f"terms mix decorated trees of dimensions "
+                         f"{sorted(dims)} in one sum")
+
+
 def reg_lincomb_from_json(obj: dict) -> LinComb:
-    return LinComb.from_terms(_json_terms(obj, "tree", reg_tree_from_json))
+    terms = _json_terms(obj, "tree", reg_tree_from_json)
+    _one_dimension(t for t, _ in terms)
+    return LinComb.from_terms(terms)
 
 
 def _leg_json(key) -> object:
@@ -371,4 +382,5 @@ def tensor_from_json(obj: dict) -> Tensor:
     arities = {len(legs) for legs, _ in terms}
     if len(arities) > 1:
         raise ValueError("mixed tensor arity in sum")
+    _one_dimension(leg for legs, _ in terms for leg in legs)
     return Tensor.from_terms(arities.pop() if arities else 2, terms)

@@ -14,7 +14,8 @@ end, so no ``Fraction`` is made per term.
 
 Outside this module the form does not show: ``items()`` and ``coeff()`` hand
 out each coefficient as an ``int`` when it is integral and as a ``Fraction``
-otherwise, and ``==``, ``hash`` and ``str`` agree with those values.  So memo
+otherwise; ``str`` agrees with them, and so do ``==`` and ``hash``, which
+read the stored form (unique per value) and build no coefficient.  So memo
 keys and every other consumer see the same numbers whatever arithmetic
 produced them.  The text and JSON writers read the ordered-terms reader
 instead: ``ordered_terms(key)`` hands out the terms in ``key`` order as
@@ -118,6 +119,14 @@ def _add_into(acc: dict, key: Hashable, coeff: Coeff) -> None:
             del acc[key]
 
 
+def _summed(pairs: Iterable[tuple[Hashable, int | str | Fraction]]) -> dict:
+    """The pairs' exact coefficients summed per key, zero sums dropped."""
+    acc: dict = {}
+    for k, c in pairs:
+        _add_into(acc, k, as_coeff(c))
+    return acc
+
+
 def _split(terms: dict) -> tuple[dict, int]:
     """Integer numerators and their least common denominator for a dict of
     nonzero exact coefficients; the dict itself when they are all ints."""
@@ -155,8 +164,8 @@ def _add_image(acc: dict, big: int, n: int, img: "_Exact", d0: int = 1,
 
 
 class _Exact:
-    """Storage and arithmetic shared by :class:`LinComb` and :class:`Tensor`:
-    the numerators ``_num`` over ``_den``, and no cached hash."""
+    """Storage, arithmetic, ``==`` and ``hash`` shared by :class:`LinComb`
+    and :class:`Tensor`: the numerators ``_num`` over ``_den``, no hash kept."""
 
     __slots__ = ("_num", "_den")
 
@@ -215,6 +224,14 @@ class _Exact:
 
     def __len__(self) -> int:
         return len(self._num)
+
+    def __eq__(self, other: object) -> bool:
+        if not self._matches(other):
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
+
+    def __hash__(self) -> int:
+        return hash((self._den, frozenset(self._num.items())))
 
     def _plus(self, other: "_Exact", sign: int):
         d1, d2 = self._den, other._den
@@ -297,10 +314,7 @@ class LinComb(_Exact):
 
     @staticmethod
     def from_terms(pairs: Iterable[tuple[Hashable, int | Fraction]]) -> "LinComb":
-        acc: dict = {}
-        for k, c in pairs:
-            _add_into(acc, k, as_coeff(c))
-        return LinComb._adopt(acc)
+        return LinComb._adopt(_summed(pairs))
 
     # bilinear and coproduct extensions ----------------------------------
 
@@ -334,16 +348,6 @@ class LinComb(_Exact):
 
     def max_degree(self) -> int:
         return max((k.degree for k in self._num), default=0)
-
-    # equality -------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LinComb):
-            return NotImplemented
-        return self._den == other._den and self._num == other._num
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.items()))
 
     def __repr__(self) -> str:
         if not self._num:
@@ -392,10 +396,7 @@ class Tensor(_Exact):
 
     @staticmethod
     def from_terms(arity: int, pairs: Iterable[tuple[tuple, int | Fraction]]) -> "Tensor":
-        acc: dict = {}
-        for k, c in pairs:
-            _add_into(acc, k, as_coeff(c))
-        return Tensor._adopt(arity, acc)
+        return Tensor._adopt(arity, _summed(pairs))
 
     def _legs(self, i: int, j: int, fn: Callable, arity: int) -> "Tensor":
         # Legs i..j-1 become fn(*legs); a Tensor image's keys are leg tuples.
@@ -481,17 +482,9 @@ class Tensor(_Exact):
                     ) -> tuple[LinComb, LinComb]:
         """``(counit (x) id)`` and ``(id (x) counit)`` of a rank-2 tensor,
         for the counit that keeps exactly the keys ``is_unit`` accepts."""
-        return (LinComb.from_terms((b, c) for (a, b), c in self.items() if is_unit(a)),
-                LinComb.from_terms((a, c) for (a, b), c in self.items() if is_unit(b)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return (self.arity == other.arity and self._den == other._den
-                and self._num == other._num)
-
-    def __hash__(self) -> int:
-        return hash((self.arity, frozenset(self.items())))
+        num, den = self._num.items(), self._den
+        return (LinComb._make(_summed((b, n) for (a, b), n in num if is_unit(a)), den),
+                LinComb._make(_summed((a, n) for (a, b), n in num if is_unit(b)), den))
 
     def __repr__(self) -> str:
         return f"Tensor(arity={self.arity}, nterms={len(self._num)})"

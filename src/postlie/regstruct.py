@@ -582,8 +582,8 @@ def enumerate_reg_trees(n: int, d: int,
     """All decorated trees of degree ``n`` over dimension ``d``, sorted.
 
     ``max_norm`` caps each individual decoration norm (None means exact,
-    no cap).  Capped enumerations are for keeping sweep inputs small; the
-    dual coproduct always enumerates exactly.
+    no cap).  Only ``reg-basis --max-norm`` caps; the sweeps and the dual
+    coproduct always enumerate exactly.
     """
     return _reg_tree_basis(n, d, max_norm)
 
@@ -661,7 +661,8 @@ def deformed_mkw_coproduct(x: LinComb | RegTree, maxdeg: int) -> Tensor:
     planted letter drops two degrees), so only degree-complementary dual
     pairs are summed; on those the duality with the product is exact, and
     the coproduct is coassociative as the dual of the associated graded.
-    ``maxdeg`` bounds the enumeration; input above it raises.
+    ``maxdeg`` only refuses input above it: each tree's transpose is taken
+    at the tree's own degree.
     """
     return _capped(x, maxdeg).apply_coproduct(deformed_mkw_tree)
 

@@ -3,13 +3,16 @@
 This is the representation ``postlie.lincomb`` used before it moved to
 integer numerators over one shared denominator, kept verbatim as the slow
 oracle for ``tests/test_lincomb_oracle.py``.  Every operation here stores
-the coefficients exactly as the arithmetic produced them.
+the coefficients exactly as the arithmetic produced them.  Only ``hash``
+reads the normal form, integer numerators over the lcm of the denominators,
+as ``postlie.lincomb`` hashes its stored form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 from postlie.forest import FOREST_ONE, OrderedForest, forest, word
@@ -57,6 +60,12 @@ def _add_into(acc: dict, key: Hashable, coeff: Coeff) -> None:
             acc[key] = c
         else:
             del acc[key]
+
+
+def _normal_hash(terms: dict) -> int:
+    # The hash of the normal form: numerators over the lcm of denominators.
+    den = lcm(*(Fraction(c).denominator for c in terms.values()))
+    return hash((den, frozenset((k, int(c * den)) for k, c in terms.items())))
 
 
 class LinComb:
@@ -186,7 +195,7 @@ class LinComb:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(frozenset(self._terms.items()))
+            h = _normal_hash(self._terms)
             self._hash = h
         return h
 
@@ -341,7 +350,7 @@ class Tensor:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.arity, frozenset(self._terms.items())))
+            h = _normal_hash(self._terms)
             self._hash = h
         return h
 

@@ -102,6 +102,18 @@ def test_char_from_json_rejects_malformed_input(text):
         char_from_json(text)
 
 
+@pytest.mark.parametrize("values, first, second", [
+    ('"[a]": 1, " [a]": 2, "[a][b]": "1/2", "[a] [b]": 3', "'[a]'", "' [a]'"),
+    ('"[a][b]": 1, "[a] [b]": 2', "'[a][b]'", "'[a] [b]'"),
+    ('"[a]": 1, "[a]": 2', "'[a]'", "given twice"),
+])
+def test_char_from_json_refuses_two_keys_for_one_forest(values, first, second):
+    text = '{"N": 2, "values": {' + values + '}, "flavor": "mkw"}'
+    with pytest.raises(ValueError) as err:
+        char_from_json(text)
+    assert first in str(err.value) and second in str(err.value)
+
+
 @pytest.mark.parametrize("N, values, named", [
     (2.5, {}, "float"),
     (True, {}, "bool"),

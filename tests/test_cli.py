@@ -268,6 +268,7 @@ def test_unary_operand_degree_cap_exit_1(capsys, command):
     '{"N": "2", "values": {}, "flavor": "mkw"}',
     '{"N": 2, "values": {"[o]": "half"}, "flavor": "mkw"}',
     'N = 2',
+    '{"N": 2, "values": {"[o]": 1, " [o]": 2}, "flavor": "mkw"}',
 ])
 @pytest.mark.parametrize("command", ["chen", "embed"])
 def test_malformed_character_file_exit_1(tmp_path, capsys, command, text):

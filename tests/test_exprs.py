@@ -117,6 +117,11 @@ def test_tensor_from_json_refuses_mixed_leg_counts():
     *({"terms": [{"coeff": c, "forest": [], "tree": {"n": [0]},
                   "legs": [[], []]}]}
       for c in ("1/0", [1], None, True, "one", {"n": 1})),
+    # decorated trees of two dimensions in one sum, as parse_reg_lincomb
+    # refuses "[o{1}] + [o{1,0}]"
+    {"terms": [{"coeff": "1", "tree": {"n": [1]}, "legs": [{"n": [1]}] * 2},
+               {"coeff": "1", "tree": {"n": [1, 0]},
+                "legs": [{"n": [1, 0]}] * 2}]},
 ])
 def test_malformed_json_sums_raise_value_error(read, obj):
     with pytest.raises(ValueError, match="term"):

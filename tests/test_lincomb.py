@@ -32,6 +32,9 @@ def test_zero_and_basis():
 def test_values_store_no_hash_and_hash_by_value():
     assert _Exact.__slots__ == ("_num", "_den")
     assert LinComb.__slots__ == () and Tensor.__slots__ == ("arity",)
+    # equality and hashing are stated once, on the shared stored form
+    for cls in (LinComb, Tensor):
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
     a, b = parse_forest("[a]"), parse_forest("[b]")
     x = LinComb.from_terms([(a, Fraction(1, 2)), (b, 2)])
     y = LinComb.basis(a).scale(Fraction(1, 2)) + LinComb.basis(b) * 2
@@ -39,6 +42,30 @@ def test_values_store_no_hash_and_hash_by_value():
     assert {x: 1}[y] == 1
     t = tensor_of(x, LinComb.basis(b))
     assert hash(t) == hash(Tensor.from_terms(2, t.items()))
+    assert Tensor.zero(2) != Tensor.zero(3)
+    assert tensor_of(x) != tensor_of(x, LinComb.basis(FOREST_ONE))
+    # a LinComb never equals a Tensor, even one storing the same numbers
+    pairs = LinComb.from_terms((legs, c) for legs, c in t.items())
+    assert pairs._num == t._num and pairs._den == t._den
+    assert pairs != t and t != pairs
+
+
+def test_protocol_builds_no_coefficient(monkeypatch):
+    a, b = parse_forest("[a]"), parse_forest("[b]")
+    x = LinComb.from_terms([(a, Fraction(1, 2)), (b, Fraction(-1, 3))])
+    y = LinComb.from_terms([(b, Fraction(-1, 3)), (a, Fraction(1, 2))])
+    t = deshuffle(x)
+    legs = (x, x)
+    hashes = hash(x), hash(t)
+
+    def refuse(*_):
+        raise AssertionError("a coefficient was built")
+
+    monkeypatch.setattr(_Exact, "items", refuse)
+    monkeypatch.setattr(_Exact, "coeff", refuse)
+    assert x == y and x != y * 2 and t == deshuffle(y)
+    assert (hash(x), hash(t)) == hashes and hash(y) == hash(x)
+    assert t.counit_legs(lambda f: f.is_empty) == legs
 
 
 def test_terms_drop_zero_coefficients():
