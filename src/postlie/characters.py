@@ -27,6 +27,7 @@ import json
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
+from .exprs import _json_coeff
 from .forest import (FOREST_ONE, ORDER_KEY, ForestSyntaxError,
                      OrderedForest, enumerate_forests, forest, leaf,
                      letters_in, parse_forest, single)
@@ -228,8 +229,8 @@ def canonical_lift(increments: Mapping[str, int | Fraction], N: int) -> TruncCha
     mkw-flavor character: ``|f| X(f) = (X * x)(f)``, its derivative in degree."""
     if N < 1:
         raise ValueError("truncation degree must be at least 1")
-    inc = {single(leaf(d)): as_coeff(c) for d, c in increments.items()
-           if as_coeff(c)}
+    inc = {single(leaf(d)): c for d, v in increments.items()
+           if (c := as_coeff(v))}
     return _convolved(N, MKW_FLAVOR, letters_in(*inc), None,
                       lambda r: inc.get(r, 0), lambda n: Fraction(1, n))
 
@@ -287,9 +288,7 @@ def char_from_json(text: str) -> TruncChar:
     for k, v in values.items():
         try:
             f = parse_forest(k)
-            if type(v) is not int and not isinstance(v, str):
-                raise TypeError
-            vals[f] = Fraction(v)
+            vals[f] = _json_coeff(v)
         except ForestSyntaxError as err:
             raise ForestSyntaxError(f"key {k!r}: {err.message}",
                                     err.position) from None

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import partial
 from math import comb
 
@@ -40,6 +39,7 @@ from .exprs import (lincomb_to_json, parse_lincomb, parse_reg_lincomb,
 from .forest import TOKEN, ForestSyntaxError, enumerate_forests
 from .grafting import concat_antipode, gl_antipode, gl_product, left_graft
 from .growth import f_decompose, natural_growth, primitive_projection
+from .lincomb import as_coeff
 from .mkw import mkw_antipode, mkw_coproduct
 from .regstruct import (deformed_mkw_coproduct, enumerate_reg_trees,
                         phi_reg, phi_reg_inverse, reg_assoc_product,
@@ -228,7 +228,7 @@ def _translate(args, x):
 def _lift(args):
     n = cap_degree(args.N, "truncation degree")
     return canonical_lift(_pairs(args.increments, ",", "increment",
-                                 "letter=value", Fraction), n)
+                                 "letter=value", as_coeff), n)
 
 
 def _basis(args):

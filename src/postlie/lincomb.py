@@ -21,8 +21,10 @@ produced them.  The text and JSON writers read the ordered-terms reader
 instead: ``ordered_terms(key)`` hands out the terms in ``key`` order as
 ``(key, negative, magnitude)``, the magnitude already as the text ``str``
 would give its value, formatted off the numerator with one ``gcd`` against
-the shared denominator, so writing a combination builds no ``Fraction``.  A
-``float`` is refused with ``TypeError`` wherever a coefficient enters.
+the shared denominator, so writing a combination builds no ``Fraction``.
+Every coefficient enters through one rule, ``as_coeff``, the mapping
+constructors included (they read values as ``from_terms`` does), so a
+``float``, a ``bool`` or any other non-exact value raises ``TypeError``.
 
 Keys are any hashable basis values; the degree-aware helpers additionally
 expect a ``.degree`` attribute (forests and decorated trees qualify).
@@ -75,27 +77,20 @@ from .forest import FOREST_ONE, OrderedForest, forest, word
 
 Coeff = int | Fraction
 
-_EXACT = frozenset((int, Fraction))
 _INT = frozenset((int,))
 
 
-def _reject_inexact(values: Iterable) -> None:
-    # Called once ``_EXACT.issuperset(map(type, values))`` has failed.
-    bad = next(v for v in values if type(v) not in _EXACT)
-    raise TypeError(f"coefficient {bad!r} is not exact: "
-                    "use an int or a Fraction")
-
-
 def as_coeff(value: int | str | Fraction) -> Coeff:
-    """Exact coefficient: an ``int``, or a ``Fraction`` with denominator > 1.
-
-    Strings parse as ``Fraction`` does; a ``float`` raises ``TypeError``.
-    """
+    """The one rule for a coefficient entering a value: an ``int``, a
+    ``Fraction`` or text that ``Fraction`` parses, returned as an ``int``
+    when whole and as a ``Fraction`` otherwise.  Anything else (a ``float``,
+    a ``bool``, a ``Decimal``, ``None``) raises ``TypeError``."""
     if type(value) is int:
         return value
     if type(value) is not Fraction:
-        if isinstance(value, float):
-            _reject_inexact((value,))
+        if not isinstance(value, str):
+            raise TypeError(f"coefficient {value!r} is not exact: "
+                            "use an int or a Fraction")
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
@@ -125,6 +120,14 @@ def _summed(pairs: Iterable[tuple[Hashable, int | str | Fraction]]) -> dict:
     for k, c in pairs:
         _add_into(acc, k, as_coeff(c))
     return acc
+
+
+def _of_arity(arity: int, pairs: Iterable[tuple]) -> Iterator[tuple]:
+    """The pairs, refusing a key that is not a tuple of ``arity`` legs."""
+    for k, c in pairs:
+        if not isinstance(k, tuple) or len(k) != arity:
+            raise ValueError(f"tensor key {k!r} is not a {arity}-leg tuple")
+        yield k, c
 
 
 def _split(terms: dict) -> tuple[dict, int]:
@@ -168,12 +171,6 @@ class _Exact:
     and :class:`Tensor`: the numerators ``_num`` over ``_den``, no hash kept."""
 
     __slots__ = ("_num", "_den")
-
-    def _checked(self, terms: Mapping | None) -> None:
-        data = {k: v for k, v in (terms or {}).items() if v}
-        if not _EXACT.issuperset(map(type, data.values())):
-            _reject_inexact(data.values())
-        self._num, self._den = _split(data)
 
     def _set(self, num: dict, den: int):
         # Store num / den in normal form: divide out their common factor.
@@ -284,7 +281,7 @@ class LinComb(_Exact):
     __slots__ = ()
 
     def __init__(self, terms: Mapping[Hashable, Coeff] | None = None):
-        self._checked(terms)
+        self._num, self._den = _split(_summed((terms or {}).items()))
 
     # construction ---------------------------------------------------------
 
@@ -360,13 +357,13 @@ _ZERO = LinComb._make({})
 
 
 class Tensor(_Exact):
-    """Sparse tensor of fixed arity; terms keyed by tuples of basis keys."""
+    """Sparse tensor of fixed arity; terms keyed by tuples of ``arity`` legs."""
 
     __slots__ = ("arity",)
 
     def __init__(self, arity: int, terms: Mapping[tuple, Coeff] | None = None):
         self.arity = arity
-        self._checked(terms)
+        self._num, self._den = _split(_summed(_of_arity(arity, (terms or {}).items())))
 
     @staticmethod
     def _make(arity: int, num: dict, den: int = 1) -> "Tensor":
@@ -396,10 +393,12 @@ class Tensor(_Exact):
 
     @staticmethod
     def from_terms(arity: int, pairs: Iterable[tuple[tuple, int | Fraction]]) -> "Tensor":
-        return Tensor._adopt(arity, _summed(pairs))
+        return Tensor._adopt(arity, _summed(_of_arity(arity, pairs)))
 
     def _legs(self, i: int, j: int, fn: Callable, arity: int) -> "Tensor":
         # Legs i..j-1 become fn(*legs); a Tensor image's keys are leg tuples.
+        if not 0 <= i < j <= self.arity:
+            raise ValueError(f"leg {i} is outside 0 <= leg < {self.arity}")
         acc: dict = {}
         big = 1
         for key, n in self._num.items():

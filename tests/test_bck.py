@@ -4,7 +4,8 @@ import pytest
 
 from postlie.bck import (bck_antipode, bck_coproduct, bck_is_primitive,
                          bck_natural_growth, bck_primitive_projection,
-                         bck_reduced, enumerate_np_forests,
+                         bck_reduced, bck_reduced_forest,
+                         enumerate_np_forests,
                          enumerate_np_trees, forget_planarity, np_mul,
                          np_parse)
 from postlie.forest import FOREST_ONE, parse_forest
@@ -13,6 +14,18 @@ from postlie.lincomb import LinComb
 
 def nb(text):
     return LinComb.basis(np_parse(text))
+
+
+@pytest.mark.parametrize("reduce, message", [
+    (lambda: bck_reduced(LinComb.basis(FOREST_ONE) + nb("[a[b]]")),
+     "reduced coproduct needs an augmentation-ideal element"),
+    (lambda: bck_reduced_forest(FOREST_ONE),
+     "reduced coproduct of the unit is undefined"),
+])
+def test_bck_reduced_refuses_the_unit(reduce, message):
+    with pytest.raises(ValueError) as err:
+        reduce()
+    assert str(err.value) == message
 
 
 def test_parse_sorts_canonically():

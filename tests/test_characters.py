@@ -102,6 +102,17 @@ def test_char_from_json_rejects_malformed_input(text):
         char_from_json(text)
 
 
+@pytest.mark.parametrize("value, shown", [
+    ('"half"', "'half'"), ('"1/0"', "'1/0'"), ("null", "None"),
+    ("0.1", "0.1"), ("true", "True"), ("[1]", "[1]")])
+def test_char_from_json_names_the_bad_value(value, shown):
+    text = '{"N": 2, "values": {"[o]": ' + value + '}, "flavor": "mkw"}'
+    with pytest.raises(ValueError) as err:
+        char_from_json(text)
+    assert str(err.value) == (f"value {shown} on [o] is not an integer or an "
+                              "exact fraction string")
+
+
 @pytest.mark.parametrize("values, first, second", [
     ('"[a]": 1, " [a]": 2, "[a][b]": "1/2", "[a] [b]": 3', "'[a]'", "' [a]'"),
     ('"[a][b]": 1, "[a] [b]": 2', "'[a][b]'", "'[a] [b]'"),
@@ -125,6 +136,32 @@ def test_truncchar_refuses_what_it_cannot_hold(N, values, named):
     # a character the JSON reader would refuse is not built in the first place
     with pytest.raises(TypeError, match=named):
         TruncChar(N, values)
+
+
+O, OO = parse_forest("[o]"), parse_forest("[o][o]")
+MKW = canonical_lift({"o": 1}, 2)
+TENSOR = embed_rough_path(MKW)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: TruncChar(2, {}, "shuffle"), "unknown flavor 'shuffle'"),
+    (lambda: TruncChar(1, {OO: 1}), "value on [o][o] exceeds truncation 1"),
+    (lambda: TruncChar(2, {parse_forest("1"): 2}),
+     "value on the unit must be 1"),
+    (lambda: MKW.value(parse_forest("[o[o]][o]")),
+     "[o[o]][o] lies beyond truncation 2"),
+    (lambda: char_convolve(MKW, canonical_lift({"o": 1}, 3)),
+     "truncation degrees differ"),
+    (lambda: char_convolve(MKW, TENSOR), "flavors differ"),
+    (lambda: embed_rough_path(TENSOR), "embedding starts from the mkw flavor"),
+    (lambda: unembed_rough_path(MKW),
+     "un-embedding starts from the tensor flavor"),
+], ids=["flavor", "value-degree", "unit-value", "read-degree",
+        "convolve-degrees", "convolve-flavors", "embed", "unembed"])
+def test_character_refusals(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_embed_unembed_round_trip():

@@ -196,6 +196,17 @@ def test_degree_cap_exit_1(capsys):
     assert "POSTLIE_DEGREE_CAP" in err
 
 
+@pytest.mark.parametrize("raw, message", [
+    ("seven", "POSTLIE_DEGREE_CAP must be an integer, got 'seven'"),
+    ("0", "POSTLIE_DEGREE_CAP must be at least 1"),
+])
+def test_bad_degree_cap_exit_1(capsys, monkeypatch, raw, message):
+    monkeypatch.setenv("POSTLIE_DEGREE_CAP", raw)
+    code, out, err = run(capsys, "verify", "--suite", "gl-duality",
+                         "--max-degree", "2")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_missing_character_file_exit_1(tmp_path, capsys):
     code, _, err = run(capsys, "chen", str(tmp_path / "nope.json"),
                        str(tmp_path / "also.json"))

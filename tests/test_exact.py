@@ -1,11 +1,14 @@
 """Exact coefficients: no float enters, combinatorial kernels emit int."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 import postlie as pl
+from postlie import lincomb
 from postlie.bck import bck_coproduct
+from postlie.characters import TruncChar, canonical_lift
 from postlie.exprs import lincomb_from_json, lincomb_to_json
 from postlie.forest import forests_up_to, parse_forest
 from postlie.grafting import gl_forests, graft_forests
@@ -37,6 +40,44 @@ ONE_TERM = LinComb.basis(KEY)
 def test_float_coefficient_raises(make):
     with pytest.raises(TypeError):
         make()
+
+
+# Every entry point of a coefficient, as value -> the coefficient stored.
+ENTRIES = {
+    "LinComb": lambda v: LinComb({KEY: v}).coeff(KEY),
+    "Tensor": lambda v: Tensor(1, {(KEY,): v}).coeff((KEY,)),
+    "LinComb.from_terms": lambda v: LinComb.from_terms([(KEY, v)]).coeff(KEY),
+    "Tensor.from_terms":
+        lambda v: Tensor.from_terms(1, [((KEY,), v)]).coeff((KEY,)),
+    "scale": lambda v: ONE_TERM.scale(v).coeff(KEY),
+    "rmul": lambda v: (v * ONE_TERM).coeff(KEY),
+    "as_coeff": as_coeff,
+    "TruncChar": lambda v: TruncChar(2, {KEY: v}).value(KEY),
+    # the degree-1 value of exp(x) is the increment itself
+    "canonical_lift": lambda v: canonical_lift({"o": v}, 1).value(KEY),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("value", [True, 0.0, Decimal("0.5"), None],
+                         ids=["bool", "zero-float", "Decimal", "None"])
+def test_every_entry_point_refuses_what_as_coeff_refuses(entry, value):
+    with pytest.raises(TypeError, match="is not exact"):
+        ENTRIES[entry](value)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("value, stored", [
+    (3, 3), (Fraction(1, 2), Fraction(1, 2)), ("1/2", Fraction(1, 2))],
+    ids=["int", "Fraction", "text"])
+def test_every_entry_point_stores_what_as_coeff_reads(entry, value, stored):
+    got = ENTRIES[entry](value)
+    assert got == stored and type(got) is type(stored)
+
+
+def test_as_coeff_is_the_only_gate():
+    assert not hasattr(lincomb, "_EXACT")
+    assert not hasattr(lincomb, "_reject_inexact")
 
 
 def test_as_coeff_keeps_ints_and_demotes_whole_fractions():

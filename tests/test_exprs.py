@@ -12,7 +12,7 @@ from postlie.exprs import (lincomb_from_json, lincomb_to_json, parse_lincomb,
                            render_lincomb, render_tensor, tensor_from_json,
                            tensor_to_json)
 from postlie.forest import ForestSyntaxError, forests_up_to, parse_forest
-from postlie.lincomb import LinComb, tensor_of
+from postlie.lincomb import LinComb, Tensor, tensor_of
 from postlie.regstruct import (deformed_mkw_coproduct, enumerate_reg_trees,
                                parse_reg_tree)
 
@@ -126,6 +126,13 @@ def test_tensor_from_json_refuses_mixed_leg_counts():
 def test_malformed_json_sums_raise_value_error(read, obj):
     with pytest.raises(ValueError, match="term"):
         read(obj)
+
+
+def test_tensor_to_json_refuses_legs_without_a_json_form():
+    t = Tensor.basis((parse_forest("[a]").trees[0], parse_forest("[b]")))
+    with pytest.raises(TypeError) as err:
+        tensor_to_json(t)
+    assert str(err.value) == "no JSON form for PlanarTree"
 
 
 @pytest.mark.parametrize("legs", [5, "[a]", []])

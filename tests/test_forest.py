@@ -159,6 +159,13 @@ def test_json_decoration_must_be_one_token(dec):
         forest_from_json([{"d": dec, "c": []}])
 
 
+@pytest.mark.parametrize("obj", [["o"], "[o]", None, {"c": []}])
+def test_json_tree_must_be_an_object_with_a_decoration(obj):
+    with pytest.raises(ValueError) as err:
+        forest_from_json([obj])
+    assert str(err.value) == f"not a tree object: {obj!r}"
+
+
 # -- the intern step: degree and text, computed once from the children ------
 
 def _render(t: PlanarTree) -> str:

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from postlie.forest import FOREST_ONE, enumerate_forests, parse_forest
 from postlie.lincomb import (LinComb, Tensor, _Exact, concat, counit,
-                             deconcat, deshuffle, pairing, shuffle,
-                             shuffle_words, tensor_of)
+                             deconcat, deshuffle, deshuffle_forest, pairing,
+                             shuffle, shuffle_words, tensor_of)
 
 FORESTS = enumerate_forests(0, ("a", "b")) + enumerate_forests(1, ("a", "b")) \
     + enumerate_forests(2, ("a", "b"))
@@ -152,6 +152,35 @@ def test_merge_legs_validates_indices():
                   LinComb.basis(parse_forest("[b]")))
     with pytest.raises(ValueError):
         t.merge_legs(1, 1, shuffle_words)
+
+
+A = parse_forest("[a]")
+
+
+@pytest.mark.parametrize("make, key, arity", [
+    (lambda: Tensor(2, {(A,): 1}), (A,), 2),
+    (lambda: Tensor(2, {(A, A, A): 1}), (A, A, A), 2),
+    (lambda: Tensor(2, {"ab": 1}), "ab", 2),
+    (lambda: Tensor(1, {A: 1}), A, 1),
+    # a key is refused even where its coefficient is zero
+    (lambda: Tensor(2, {(A,): 0}), (A,), 2),
+    (lambda: Tensor.from_terms(2, [("ab", 1)]), "ab", 2),
+    (lambda: Tensor.from_terms(2, [((A, A), 1), ((A,), 1)]), (A,), 2),
+], ids=["short", "long", "text", "bare", "zero", "from_terms-text",
+        "from_terms-short"])
+def test_tensor_keys_have_the_tensor_arity(make, key, arity):
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == f"tensor key {key!r} is not a {arity}-leg tuple"
+
+
+@pytest.mark.parametrize("leg", [-1, 2, 5])
+def test_leg_maps_refuse_a_leg_outside_the_arity(leg):
+    t = tensor_of(LinComb.basis(A), LinComb.basis(parse_forest("[b]")))
+    with pytest.raises(ValueError, match=f"leg {leg} is outside"):
+        t.apply_linear(leg, LinComb.basis)
+    with pytest.raises(ValueError, match=f"leg {leg} is outside"):
+        t.apply_coproduct(leg, deshuffle_forest)
 
 
 def test_truncate_and_max_degree():

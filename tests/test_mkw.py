@@ -44,6 +44,12 @@ def test_reduced_coproduct_refuses_a_unit_component(reduce):
         reduce(one() + b("[a[b]]"))
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_iterated_reduced_needs_a_positive_k(k):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        iterated_reduced(b("[a[b]]"), k)
+
+
 def test_coproduct_word_counts():
     # a two-letter word has the deconcatenation piece besides the graft cuts
     t = mkw_coproduct(b("[a][b]"))

@@ -12,7 +12,8 @@ from postlie.memo import clear_caches
 from postlie.regstruct import (RegTree, bracket0, deformed_graft, deformed_mkw_coproduct,
                                deformed_mkw_tree, enumerate_reg_trees,
                                enumerate_v_letters, is_v_letter,
-                               lower_root_adjacent, parse_reg_tree, phi_reg,
+                               lower_root_adjacent, mi_unit, multiindices,
+                               parse_reg_tree, phi_reg,
                                phi_reg_inverse, plant,
                                reg_assoc_product, reg_deshuffle, reg_gl_product,
                                reg_graft, reg_one, reg_raise, reg_tree,
@@ -28,6 +29,7 @@ BULLET = plant((0,), ONE)            # zero-decorated branch over a bare vertex
 I1 = plant((1,), ONE)
 VTX1 = x_power((1,))
 I0V1 = plant((0,), VTX1)
+PLANTED2 = plant((0, 1), reg_one(2))  # a planted tree of dimension 2
 
 
 @pytest.mark.parametrize("build,message", [
@@ -62,10 +64,45 @@ I0V1 = plant((0,), VTX1)
     (lambda: reg_tree_from_json({"n": [0], "e": [{"a": 5, "t": {"n": [0]}}]}),
      "'a' must be a list"),
     (lambda: lower_root_adjacent(I1, (1.2,)), "lowering index must hold integers"),
-    (lambda: lower_root_adjacent(I1, (True,)), "lowering index must hold integers")])
+    (lambda: lower_root_adjacent(I1, (True,)), "lowering index must hold integers"),
+    # a JSON tree or edge that is not an object with its entries
+    (lambda: reg_tree_from_json([0]), "not a decorated tree object"),
+    (lambda: reg_tree_from_json("[o{1}]"), "not a decorated tree object"),
+    (lambda: reg_tree_from_json({"n": [0], "e": [5]}),
+     "each edge needs 'a' and 't' entries"),
+    (lambda: reg_tree_from_json({"n": [0], "e": [{"a": [0]}]}),
+     "each edge needs 'a' and 't' entries"),
+    (lambda: reg_tree_from_json({"n": [0], "e": [{"t": {"n": [0]}}]}),
+     "each edge needs 'a' and 't' entries"),
+    # lowering needs a unit multi-index of the trees' dimension
+    (lambda: lower_root_adjacent(I1, (2,)), "lowering needs a unit multi-index"),
+    (lambda: lower_root_adjacent(I1, (0,)), "lowering needs a unit multi-index"),
+    (lambda: lower_root_adjacent(I1, (1, 0)),
+     "lowering index has the wrong dimension"),
+    (lambda: lower_root_adjacent(PLANTED2, (1,)),
+     "lowering index has the wrong dimension")])
 def test_bad_decorations_are_refused(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: mi_unit(2, 2), "unit coordinate 2 outside dimension 2"),
+    (lambda: mi_unit(2, -1), "unit coordinate -1 outside dimension 2"),
+    (lambda: multiindices(0, 1), "dimension must be at least 1"),
+    (lambda: reg_assoc_product(I1, PLANTED2),
+     "decoration dimension mismatch: 1 vs 2"),
+    (lambda: reg_gl_product(I1, PLANTED2),
+     "decoration dimension mismatch: 1 vs 2"),
+    (lambda: reg_gl_product(PLANTED2, X), "decoration dimension mismatch: 2 vs 1"),
+    (lambda: reg_graft(I1, PLANTED2), "decoration dimension mismatch: 1 vs 2"),
+    (lambda: bracket0(I1, PLANTED2), "decoration dimension mismatch: 1 vs 2"),
+], ids=["unit-high", "unit-negative", "multiindices", "assoc", "gl", "gl-x",
+        "graft", "bracket0"])
+def test_multi_indices_and_dimensions_are_checked(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 def _degree(t: RegTree) -> int:

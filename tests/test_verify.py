@@ -67,6 +67,19 @@ def test_degree_cap_default_and_override(monkeypatch):
     assert degree_cap() == 9
 
 
+@pytest.mark.parametrize("raw, message", [
+    ("seven", "POSTLIE_DEGREE_CAP must be an integer, got 'seven'"),
+    ("7.5", "POSTLIE_DEGREE_CAP must be an integer, got '7.5'"),
+    ("0", "POSTLIE_DEGREE_CAP must be at least 1"),
+    ("-3", "POSTLIE_DEGREE_CAP must be at least 1"),
+])
+def test_bad_degree_cap_is_refused(monkeypatch, raw, message):
+    monkeypatch.setenv("POSTLIE_DEGREE_CAP", raw)
+    with pytest.raises(DegreeCapError) as e:
+        degree_cap()
+    assert str(e.value) == message
+
+
 def test_degree_cap_is_an_argument_error():
     assert issubclass(DegreeCapError, ValueError)
 
